@@ -16,235 +16,24 @@
 
 namespace osumac::exp {
 
-ScenarioRun::ScenarioRun(const ScenarioSpec& spec)
-    : spec_(spec), cell_(std::make_unique<mac::Cell>(spec.BuildCellConfig())) {
-  OSUMAC_CHECK_GE(spec_.data_users, 0);
-  OSUMAC_CHECK_GE(spec_.gps_users, 0);
-  OSUMAC_CHECK_LE(spec_.gps_users, spec_.mac.max_gps_users);
-}
-
-ScenarioRun::~ScenarioRun() {
-  // Workloads hold a reference to the cell; stop them before it dies.
-  if (uplink_ != nullptr) uplink_->Stop();
-  if (downlink_ != nullptr) downlink_->Stop();
-}
-
-void ScenarioRun::BuildPopulation() {
-  OSUMAC_PROFILE_ZONE("exp.populate");
-  for (int i = 0; i < spec_.data_users; ++i) {
-    data_nodes_.push_back(cell_->AddSubscriber(false));
-    cell_->PowerOn(data_nodes_.back());
-  }
-  for (int i = 0; i < spec_.gps_users; ++i) {
-    gps_nodes_.push_back(cell_->AddSubscriber(true));
-    cell_->PowerOn(gps_nodes_.back());
-  }
-  cell_->RunCycles(spec_.registration_cycles);
-}
-
-void ScenarioRun::StartWorkloads() {
-  const WorkloadSpec& w = spec_.workload;
-  if (w.rho > 0 && !data_nodes_.empty()) {
-    const Tick interarrival = traffic::MeanInterarrivalTicks(
-        w.rho, spec_.data_users, spec_.DataSlotsForLoad(), w.sizes.MeanBytes());
-    uplink_ = std::make_unique<traffic::PoissonUplinkWorkload>(
-        *cell_, data_nodes_, interarrival, w.sizes,
-        Rng(DeriveSeed(spec_.seed, SeedStream::kUplink)));
-  }
-  Tick downlink_interarrival = 0;
-  if (w.downlink_interarrival_cycles > 0) {
-    downlink_interarrival = static_cast<Tick>(w.downlink_interarrival_cycles *
-                                              static_cast<double>(mac::kCycleTicks));
-  } else if (w.downlink_rho > 0) {
-    downlink_interarrival =
-        traffic::MeanInterarrivalTicks(w.downlink_rho, spec_.data_users,
-                                       mac::kForwardDataSlots,
-                                       w.downlink_sizes.MeanBytes());
-  }
-  if (downlink_interarrival > 0 && !data_nodes_.empty()) {
-    downlink_ = std::make_unique<traffic::PoissonDownlinkWorkload>(
-        *cell_, data_nodes_, downlink_interarrival, w.downlink_sizes,
-        Rng(DeriveSeed(spec_.seed, SeedStream::kDownlink)));
-  }
-}
-
-void ScenarioRun::Warmup() {
-  OSUMAC_PROFILE_ZONE("exp.warmup");
-  cell_->RunCycles(spec_.warmup_cycles);
-  if (spec_.reset_stats_after_warmup) cell_->ResetStats();
-  downlink_generated_at_reset_ =
-      downlink_ != nullptr ? downlink_->messages_generated() : 0;
-  // The journal attaches at the warm-up boundary, like a trace, so its
-  // digest chain covers exactly the measured window.
-  if (spec_.journal_every > 0) {
-    obs::CellJournal::Config jc;
-    jc.every = spec_.journal_every;
-    journal_ = std::make_shared<obs::RunJournal>(jc);
-    cell_->AttachJournal(&journal_->AddCell(0));
-  }
-}
-
-void ScenarioRun::Measure() {
-  OSUMAC_PROFILE_ZONE("exp.measure");
-  const ChurnSpec& churn = spec_.churn;
-  if (churn.arrivals > 0) {
-    Rng churn_rng(DeriveSeed(spec_.seed, SeedStream::kChurn));
-    for (int i = 0; i < churn.arrivals; ++i) {
-      const int node = cell_->AddSubscriber(churn.gps);
-      churn_nodes_.push_back(node);
-      cell_->PowerOn(node);
-      if (churn.gap_hi_cycles > 0) {
-        cell_->RunCycles(static_cast<int>(
-            churn_rng.UniformInt(churn.gap_lo_cycles, churn.gap_hi_cycles)));
-      }
-      if (churn.max_extra_wait_cycles > 0) {
-        // Sample this arrival inline: give a straggler a bounded chance to
-        // finish registering, then record its latency (or the bound).
-        int extra = 0;
-        while (cell_->subscriber(node).state() !=
-                   mac::MobileSubscriber::State::kActive &&
-               extra++ < churn.max_extra_wait_cycles) {
-          cell_->RunCycles(1);
-        }
-        const auto& samples =
-            cell_->subscriber(node).stats().registration_latency_cycles;
-        churn_latency_.push_back(
-            samples.empty() ? static_cast<double>(churn.max_extra_wait_cycles)
-                            : samples.samples()[0]);
-        if (churn.sign_off_after_sample) cell_->SignOff(node);
-      }
-    }
-  }
-  cell_->RunCycles(spec_.measure_cycles);
-}
-
-RunResult ScenarioRun::Finish() {
-  OSUMAC_PROFILE_ZONE("exp.finish");
-  RunResult result;
-  result.name = spec_.name;
-  result.seed = spec_.seed;
-  result.figure = metrics::ComputeFigureMetrics(*cell_, data_nodes_);
-  result.bs = cell_->base_station().counters();
-
-  const mac::CellMetrics& cm = cell_->metrics();
-  result.offered_load =
-      cm.capacity_bytes > 0 ? static_cast<double>(cm.offered_bytes) /
-                                  static_cast<double>(cm.capacity_bytes)
-                            : 0.0;
-  result.measured_cycles = cm.cycles;
-  result.capacity_bytes = cm.capacity_bytes;
-  result.offered_bytes = cm.offered_bytes;
-  result.unique_payload_bytes = cm.unique_payload_bytes;
-  result.uplink_messages_offered = cm.uplink_messages_offered;
-  result.forward_packets_lost = cm.forward_packets_lost;
-
-  if (downlink_ != nullptr) {
-    result.downlink_messages_generated =
-        downlink_->messages_generated() - downlink_generated_at_reset_;
-  }
-  result.downlink_messages_completed =
-      static_cast<std::int64_t>(cm.downlink_message_delay_cycles.size());
-  result.downlink_mean_delay_cycles = cm.downlink_message_delay_cycles.empty()
-                                          ? 0.0
-                                          : cm.downlink_message_delay_cycles.Mean();
-
-  if (spec_.churn.arrivals > 0) {
-    // Arrivals sampled inline already carry their latency; the rest (storm
-    // mode) are sampled here, after the measured cycles gave them time to
-    // register.  Unregistered stragglers count the full wait, not nothing.
-    if (churn_latency_.empty()) {
-      for (const int node : churn_nodes_) {
-        const auto& samples =
-            cell_->subscriber(node).stats().registration_latency_cycles;
-        churn_latency_.push_back(samples.empty()
-                                     ? static_cast<double>(spec_.measure_cycles)
-                                     : samples.samples()[0]);
-      }
-    }
-    result.churn_registration_latency = churn_latency_;
-    for (const int node : churn_nodes_) {
-      if (cell_->subscriber(node).state() == mac::MobileSubscriber::State::kActive) {
-        ++result.churn_registered;
-      }
-    }
-  }
-
-  if (spec_.collect_registry) {
-    obs::MetricsRegistry registry;
-    metrics::RegisterCellMetrics(registry, *cell_);
-    result.registry = registry.Collect();
-  }
-
-  result.slo = cell_->slo().Summary();
-  result.journal = journal_;
-  return result;
-}
-
-RunResult ScenarioRun::Execute() {
-  BuildPopulation();
-  StartWorkloads();
-  Warmup();
-  Measure();
-  return Finish();
-}
-
 namespace {
 
-/// The serial path for policy tenants (spec.mac_policy != "osu"): the same
-/// phase ladder on the generic mac::PolicyCell driver.  Downlink traffic
-/// and churn do not apply (the driver's registration is out-of-band), and
-/// the figure metrics reduce to the policy-agnostic subset — utilization,
-/// delays, collision probability, Jain fairness from the substrate's
-/// per-user byte ledger, and the GPS QoS columns from the SloMonitor.
-RunResult RunPolicyScenario(const ScenarioSpec& spec, const RunHooks& hooks) {
-  OSUMAC_CHECK(mac::IsKnownMacPolicy(spec.mac_policy));
-  mac::PolicyCell cell(spec.BuildCellConfig(),
-                       mac::MakeMacPolicy(spec.mac_policy),
-                       DeriveSeed(spec.seed, SeedStream::kMacPolicy));
-  std::vector<int> data_nodes;
-  for (int i = 0; i < spec.data_users; ++i) {
-    data_nodes.push_back(cell.AddNode(/*wants_gps=*/false));
-  }
-  int gps_nodes = 0;
-  for (int i = 0; i < spec.gps_users; ++i) {
-    cell.AddNode(/*wants_gps=*/true);
-    ++gps_nodes;
-  }
-  if (hooks.policy_after_build) hooks.policy_after_build(cell);
-  cell.RunCycles(spec.registration_cycles);
+/// OSU counters -> RunResult: the paper's full figure set and the
+/// base-station ledger.
+void FillOsuResult(const mac::Cell& cell, const std::vector<int>& data_nodes,
+                   RunResult& result) {
+  result.figure = metrics::ComputeFigureMetrics(cell, data_nodes);
+  result.bs = cell.base_station().counters();
+}
 
-  std::unique_ptr<traffic::PoissonUplinkWorkload> uplink;
-  const WorkloadSpec& w = spec.workload;
-  if (w.rho > 0 && !data_nodes.empty()) {
-    const Tick interarrival = traffic::MeanInterarrivalTicks(
-        w.rho, spec.data_users, spec.DataSlotsForLoad(), w.sizes.MeanBytes());
-    uplink = std::make_unique<traffic::PoissonUplinkWorkload>(
-        cell.simulator(), data_nodes, interarrival, w.sizes,
-        Rng(DeriveSeed(spec.seed, SeedStream::kUplink)),
-        [&cell](int node, int bytes) { cell.SendUplinkMessage(node, bytes); });
-  }
-  cell.RunCycles(spec.warmup_cycles);
-  if (spec.reset_stats_after_warmup) cell.ResetStats();
-  // Same warm-up-boundary attachment as ScenarioRun::Warmup(): the journal
-  // covers exactly the measured window.
-  std::shared_ptr<obs::RunJournal> journal;
-  if (spec.journal_every > 0) {
-    obs::CellJournal::Config jc;
-    jc.every = spec.journal_every;
-    journal = std::make_shared<obs::RunJournal>(jc);
-    cell.AttachJournal(&journal->AddCell(0));
-  }
-  cell.RunCycles(spec.measure_cycles);
-  if (uplink != nullptr) uplink->Stop();
-  if (hooks.policy_before_finish) hooks.policy_before_finish(cell);
-
-  RunResult result;
-  result.name = spec.name;
-  result.seed = spec.seed;
-
+/// Policy counters -> RunResult: the policy-agnostic subset of the figure
+/// metrics — utilization, delays, collision probability, Jain fairness from
+/// the substrate's per-user byte ledger, and the GPS QoS columns from the
+/// SloMonitor (`result.slo` must already be set).
+void FillPolicyResult(const mac::PolicyCell& cell, const std::vector<int>& data_nodes,
+                      int gps_nodes, RunResult& result) {
   const mac::CellMetrics& cm = cell.metrics();
   const mac::PolicyCounters& k = cell.counters();
-  result.slo = cell.slo().Summary();
 
   metrics::FigureMetrics& f = result.figure;
   f.utilization = cm.Utilization();
@@ -300,7 +89,140 @@ RunResult RunPolicyScenario(const ScenarioSpec& spec, const RunHooks& hooks) {
   result.bs.contention_slot_cycles = k.contention_slots;
   result.bs.data_slots_offered = k.granted_slots + k.contention_slots;
   result.bs.data_slots_used = k.data_packets_received;
+}
 
+}  // namespace
+
+ScenarioRun::ScenarioRun(const ScenarioSpec& spec) : spec_(spec) {
+  OSUMAC_CHECK_GE(spec_.data_users, 0);
+  OSUMAC_CHECK_GE(spec_.gps_users, 0);
+  OSUMAC_CHECK_EQ(TenantInputError(spec_), std::string());
+  if (spec_.mac_policy == "osu") {
+    OSUMAC_CHECK_LE(spec_.gps_users, spec_.mac.max_gps_users);
+    auto cell = std::make_unique<mac::Cell>(spec_.BuildCellConfig());
+    osu_ = cell.get();
+    driver_ = std::move(cell);
+  } else {
+    auto cell = std::make_unique<mac::PolicyCell>(
+        spec_.BuildCellConfig(), mac::MakeMacPolicy(spec_.mac_policy),
+        DeriveSeed(spec_.seed, SeedStream::kMacPolicy));
+    policy_ = cell.get();
+    driver_ = std::move(cell);
+  }
+}
+
+ScenarioRun::~ScenarioRun() {
+  // Workloads hold a reference to the cell; stop them before it dies.
+  if (uplink_ != nullptr) uplink_->Stop();
+  if (downlink_ != nullptr) downlink_->Stop();
+}
+
+mac::Cell& ScenarioRun::cell() {
+  OSUMAC_CHECK(osu_ != nullptr && "ScenarioRun::cell() is the OSU driver");
+  return *osu_;
+}
+
+void ScenarioRun::BuildPopulation() {
+  OSUMAC_PROFILE_ZONE("exp.populate");
+  for (int i = 0; i < spec_.data_users; ++i) {
+    data_nodes_.push_back(driver_->AddNode(/*wants_gps=*/false));
+  }
+  for (int i = 0; i < spec_.gps_users; ++i) {
+    gps_nodes_.push_back(driver_->AddNode(/*wants_gps=*/true));
+  }
+  driver_->RunCycles(spec_.registration_cycles);
+}
+
+void ScenarioRun::StartWorkloads() {
+  const WorkloadSpec& w = spec_.workload;
+  if (w.rho > 0 && !data_nodes_.empty()) {
+    const Tick interarrival = traffic::MeanInterarrivalTicks(
+        w.rho, spec_.data_users, spec_.DataSlotsForLoad(), w.sizes.MeanBytes());
+    uplink_ = std::make_unique<traffic::PoissonUplinkWorkload>(
+        *driver_, data_nodes_, interarrival, w.sizes,
+        Rng(DeriveSeed(spec_.seed, SeedStream::kUplink)));
+  }
+  Tick downlink_interarrival = 0;
+  if (w.downlink_interarrival_cycles > 0) {
+    downlink_interarrival = static_cast<Tick>(w.downlink_interarrival_cycles *
+                                              static_cast<double>(mac::kCycleTicks));
+  } else if (w.downlink_rho > 0) {
+    downlink_interarrival =
+        traffic::MeanInterarrivalTicks(w.downlink_rho, spec_.data_users,
+                                       mac::kForwardDataSlots,
+                                       w.downlink_sizes.MeanBytes());
+  }
+  if (downlink_interarrival > 0 && !data_nodes_.empty()) {
+    downlink_ = std::make_unique<traffic::PoissonDownlinkWorkload>(
+        cell(), data_nodes_, downlink_interarrival, w.downlink_sizes,
+        Rng(DeriveSeed(spec_.seed, SeedStream::kDownlink)));
+  }
+}
+
+void ScenarioRun::Warmup() {
+  OSUMAC_PROFILE_ZONE("exp.warmup");
+  driver_->RunCycles(spec_.warmup_cycles);
+  if (spec_.reset_stats_after_warmup) driver_->ResetStats();
+  downlink_generated_at_reset_ =
+      downlink_ != nullptr ? downlink_->messages_generated() : 0;
+  // The journal attaches at the warm-up boundary, like a trace, so its
+  // digest chain covers exactly the measured window.
+  if (spec_.journal_every > 0) {
+    obs::CellJournal::Config jc;
+    jc.every = spec_.journal_every;
+    journal_ = std::make_shared<obs::RunJournal>(jc);
+    driver_->AttachJournal(&journal_->AddCell(0));
+  }
+}
+
+void ScenarioRun::Measure() {
+  OSUMAC_PROFILE_ZONE("exp.measure");
+  if (spec_.churn.arrivals > 0) StageChurn();
+  driver_->RunCycles(spec_.measure_cycles);
+}
+
+void ScenarioRun::StageChurn() {
+  mac::Cell& cell = this->cell();
+  const ChurnSpec& churn = spec_.churn;
+  Rng churn_rng(DeriveSeed(spec_.seed, SeedStream::kChurn));
+  for (int i = 0; i < churn.arrivals; ++i) {
+    const int node = cell.AddNode(churn.gps);
+    churn_nodes_.push_back(node);
+    if (churn.gap_hi_cycles > 0) {
+      cell.RunCycles(static_cast<int>(
+          churn_rng.UniformInt(churn.gap_lo_cycles, churn.gap_hi_cycles)));
+    }
+    if (churn.max_extra_wait_cycles > 0) {
+      // Sample this arrival inline: give a straggler a bounded chance to
+      // finish registering, then record its latency (or the bound).
+      int extra = 0;
+      while (cell.subscriber(node).state() != mac::MobileSubscriber::State::kActive &&
+             extra++ < churn.max_extra_wait_cycles) {
+        cell.RunCycles(1);
+      }
+      const auto& samples = cell.subscriber(node).stats().registration_latency_cycles;
+      churn_latency_.push_back(samples.empty()
+                                   ? static_cast<double>(churn.max_extra_wait_cycles)
+                                   : samples.samples()[0]);
+      if (churn.sign_off_after_sample) cell.SignOff(node);
+    }
+  }
+}
+
+RunResult ScenarioRun::Finish() {
+  OSUMAC_PROFILE_ZONE("exp.finish");
+  RunResult result;
+  result.name = spec_.name;
+  result.seed = spec_.seed;
+  result.slo = driver_->slo().Summary();
+  if (osu_ != nullptr) {
+    FillOsuResult(*osu_, data_nodes_, result);
+  } else {
+    FillPolicyResult(*policy_, data_nodes_, static_cast<int>(gps_nodes_.size()),
+                     result);
+  }
+
+  const mac::CellMetrics& cm = driver_->metrics();
   result.offered_load =
       cm.capacity_bytes > 0 ? static_cast<double>(cm.offered_bytes) /
                                   static_cast<double>(cm.capacity_bytes)
@@ -310,29 +232,70 @@ RunResult RunPolicyScenario(const ScenarioSpec& spec, const RunHooks& hooks) {
   result.offered_bytes = cm.offered_bytes;
   result.unique_payload_bytes = cm.unique_payload_bytes;
   result.uplink_messages_offered = cm.uplink_messages_offered;
+  result.forward_packets_lost = cm.forward_packets_lost;
 
-  if (spec.collect_registry) {
+  if (downlink_ != nullptr) {
+    result.downlink_messages_generated =
+        downlink_->messages_generated() - downlink_generated_at_reset_;
+  }
+  result.downlink_messages_completed =
+      static_cast<std::int64_t>(cm.downlink_message_delay_cycles.size());
+  result.downlink_mean_delay_cycles = cm.downlink_message_delay_cycles.empty()
+                                          ? 0.0
+                                          : cm.downlink_message_delay_cycles.Mean();
+
+  if (spec_.churn.arrivals > 0) {
+    // Arrivals sampled inline already carry their latency; the rest (storm
+    // mode) are sampled here, after the measured cycles gave them time to
+    // register.  Unregistered stragglers count the full wait, not nothing.
+    const mac::Cell& cell = this->cell();
+    if (churn_latency_.empty()) {
+      for (const int node : churn_nodes_) {
+        const auto& samples = cell.subscriber(node).stats().registration_latency_cycles;
+        churn_latency_.push_back(samples.empty()
+                                     ? static_cast<double>(spec_.measure_cycles)
+                                     : samples.samples()[0]);
+      }
+    }
+    result.churn_registration_latency = churn_latency_;
+    for (const int node : churn_nodes_) {
+      if (cell.subscriber(node).state() == mac::MobileSubscriber::State::kActive) {
+        ++result.churn_registered;
+      }
+    }
+  }
+
+  if (spec_.collect_registry) {
     obs::MetricsRegistry registry;
-    metrics::RegisterPolicyCellMetrics(registry, cell);
+    if (osu_ != nullptr) {
+      metrics::RegisterCellMetrics(registry, *osu_);
+    } else {
+      metrics::RegisterPolicyCellMetrics(registry, *policy_);
+    }
     result.registry = registry.Collect();
   }
-  result.journal = journal;
+  result.journal = journal_;
   return result;
 }
 
-}  // namespace
+RunResult ScenarioRun::Execute(const RunHooks& hooks) {
+  // Only the hook family of the spec's tenant fires.
+  if (osu_ != nullptr && hooks.after_build) hooks.after_build(*osu_);
+  if (policy_ != nullptr && hooks.policy_after_build) hooks.policy_after_build(*policy_);
+  BuildPopulation();
+  StartWorkloads();
+  Warmup();
+  if (osu_ != nullptr && hooks.after_warmup) hooks.after_warmup(*osu_);
+  Measure();
+  if (osu_ != nullptr && hooks.before_finish) hooks.before_finish(*osu_);
+  if (policy_ != nullptr && hooks.policy_before_finish) {
+    hooks.policy_before_finish(*policy_);
+  }
+  return Finish();
+}
 
 RunResult RunScenario(const ScenarioSpec& spec, const RunHooks& hooks) {
-  if (spec.mac_policy != "osu") return RunPolicyScenario(spec, hooks);
-  ScenarioRun run(spec);
-  if (hooks.after_build) hooks.after_build(run.cell());
-  run.BuildPopulation();
-  run.StartWorkloads();
-  run.Warmup();
-  if (hooks.after_warmup) hooks.after_warmup(run.cell());
-  run.Measure();
-  if (hooks.before_finish) hooks.before_finish(run.cell());
-  return run.Finish();
+  return ScenarioRun(spec).Execute(hooks);
 }
 
 int ResolveJobs(int jobs) { return ResolveParallelism(jobs); }

@@ -2,7 +2,7 @@
 // serially via RunScenario / ScenarioRun, or fanned out over a worker-
 // thread pool via SweepRunner.
 //
-// Parallelism model: every spec builds its own Cell (simulator, channels,
+// Parallelism model: every spec builds its own cell (simulator, channels,
 // RNGs) on the worker that claims it, so workers share no mutable state;
 // the per-spec seed derivation (exp/seed.h) makes each run a pure function
 // of its spec.  Results come back in input order and are bit-identical at
@@ -87,8 +87,9 @@ struct RunResult {
 };
 
 /// Optional callbacks into a run's phases, for callers that attach
-/// observers, traces or timers to the live Cell (tools/osumac_sim).  Only
-/// the serial entry points honor hooks; SweepRunner runs hook-free.
+/// observers, traces or timers to the live cell (tools/osumac_sim).  Only
+/// the serial entry points honor hooks; SweepRunner runs hook-free.  Each
+/// fires at most once, and only the family matching the spec's tenant.
 struct RunHooks {
   std::function<void(mac::Cell&)> after_build;    ///< before any cycle runs
   std::function<void(mac::Cell&)> after_warmup;   ///< stats just reset
@@ -101,16 +102,26 @@ struct RunHooks {
 };
 
 /// One scenario run with its phases exposed, for callers that need the
-/// live Cell between phases (tests poke invariants mid-run; osumac_sim
+/// live cell between phases (tests poke invariants mid-run; osumac_sim
 /// attaches the auditor and event trace).  Typical use is just Execute().
+///
+/// The constructor maps spec.mac_policy to its driver — mac::Cell for
+/// "osu", mac::PolicyCell hosting mac::MakeMacPolicy(name) otherwise — and
+/// every phase runs through the mac::CellDriver contract, so all tenants
+/// share one ladder.  Only the OSU downlink and churn staging and the
+/// counters -> RunResult mapping are tenant-specific.
 class ScenarioRun {
  public:
+  /// CHECK-fails on a spec its tenant cannot run (TenantInputError).
   explicit ScenarioRun(const ScenarioSpec& spec);
   ~ScenarioRun();
   ScenarioRun(const ScenarioRun&) = delete;
   ScenarioRun& operator=(const ScenarioRun&) = delete;
 
-  mac::Cell& cell() { return *cell_; }
+  /// The OSU cell; CHECK-fails for policy tenants.
+  mac::Cell& cell();
+  /// The grid tenant's cell; null for OSU specs.
+  mac::PolicyCell* policy_cell() { return policy_; }
   const ScenarioSpec& spec() const { return spec_; }
   const std::vector<int>& data_nodes() const { return data_nodes_; }
   const std::vector<int>& gps_nodes() const { return gps_nodes_; }
@@ -127,8 +138,8 @@ class ScenarioRun {
   /// Assembles the RunResult from the finished cell.
   RunResult Finish();
 
-  /// All phases in order.
-  RunResult Execute();
+  /// All phases in order, firing `hooks` between them.
+  RunResult Execute(const RunHooks& hooks = {});
 
   /// The run's journal, created by Warmup() when spec.journal_every > 0
   /// (null before that, and for journal-off specs).  Callers may install a
@@ -136,8 +147,12 @@ class ScenarioRun {
   const std::shared_ptr<obs::RunJournal>& journal() const { return journal_; }
 
  private:
+  void StageChurn();
+
   ScenarioSpec spec_;
-  std::unique_ptr<mac::Cell> cell_;
+  std::unique_ptr<mac::CellDriver> driver_;
+  mac::Cell* osu_ = nullptr;           ///< driver_, when the tenant is OSU
+  mac::PolicyCell* policy_ = nullptr;  ///< driver_, for every other tenant
   std::vector<int> data_nodes_;
   std::vector<int> gps_nodes_;
   std::vector<int> churn_nodes_;
@@ -148,8 +163,8 @@ class ScenarioRun {
   std::shared_ptr<obs::RunJournal> journal_;
 };
 
-/// Runs one spec start to finish (the serial path; what each SweepRunner
-/// worker executes per claimed spec).
+/// Runs one spec start to finish: ScenarioRun(spec).Execute(hooks) (the
+/// serial path; what each SweepRunner worker executes per claimed spec).
 RunResult RunScenario(const ScenarioSpec& spec, const RunHooks& hooks = {});
 
 /// Executes a vector of specs on `jobs` worker threads (0 = one per

@@ -1,6 +1,7 @@
 #include "exp/scenario.h"
 
 #include <cstdio>
+#include <utility>
 
 #include "common/check.h"
 #include "exp/seed.h"
@@ -55,6 +56,28 @@ std::string ScenarioSpec::Describe() const {
   if (mac_policy != "osu") out += " mac=" + mac_policy;
   if (journal_every > 0) out += " journal-every=" + std::to_string(journal_every);
   return out;
+}
+
+std::string TenantInputError(const ScenarioSpec& spec) {
+  if (spec.mac_policy == "osu") return "";
+  const mac::MacConfig d;
+  const std::pair<bool, const char*> osu_only[] = {
+      {spec.workload.downlink_rho > 0, "downlink_rho"},
+      {spec.workload.downlink_interarrival_cycles > 0, "downlink_interarrival_cycles"},
+      {spec.churn.arrivals > 0, "churn.arrivals"},
+      {spec.mac.downlink_arq != d.downlink_arq, "mac.arq"},
+      {spec.mac.use_second_control_field != d.use_second_control_field, "mac.second_cf"},
+      {spec.mac.dynamic_gps_slots != d.dynamic_gps_slots, "mac.dynamic_gps"},
+      {spec.mac.dynamic_contention_slots != d.dynamic_contention_slots,
+       "mac.dynamic_contention"},
+  };
+  for (const auto& [set, key] : osu_only) {
+    if (set) {
+      return std::string(key) + " is an OSU-only input; the " + spec.mac_policy +
+             " tenant is uplink-only and would ignore it";
+    }
+  }
+  return "";
 }
 
 const std::vector<double>& LoadSweep() {

@@ -84,12 +84,12 @@ struct ScenarioSpec {
 
   // --- cell ----------------------------------------------------------------
   /// Medium-access policy the run's cell hosts (scenario key `mac`).  "osu"
-  /// — the default, and the only value every feature below supports — runs
-  /// the full mac::Cell; other names from mac::KnownMacPolicies() run the
-  /// generic mac::PolicyCell driver, which ignores downlink traffic, churn
-  /// and the OSU-specific MacConfig toggles (out-of-band registration has
-  /// no storms to stage).  Kept out of Describe()/spec JSON when default so
-  /// pre-existing artifacts stay byte-identical.
+  /// — the default — runs the full mac::Cell; other names from
+  /// mac::KnownMacPolicies() run the generic mac::PolicyCell driver, which
+  /// has no downlink, no churn and none of the OSU scheduler toggles, so
+  /// such specs must leave them unset (TenantInputError).  Kept out of
+  /// Describe()/spec JSON when default so pre-existing artifacts stay
+  /// byte-identical.
   std::string mac_policy = "osu";
   mac::MacConfig mac;
   mac::ChannelModelConfig forward;
@@ -125,6 +125,13 @@ struct ScenarioSpec {
   /// "key=value ..." one-liner for provenance headers and progress logs.
   std::string Describe() const;
 };
+
+/// Why `spec` cannot run on its tenant, or "" when it can.  A non-OSU spec
+/// must not set the inputs only the OSU driver honours: downlink traffic,
+/// churn, or mac.arq / mac.second_cf / mac.dynamic_gps /
+/// mac.dynamic_contention away from their defaults.  The scenario parser,
+/// osumac_sim and the run path all check this one rule.
+std::string TenantInputError(const ScenarioSpec& spec);
 
 /// The paper's Section-5 load-index sweep {0.3, 0.5, 0.8, 0.9, 1.0, 1.1}.
 const std::vector<double>& LoadSweep();

@@ -193,11 +193,18 @@ std::vector<ScenarioSpec> ParseScenarios(std::istream& in, std::string* error) {
   int replications = 1;
   bool in_section = false;
 
+  // Validates the finished section (its `mac` line may follow the keys it
+  // conflicts with) and appends its expansion.
   auto flush = [&]() {
+    if (const std::string detail = TenantInputError(current); !detail.empty()) {
+      if (error != nullptr) *error = "scenario '" + current.name + "': " + detail;
+      return false;
+    }
     const std::vector<ScenarioSpec> expanded =
         replications > 1 ? ExpandReplications(current, replications)
                          : std::vector<ScenarioSpec>{current};
     out.insert(out.end(), expanded.begin(), expanded.end());
+    return true;
   };
 
   std::string line;
@@ -216,7 +223,7 @@ std::vector<ScenarioSpec> ParseScenarios(std::istream& in, std::string* error) {
         }
         return {};
       }
-      if (in_section) flush();
+      if (in_section && !flush()) return {};
       current = defaults;
       current.name = Trim(line.substr(1, line.size() - 2));
       replications = 1;
@@ -243,13 +250,12 @@ std::vector<ScenarioSpec> ParseScenarios(std::istream& in, std::string* error) {
       return {};
     }
   }
-  if (in_section) {
-    flush();
-  } else {
+  if (!in_section) {
     // A sectionless file defines exactly one scenario from the defaults.
-    defaults.name = defaults.name.empty() ? "scenario" : defaults.name;
-    out.push_back(defaults);
+    current = defaults;
+    if (current.name.empty()) current.name = "scenario";
   }
+  if (!flush()) return {};
   if (error != nullptr) error->clear();
   return out;
 }

@@ -10,8 +10,7 @@ namespace osumac::mac {
 
 Cell::Cell(const CellConfig& config)
     : CellSubstrate(config),
-      policy_(config.mac),
-      bs_(policy_.base_station()),
+      bs_(config.mac),
       check_clock_([this] { return sim_.now(); }),
       check_dump_([this] { return DumpState(); }) {
   OSUMAC_CHECK(config_.mac.min_contention_slots >= 1 &&
@@ -104,7 +103,7 @@ void Cell::PowerOn(int node) { subscriber(node).PowerOn(); }
 
 void Cell::SignOff(int node) {
   MobileSubscriber& sub = subscriber(node);
-  policy_.OnSignOff(node, sub.user_id());
+  if (sub.user_id() != kNoUser) bs_.SignOff(sub.user_id());
   sub.PowerOff();
   // The node's service history ends here: gaps spanning the off period are
   // not SLO violations.

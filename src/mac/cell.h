@@ -3,10 +3,10 @@
 //
 // The Cell is the OSU-MAC driver over the protocol-agnostic CellSubstrate
 // (mac/substrate.h): the substrate owns the clock, channels, FEC and
-// accounting; the Cell owns the OSU tenant (mac/policies/osu_policy.h,
-// wrapping the BaseStation) plus the subscriber state machines that make
-// OSU's in-band signalling work.  Other MAC policies run on the same
-// substrate through the generic mac::PolicyCell driver.
+// accounting; the Cell owns the BaseStation plus the subscriber state
+// machines that make OSU's in-band signalling work.  Other MAC policies run
+// on the same substrate through the generic mac::PolicyCell driver; both
+// implement the CellDriver contract the scenario engine runs.
 //
 // The Cell reproduces the full air interface: control fields and packets are
 // really RS-encoded, passed through per-path error models, decoded, and
@@ -26,6 +26,7 @@
 #include <cstdint>
 #include <map>
 #include <memory>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -37,7 +38,6 @@
 #include "mac/base_station.h"
 #include "mac/cell_observer.h"
 #include "mac/config.h"
-#include "mac/policies/osu_policy.h"
 #include "mac/subscriber.h"
 #include "mac/substrate.h"
 #include "obs/event_trace.h"
@@ -48,7 +48,7 @@
 
 namespace osumac::mac {
 
-class Cell : private CellSubstrate {
+class Cell final : public CellDriver, private CellSubstrate {
  public:
   explicit Cell(const CellConfig& config);
 
@@ -60,9 +60,15 @@ class Cell : private CellSubstrate {
   int AddSubscriber(bool wants_gps, std::optional<Ein> ein = std::nullopt);
   /// Powers a subscriber on; it syncs and registers via contention.
   void PowerOn(int node);
+  /// AddSubscriber + PowerOn.
+  int AddNode(bool wants_gps) override {
+    const int node = AddSubscriber(wants_gps);
+    PowerOn(node);
+    return node;
+  }
   /// Signs a subscriber off (the base station releases its resources — the
   /// paper's "sign-off"; for GPS users this triggers rules R1-R3).
-  void SignOff(int node);
+  void SignOff(int node) override;
 
   MobileSubscriber& subscriber(int node) { return *subscribers_[static_cast<std::size_t>(node)]; }
   const MobileSubscriber& subscriber(int node) const {
@@ -71,10 +77,8 @@ class Cell : private CellSubstrate {
   int subscriber_count() const { return static_cast<int>(subscribers_.size()); }
   BaseStation& base_station() { return bs_; }
   const BaseStation& base_station() const { return bs_; }
-  /// The OSU tenant hosting the base station (grid view for audits/tests).
-  const OsuMacPolicy& policy() const { return policy_; }
-  sim::Simulator& simulator() { return sim_; }
-  const sim::Simulator& simulator() const { return sim_; }
+  sim::Simulator& simulator() override { return sim_; }
+  const sim::Simulator& simulator() const override { return sim_; }
   const CellConfig& config() const { return config_; }
   const phy::ReverseChannel& reverse_channel() const { return reverse_channel_; }
 
@@ -92,8 +96,8 @@ class Cell : private CellSubstrate {
   /// gap observed against the paper's budgets.  Fed directly by the MAC
   /// machinery (no event-trace dependency, no randomness), so it is live
   /// even in untraced sweep runs.
-  obs::SloMonitor& slo() { return slo_; }
-  const obs::SloMonitor& slo() const { return slo_; }
+  obs::SloMonitor& slo() override { return slo_; }
+  const obs::SloMonitor& slo() const override { return slo_; }
 
   /// Attaches a structured event trace (nullptr detaches): the cell stamps
   /// it with the simulation clock and cycle context and fans it out to the
@@ -107,7 +111,7 @@ class Cell : private CellSubstrate {
   /// cycle, right after the plan is fixed, the cell appends a digest record
   /// over its MAC-visible state (obs/run_journal.h).  Attach after warm-up,
   /// like the trace, so the chain covers exactly the measured window.
-  void AttachJournal(obs::CellJournal* journal) { journal_ = journal; }
+  void AttachJournal(obs::CellJournal* journal) override { journal_ = journal; }
   obs::CellJournal* journal() const { return journal_; }
 
   /// Fault injection for the divergence-diagnosis harness: burns one extra
@@ -125,7 +129,7 @@ class Cell : private CellSubstrate {
   // --- traffic ---------------------------------------------------------------
 
   /// Queues an uplink message at `node` now; returns false on buffer drop.
-  bool SendUplinkMessage(int node, int bytes);
+  bool SendUplinkMessage(int node, int bytes) override;
   /// Queues a downlink message to `node` (must be registered).
   bool SendDownlinkMessage(int node, int bytes);
   /// Queues a subscriber-to-subscriber message: uplink at `src_node`,
@@ -140,13 +144,13 @@ class Cell : private CellSubstrate {
   // --- running ----------------------------------------------------------------
 
   /// Runs `cycles` further notification cycles.
-  void RunCycles(int cycles);
+  void RunCycles(int cycles) override;
   /// Zeroes all statistics (base station, subscribers, cell aggregates):
   /// call after a warm-up period.
-  void ResetStats();
+  void ResetStats() override;
 
   std::int64_t current_cycle() const { return next_cycle_ - 1; }
-  const CellMetrics& metrics() const { return metrics_; }
+  const CellMetrics& metrics() const override { return metrics_; }
 
  private:
   void StartCycle(std::int64_t n);
@@ -165,10 +169,7 @@ class Cell : private CellSubstrate {
   void EmitSlotResolved(int slot, Interval abs, std::int64_t outcome, bool assigned,
                         bool designated_contention, bool is_gps);
 
-  OsuMacPolicy policy_;
-  /// The policy's BaseStation, by reference: the whole driver below reads
-  /// as it did before the substrate/policy split.
-  BaseStation& bs_;
+  BaseStation bs_;
   std::vector<std::unique_ptr<MobileSubscriber>> subscribers_;
 
   ReverseFormat prev_format_ = ReverseFormat::kFormat2;

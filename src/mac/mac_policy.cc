@@ -23,11 +23,9 @@ bool IsKnownMacPolicy(const std::string& name) {
 }
 
 std::unique_ptr<MacPolicy> MakeMacPolicy(const std::string& name) {
-  OSUMAC_CHECK(IsKnownMacPolicy(name) && "unknown MAC policy name");
   if (name == "rqma") return std::make_unique<RqmaPolicy>();
-  if (name == "pca") return std::make_unique<PcaPolicy>();
-  // "osu": hosted by mac::Cell, which constructs its OsuMacPolicy directly.
-  return nullptr;
+  OSUMAC_CHECK(name == "pca" && "not a grid MAC policy (osu runs on mac::Cell)");
+  return std::make_unique<PcaPolicy>();
 }
 
 }  // namespace osumac::mac

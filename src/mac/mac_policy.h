@@ -12,10 +12,9 @@
 // config and common/), never phy/ or exp/ internals.
 //
 // Tenants:
-//   osu   — the paper's protocol (mac/policies/osu_policy.h).  Its
-//           signalling is in-band (control fields, contention-based
-//           registration), so its host driver is the full mac::Cell; the
-//           policy object packages the BaseStation behind this interface.
+//   osu   — the paper's protocol.  Its signalling is in-band (control
+//           fields, contention-based registration), so it is not a
+//           MacPolicy: mac::Cell drives the BaseStation directly.
 //   rqma  — reservation-queue multiple access (mac/policies/rqma_policy.h),
 //           ported from src/baselines/rqma.* onto the real channel.
 //   pca   — PCA-style two-carrier time/frequency access
@@ -140,10 +139,9 @@ class MacPolicy {
 const std::vector<std::string>& KnownMacPolicies();
 bool IsKnownMacPolicy(const std::string& name);
 
-/// Builds a policy by name.  Returns nullptr for "osu": the OSU tenant's
-/// in-band signalling needs the full mac::Cell driver, which constructs its
-/// OsuMacPolicy directly (see mac/policies/osu_policy.h).  CHECK-fails on
-/// unknown names — validate with IsKnownMacPolicy first.
+/// Builds a grid tenant by name for mac::PolicyCell.  CHECK-fails on "osu"
+/// (the paper's protocol runs on mac::Cell; exp::ScenarioRun picks the
+/// driver) and on unknown names — validate with IsKnownMacPolicy first.
 std::unique_ptr<MacPolicy> MakeMacPolicy(const std::string& name);
 
 }  // namespace osumac::mac

@@ -66,9 +66,10 @@ struct PolicyCounters {
   std::int64_t messages_completed = 0;
 };
 
-class PolicyCell : private CellSubstrate {
+class PolicyCell final : public CellDriver, private CellSubstrate {
  public:
-  /// `policy` must be non-null (use mac::Cell for the OSU tenant).
+  /// `policy` must be non-null (mac::MakeMacPolicy builds the grid
+  /// tenants; the OSU protocol runs on mac::Cell).
   PolicyCell(const CellConfig& config, std::unique_ptr<MacPolicy> policy,
              std::uint64_t policy_seed);
 
@@ -76,10 +77,10 @@ class PolicyCell : private CellSubstrate {
 
   /// Adds a node and registers it with the policy immediately (out-of-band
   /// signalling: uid == node index).  Returns the node index.
-  int AddNode(bool wants_gps);
+  int AddNode(bool wants_gps) override;
   /// Signs a node off: the policy releases its resources; queued traffic
   /// is discarded.
-  void SignOff(int node);
+  void SignOff(int node) override;
 
   int node_count() const { return static_cast<int>(nodes_.size()); }
   bool is_gps(int node) const { return nodes_[static_cast<std::size_t>(node)].gps; }
@@ -92,14 +93,14 @@ class PolicyCell : private CellSubstrate {
   // --- traffic ---------------------------------------------------------------
 
   /// Queues an uplink message at `node` now; returns false on buffer drop.
-  bool SendUplinkMessage(int node, int bytes);
+  bool SendUplinkMessage(int node, int bytes) override;
 
   // --- running ----------------------------------------------------------------
 
   /// Runs `cycles` further notification cycles.
-  void RunCycles(int cycles);
+  void RunCycles(int cycles) override;
   /// Zeroes all statistics; call after a warm-up period.
-  void ResetStats();
+  void ResetStats() override;
 
   std::int64_t current_cycle() const { return next_cycle_ - 1; }
 
@@ -115,18 +116,18 @@ class PolicyCell : private CellSubstrate {
   /// Attaches a run-journal slice (nullptr detaches), mirroring
   /// mac::Cell::AttachJournal: one digest record per journaled cycle, taken
   /// right after the policy's plan is on the air.
-  void AttachJournal(obs::CellJournal* journal) { journal_ = journal; }
+  void AttachJournal(obs::CellJournal* journal) override { journal_ = journal; }
   obs::CellJournal* journal() const { return journal_; }
 
   MacPolicy& policy() { return *policy_; }
   const MacPolicy& policy() const { return *policy_; }
-  sim::Simulator& simulator() { return sim_; }
-  const sim::Simulator& simulator() const { return sim_; }
+  sim::Simulator& simulator() override { return sim_; }
+  const sim::Simulator& simulator() const override { return sim_; }
   const CellConfig& config() const { return config_; }
-  const CellMetrics& metrics() const { return metrics_; }
+  const CellMetrics& metrics() const override { return metrics_; }
   const PolicyCounters& counters() const { return counters_; }
-  obs::SloMonitor& slo() { return slo_; }
-  const obs::SloMonitor& slo() const { return slo_; }
+  obs::SloMonitor& slo() override { return slo_; }
+  const obs::SloMonitor& slo() const override { return slo_; }
   /// Decoded-fragment delay samples, in cycles (arrival -> slot end).
   const SampleSet& packet_delay_cycles() const { return packet_delay_cycles_; }
   /// Completed-message delay samples, in cycles.

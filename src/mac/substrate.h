@@ -11,10 +11,13 @@
 // paths read exactly as they did before the split):
 //
 //   mac::Cell        — the full OSU-MAC air interface (control fields,
-//                      subscriber state machines, in-band registration),
-//                      with the OSU machinery packaged as OsuMacPolicy.
+//                      subscriber state machines, in-band registration)
+//                      around the paper's BaseStation.
 //   mac::PolicyCell  — the generic grid driver for pluggable MacPolicy
 //                      tenants (RQMA, PCA, ...), see mac/policy_cell.h.
+//
+// Both implement CellDriver, the narrow contract the scenario engine
+// (exp::ScenarioRun) runs every tenant through.
 //
 // The layering contract (enforced by the `policy-layer-boundary` lint rule,
 // docs/MAC_POLICIES.md): the substrate never includes policy headers, and
@@ -93,6 +96,38 @@ struct CellMetrics {
                                     static_cast<double>(capacity_bytes)
                               : 0.0;
   }
+};
+
+/// What the scenario engine needs from a single-cell driver, whatever MAC
+/// tenant it hosts: populate, offer uplink traffic, run, measure.  Cell and
+/// PolicyCell implement it as final classes; anything tenant-specific
+/// (downlink, churn, counters) is reached through the concrete type.
+class CellDriver {
+ public:
+  virtual ~CellDriver() = default;
+
+  /// Adds a node and brings it up: an OSU subscriber powers on and
+  /// registers in-band; a policy node registers out-of-band at once.
+  /// Returns the node index.
+  virtual int AddNode(bool wants_gps) = 0;
+  /// Queues an uplink message at `node` now; returns false on buffer drop.
+  virtual bool SendUplinkMessage(int node, int bytes) = 0;
+  /// Signs `node` off; the tenant releases its resources.
+  virtual void SignOff(int node) = 0;
+
+  /// Runs `cycles` further notification cycles.
+  virtual void RunCycles(int cycles) = 0;
+  /// Zeroes all statistics; call after a warm-up period.
+  virtual void ResetStats() = 0;
+  /// Attaches a run-journal slice (nullptr detaches): one digest record per
+  /// journaled cycle, taken right after the cycle's plan is fixed.
+  virtual void AttachJournal(obs::CellJournal* journal) = 0;
+
+  virtual sim::Simulator& simulator() = 0;
+  virtual const sim::Simulator& simulator() const = 0;
+  virtual const CellMetrics& metrics() const = 0;
+  virtual obs::SloMonitor& slo() = 0;
+  virtual const obs::SloMonitor& slo() const = 0;
 };
 
 /// Protocol-agnostic cell state and helpers; see the file comment.  Not a

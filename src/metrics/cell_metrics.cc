@@ -2,6 +2,43 @@
 
 namespace osumac::metrics {
 
+namespace {
+
+/// The gauges every tenant's driver shares: the substrate aggregates, the
+/// SLO monitor and the simulator clock.
+void RegisterDriverMetrics(obs::MetricsRegistry& registry, const mac::CellDriver& cell,
+                           const std::string& prefix) {
+  const mac::CellDriver* c = &cell;
+  registry.RegisterGauge(prefix + "cell.cycles",
+                         [c] { return static_cast<double>(c->metrics().cycles); });
+  registry.RegisterGauge(prefix + "cell.capacity_bytes", [c] {
+    return static_cast<double>(c->metrics().capacity_bytes);
+  });
+  registry.RegisterGauge(prefix + "cell.unique_payload_bytes", [c] {
+    return static_cast<double>(c->metrics().unique_payload_bytes);
+  });
+  registry.RegisterGauge(prefix + "cell.offered_bytes", [c] {
+    return static_cast<double>(c->metrics().offered_bytes);
+  });
+  registry.RegisterGauge(prefix + "cell.uplink_messages_offered", [c] {
+    return static_cast<double>(c->metrics().uplink_messages_offered);
+  });
+  registry.RegisterGauge(prefix + "cell.utilization",
+                         [c] { return c->metrics().Utilization(); });
+
+  // QoS / SLO monitor (streaming percentiles against the paper's budgets).
+  obs::RegisterSloMetrics(registry, cell.slo(), prefix);
+
+  registry.RegisterGauge(prefix + "sim.now_ticks", [c] {
+    return static_cast<double>(c->simulator().now());
+  });
+  registry.RegisterGauge(prefix + "sim.events_executed", [c] {
+    return static_cast<double>(c->simulator().events_executed());
+  });
+}
+
+}  // namespace
+
 void RegisterCellMetrics(obs::MetricsRegistry& registry, const mac::Cell& cell,
                          const std::string& prefix) {
   const mac::Cell* c = &cell;
@@ -63,39 +100,12 @@ void RegisterCellMetrics(obs::MetricsRegistry& registry, const mac::Cell& cell,
                                                                               : 2.0;
   });
 
-  // Cell aggregates.
-  registry.RegisterGauge(prefix + "cell.cycles",
-                         [c] { return static_cast<double>(c->metrics().cycles); });
-  registry.RegisterGauge(prefix + "cell.capacity_bytes", [c] {
-    return static_cast<double>(c->metrics().capacity_bytes);
-  });
-  registry.RegisterGauge(prefix + "cell.unique_payload_bytes", [c] {
-    return static_cast<double>(c->metrics().unique_payload_bytes);
-  });
-  registry.RegisterGauge(prefix + "cell.offered_bytes", [c] {
-    return static_cast<double>(c->metrics().offered_bytes);
-  });
-  registry.RegisterGauge(prefix + "cell.uplink_messages_offered", [c] {
-    return static_cast<double>(c->metrics().uplink_messages_offered);
-  });
+  RegisterDriverMetrics(registry, cell, prefix);
   registry.RegisterGauge(prefix + "cell.forward_packets_lost", [c] {
     return static_cast<double>(c->metrics().forward_packets_lost);
   });
-  registry.RegisterGauge(prefix + "cell.utilization",
-                         [c] { return c->metrics().Utilization(); });
   registry.RegisterGauge(prefix + "cell.subscribers", [c] {
     return static_cast<double>(c->subscriber_count());
-  });
-
-  // QoS / SLO monitor (streaming percentiles against the paper's budgets).
-  obs::RegisterSloMetrics(registry, cell.slo(), prefix);
-
-  // Simulator diagnostics.
-  registry.RegisterGauge(prefix + "sim.now_ticks", [c] {
-    return static_cast<double>(c->simulator().now());
-  });
-  registry.RegisterGauge(prefix + "sim.events_executed", [c] {
-    return static_cast<double>(c->simulator().events_executed());
   });
   registry.RegisterGauge(prefix + "sim.pending_events", [c] {
     return static_cast<double>(c->simulator().pending_events());
@@ -128,34 +138,9 @@ void RegisterPolicyCellMetrics(obs::MetricsRegistry& registry,
   counter("deadline_drops", &mac::PolicyCounters::deadline_drops);
   counter("messages_completed", &mac::PolicyCounters::messages_completed);
 
-  // Substrate aggregates.
-  registry.RegisterGauge(prefix + "cell.cycles",
-                         [c] { return static_cast<double>(c->metrics().cycles); });
-  registry.RegisterGauge(prefix + "cell.capacity_bytes", [c] {
-    return static_cast<double>(c->metrics().capacity_bytes);
-  });
-  registry.RegisterGauge(prefix + "cell.unique_payload_bytes", [c] {
-    return static_cast<double>(c->metrics().unique_payload_bytes);
-  });
-  registry.RegisterGauge(prefix + "cell.offered_bytes", [c] {
-    return static_cast<double>(c->metrics().offered_bytes);
-  });
-  registry.RegisterGauge(prefix + "cell.uplink_messages_offered", [c] {
-    return static_cast<double>(c->metrics().uplink_messages_offered);
-  });
-  registry.RegisterGauge(prefix + "cell.utilization",
-                         [c] { return c->metrics().Utilization(); });
+  RegisterDriverMetrics(registry, cell, prefix);
   registry.RegisterGauge(prefix + "cell.nodes", [c] {
     return static_cast<double>(c->node_count());
-  });
-
-  obs::RegisterSloMetrics(registry, cell.slo(), prefix);
-
-  registry.RegisterGauge(prefix + "sim.now_ticks", [c] {
-    return static_cast<double>(c->simulator().now());
-  });
-  registry.RegisterGauge(prefix + "sim.events_executed", [c] {
-    return static_cast<double>(c->simulator().events_executed());
   });
 }
 

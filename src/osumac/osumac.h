@@ -61,7 +61,6 @@
 #include "mac/multi_channel.h"
 #include "mac/network.h"
 #include "mac/packet.h"
-#include "mac/policies/osu_policy.h"
 #include "mac/policies/pca_policy.h"
 #include "mac/policies/rqma_policy.h"
 #include "mac/policy_cell.h"

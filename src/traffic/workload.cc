@@ -19,7 +19,8 @@ Tick MeanInterarrivalTicks(double rho, int data_users, int data_slots,
   return std::max<Tick>(1, static_cast<Tick>(std::llround(t_seconds * kTicksPerSecond)));
 }
 
-PoissonUplinkWorkload::PoissonUplinkWorkload(mac::Cell& cell, std::vector<int> nodes,
+PoissonUplinkWorkload::PoissonUplinkWorkload(mac::CellDriver& cell,
+                                             std::vector<int> nodes,
                                              Tick mean_interarrival,
                                              SizeDistribution sizes, Rng rng)
     : PoissonUplinkWorkload(

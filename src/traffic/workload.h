@@ -61,16 +61,16 @@ Tick MeanInterarrivalTicks(double rho, int data_users, int data_slots,
 
 /// Poisson uplink e-mail workload attached to a set of subscribers.
 /// Arrivals are scheduled on the simulator; each arrival hands a message of
-/// sampled size to the sink.  The Cell convenience constructor targets
-/// Cell::SendUplinkMessage with an identical draw sequence; the sink form
-/// drives any uplink-capable driver (mac::PolicyCell for policy tenants).
+/// sampled size to the sink.  The driver convenience constructor targets
+/// CellDriver::SendUplinkMessage (mac::Cell or mac::PolicyCell) with an
+/// identical draw sequence; the sink form drives anything else.
 class PoissonUplinkWorkload {
  public:
   /// Sink for one generated message: (node, bytes).
   using MessageSink = std::function<void(int, int)>;
 
   /// Starts generating immediately.  `mean_interarrival` is per subscriber.
-  PoissonUplinkWorkload(mac::Cell& cell, std::vector<int> nodes,
+  PoissonUplinkWorkload(mac::CellDriver& cell, std::vector<int> nodes,
                         Tick mean_interarrival, SizeDistribution sizes, Rng rng);
   /// Generic form: arrivals go to `sink`, scheduled on `sim`.
   PoissonUplinkWorkload(sim::Simulator& sim, std::vector<int> nodes,

@@ -429,6 +429,11 @@ class PolicyLayerBoundaryTest(RuleTestCase):
                         '#include "mac/policies/rqma_policy.h"\n')
         self.assert_findings(policy_layer_boundary.RULE, 1)
 
+    def test_osu_driver_naming_a_tenant_triggers(self):
+        self.repo.write("src/mac/cell.h",
+                        '#include "mac/policies/rqma_policy.h"\n')
+        self.assert_findings(policy_layer_boundary.RULE, 1)
+
     def test_factory_exemption_and_waiver(self):
         self.repo.write("src/mac/mac_policy.cc",
                         '#include "mac/policies/rqma_policy.h"\n')

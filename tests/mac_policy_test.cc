@@ -160,6 +160,55 @@ TEST(MacPolicyTest, ScenarioFileRejectsUnknownPolicy) {
   EXPECT_NE(error.find("unknown MAC policy 'tdma'"), std::string::npos) << error;
 }
 
+TEST(MacPolicyTest, ScenarioRunDrivesEveryTenantLikeRunScenario) {
+  // One phase ladder for every tenant: the phase API must build the
+  // spec's own driver (not an OSU cell) and agree with the serial runner,
+  // and each hook of the tenant's family fires exactly once.
+  for (const std::string& policy : mac::KnownMacPolicies()) {
+    const ScenarioSpec spec = PolicySpec(policy, 0.8);
+    const RunResult phased = ScenarioRun(spec).Execute();
+    int osu_build = 0, osu_warmup = 0, osu_finish = 0;
+    int policy_build = 0, policy_finish = 0;
+    RunHooks hooks;
+    hooks.after_build = [&](mac::Cell&) { ++osu_build; };
+    hooks.after_warmup = [&](mac::Cell&) { ++osu_warmup; };
+    hooks.before_finish = [&](mac::Cell&) { ++osu_finish; };
+    hooks.policy_after_build = [&](mac::PolicyCell&) { ++policy_build; };
+    hooks.policy_before_finish = [&](mac::PolicyCell&) { ++policy_finish; };
+    const RunResult serial = RunScenario(spec, hooks);
+    EXPECT_EQ(ResultSignature(phased), ResultSignature(serial)) << policy;
+    const int osu = policy == "osu" ? 1 : 0;
+    EXPECT_EQ(osu_build, osu) << policy;
+    EXPECT_EQ(osu_warmup, osu) << policy;
+    EXPECT_EQ(osu_finish, osu) << policy;
+    EXPECT_EQ(policy_build, 1 - osu) << policy;
+    EXPECT_EQ(policy_finish, 1 - osu) << policy;
+  }
+}
+
+TEST(MacPolicyTest, ScenarioFileRejectsOsuOnlyInputsOnPolicySections) {
+  // The `mac` line comes last: the check runs once the section is whole.
+  std::istringstream in(
+      "[ok]\n"
+      "rho = 0.5\n"
+      "[rqma_storm]\n"
+      "churn.arrivals = 10\n"
+      "downlink_rho = 0.3\n"
+      "mac = rqma\n");
+  std::string error;
+  const std::vector<ScenarioSpec> specs = ParseScenarios(in, &error);
+  EXPECT_TRUE(specs.empty());
+  EXPECT_NE(error.find("'rqma_storm'"), std::string::npos) << error;
+  EXPECT_NE(error.find("downlink_rho"), std::string::npos) << error;
+
+  ScenarioSpec spec = PolicySpec("pca", 0.5);
+  EXPECT_EQ(TenantInputError(spec), "");
+  spec.mac.dynamic_contention_slots = false;
+  EXPECT_NE(TenantInputError(spec).find("mac.dynamic_contention"), std::string::npos);
+  spec.mac_policy = "osu";
+  EXPECT_EQ(TenantInputError(spec), "");
+}
+
 TEST(MacPolicyTest, SpecJsonCarriesMacKeyOnlyForPolicyRuns) {
   // The conditional `mac` field keeps OSU sweep artifacts byte-identical.
   const std::vector<ScenarioSpec> specs = {PolicySpec("rqma", 0.5),

@@ -6,11 +6,12 @@ A policy that reaches below the seam can perturb the substrate's RNG
 streams or channel state and silently break the byte-identical guarantee
 the PolicyCell driver provides for head-to-head MAC comparisons.
 
-Conversely the substrate layer (mac/substrate.*, mac/mac_policy.h,
-mac/policy_cell.*) must not include concrete tenants (mac/policies/); the
-single documented exemption is the factory in mac/mac_policy.cc, where
-name -> tenant resolution has to live so no other substrate file ever
-names a policy.  Port adapters that wrap a baseline protocol's parameter
+Conversely the substrate layer and both cell drivers (mac/substrate.*,
+mac/mac_policy.h, mac/policy_cell.*, and the OSU driver mac/cell.*, which
+drives the BaseStation directly) must not include concrete tenants
+(mac/policies/); the single documented exemption is the factory in
+mac/mac_policy.cc, where name -> tenant resolution has to live so no other
+substrate file ever names a policy.  Port adapters that wrap a baseline protocol's parameter
 block (RqmaPolicy over baselines::Rqma::Params) carry an inline waiver
 recorded in the ledger."""
 from __future__ import annotations
@@ -25,12 +26,13 @@ INCLUDE_RE = re.compile(r'^\s*#\s*include\s+"([^"]+)"')
 POLICY_FORBIDDEN = ("phy/", "sim/", "exp/", "baselines/")
 POLICY_ROOT = "src/mac/policies/"
 
-#: The substrate-layer seam files; none may know a concrete tenant.  The
-#: factory (src/mac/mac_policy.cc) is deliberately absent: it is the one
-#: place name -> tenant resolution lives.
+#: The substrate-layer seam files and the two cell drivers; none may know a
+#: concrete tenant.  The factory (src/mac/mac_policy.cc) is deliberately
+#: absent: it is the one place name -> tenant resolution lives.
 SUBSTRATE_FILES = ("src/mac/substrate.h", "src/mac/substrate.cc",
                    "src/mac/mac_policy.h", "src/mac/policy_cell.h",
-                   "src/mac/policy_cell.cc")
+                   "src/mac/policy_cell.cc", "src/mac/cell.h",
+                   "src/mac/cell.cc")
 
 
 def check(ctx: Context) -> None:

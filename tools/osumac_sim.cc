@@ -17,7 +17,6 @@
 #include <cstring>
 #include <fstream>
 #include <iostream>
-#include <sstream>
 #include <string>
 
 #include "osumac/osumac.h"
@@ -374,6 +373,88 @@ bool WriteProfileFile(const Options& opt, const obs::Profiler& profiler,
   return true;
 }
 
+/// Dumps `registry` to `path`: JSON when the name ends in .json, CSV
+/// otherwise.  `scope` annotates the summary line (e.g. "; mac.rqma.*").
+/// Returns false (with a message) when the file cannot be opened.
+bool WriteMetricsFile(const std::string& path, const obs::MetricsRegistry& registry,
+                      const std::string& scope) {
+  std::ofstream out(path);
+  if (!out) {
+    std::fprintf(stderr, "cannot open metrics file '%s'\n", path.c_str());
+    return false;
+  }
+  const bool json = path.size() >= 5 && path.rfind(".json") == path.size() - 5;
+  if (json) {
+    registry.WriteJson(out);
+  } else {
+    registry.WriteCsv(out);
+  }
+  std::printf("metrics                -> %s (%s%s)\n", path.c_str(),
+              json ? "json" : "csv", scope.c_str());
+  return true;
+}
+
+/// Writes a single-cell run journal to opt.journal_file.  Returns false
+/// (with a message) when the file cannot be written.
+bool WriteJournalFile(const Options& opt, const obs::RunJournal& journal,
+                      const std::string& provenance) {
+  if (!obs::WriteJournalJsonl(journal, opt.journal_file, provenance)) {
+    std::fprintf(stderr, "cannot open journal file '%s'\n",
+                 opt.journal_file.c_str());
+    return false;
+  }
+  std::printf("journal                %8lld records -> %s (every %d, signature %s)\n",
+              static_cast<long long>(journal.cells().front()->recorded()),
+              opt.journal_file.c_str(), journal.every(),
+              obs::JournalHex(journal.Signature()).c_str());
+  return true;
+}
+
+/// The Section-5 metric block of a single-cell run.  Policy tenants report
+/// the policy-agnostic subset (no reservation latency, control overhead or
+/// second-CF gain; drops are policy deadline drops).
+void PrintFigureReport(const Options& opt, const exp::RunResult& result) {
+  const bool osu = opt.mac == "osu";
+  const metrics::FigureMetrics& m = result.figure;
+  const mac::BsCounters& bs = result.bs;
+  const std::string tenant = osu ? "" : "mac=" + opt.mac + " ";
+  std::printf("==== osumac_sim: %srho=%.2f users=%d gps=%d cycles=%d channel=%s ====\n",
+              tenant.c_str(), opt.rho, opt.data_users, opt.gps_users, opt.cycles,
+              opt.channel.c_str());
+  std::printf("utilization            %8.3f\n", m.utilization);
+  std::printf("packet delay           %8.2f cycles (p95 %.2f)\n",
+              m.mean_packet_delay_cycles, m.p95_packet_delay_cycles);
+  std::printf("message delay          %8.2f cycles\n", m.mean_message_delay_cycles);
+  std::printf("collision probability  %8.3f\n", m.collision_probability);
+  if (osu) {
+    std::printf("reservation latency    %8.2f cycles\n", m.mean_reservation_latency);
+    std::printf("control overhead       %8.3f\n", m.control_overhead);
+  }
+  std::printf("fairness (Jain)        %8.4f\n", m.fairness_index);
+  if (osu) std::printf("2nd-CF gain            %8.1f%%\n", 100 * m.second_cf_gain);
+  std::printf("data slots used        %8.2f per cycle\n", m.avg_data_slots_used);
+  std::printf("drop rate              %8.3f%s\n", m.message_drop_rate,
+              osu ? "" : " (policy deadline drops)");
+  if (opt.gps_users > 0) {
+    std::printf("GPS max access delay   %8.2f s (bound 4 s)\n", m.gps_access_delay_max_s);
+    std::printf("GPS reports/bus/cycle  %8.3f\n", m.gps_reports_per_bus_per_cycle);
+  }
+  if (osu && (bs.decode_failures > 0 || bs.gps_packets_failed > 0)) {
+    std::printf("uplink decode failures %8lld (+%lld GPS)\n",
+                static_cast<long long>(bs.decode_failures),
+                static_cast<long long>(bs.gps_packets_failed));
+  } else if (!osu && bs.decode_failures > 0) {
+    std::printf("uplink decode failures %8lld\n",
+                static_cast<long long>(bs.decode_failures));
+  }
+  if (opt.downlink_rho > 0) {
+    std::printf("downlink msg delay     %8.2f cycles, lost packets %lld, retx %lld\n",
+                result.downlink_mean_delay_cycles,
+                static_cast<long long>(result.forward_packets_lost),
+                static_cast<long long>(bs.forward_retransmissions));
+  }
+}
+
 /// Network mode (--cells N): run N cells in lockstep with mobility and
 /// cross-cell chatter, then print the backbone counters and the merged
 /// network SLO rollup.
@@ -431,21 +512,9 @@ int RunNetwork(const Options& opt, const std::string& provenance) {
   if (!opt.metrics_file.empty()) {
     obs::MetricsRegistry registry;
     metrics::RegisterNetworkMetrics(registry, run.network());
-    std::ofstream out(opt.metrics_file);
-    if (!out) {
-      std::fprintf(stderr, "cannot open metrics file '%s'\n",
-                   opt.metrics_file.c_str());
+    if (!WriteMetricsFile(opt.metrics_file, registry, "; cell.<i>.* + net.*")) {
       return 1;
     }
-    const bool json = opt.metrics_file.size() >= 5 &&
-                      opt.metrics_file.rfind(".json") == opt.metrics_file.size() - 5;
-    if (json) {
-      registry.WriteJson(out);
-    } else {
-      registry.WriteCsv(out);
-    }
-    std::printf("metrics                -> %s (%s; cell.<i>.* + net.*)\n",
-                opt.metrics_file.c_str(), json ? "json" : "csv");
   }
   if (opt.slo) {
     std::printf("--- network SLO rollup (%d cells merged) ---\n",
@@ -469,92 +538,38 @@ int RunNetwork(const Options& opt, const std::string& provenance) {
   return 0;
 }
 
-/// Single-run path for a non-OSU MAC policy (--mac rqma|pca): the generic
-/// PolicyCell driver via the engine's serial runner.  The cell lives only
-/// inside RunScenario, so the dumps that need it live (the metrics-registry
-/// gauges, the SLO report) run from the policy hooks.
+/// Single-run path for a non-OSU MAC policy (--mac rqma|pca): the same
+/// scenario phases on the generic PolicyCell driver, audited by the
+/// per-carrier PolicyAuditor.
 int RunPolicy(const Options& opt, const exp::ScenarioSpec& spec,
               const std::string& provenance) {
+  exp::ScenarioRun run(spec);
+  mac::PolicyCell& cell = *run.policy_cell();
   analysis::PolicyAuditor auditor;
+  if (opt.audit) cell.AddObserver(&auditor);
   obs::WallTimerRegistry wall_timers;
+  if (opt.timers) cell.simulator().AttachWallTimers(&wall_timers);
   obs::Profiler profiler;
-  std::ostringstream slo_report;
-  bool metrics_failed = false;
-  exp::RunHooks hooks;
-  hooks.policy_after_build = [&](mac::PolicyCell& cell) {
-    if (opt.audit) cell.AddObserver(&auditor);
-    if (opt.timers) cell.simulator().AttachWallTimers(&wall_timers);
-  };
-  hooks.policy_before_finish = [&](mac::PolicyCell& cell) {
-    if (!opt.metrics_file.empty()) {
-      obs::MetricsRegistry registry;
-      metrics::RegisterPolicyCellMetrics(registry, cell);
-      std::ofstream out(opt.metrics_file);
-      if (!out) {
-        std::fprintf(stderr, "cannot open metrics file '%s'\n",
-                     opt.metrics_file.c_str());
-        metrics_failed = true;
-        return;
-      }
-      const bool json =
-          opt.metrics_file.size() >= 5 &&
-          opt.metrics_file.rfind(".json") == opt.metrics_file.size() - 5;
-      if (json) {
-        registry.WriteJson(out);
-      } else {
-        registry.WriteCsv(out);
-      }
-      std::printf("metrics                -> %s (%s; mac.%s.*)\n",
-                  opt.metrics_file.c_str(), json ? "json" : "csv",
-                  cell.policy().name().c_str());
-    }
-    if (opt.slo) cell.slo().WriteReport(slo_report);
-  };
-
   exp::RunResult result;
   {
     const obs::Profiler::ThreadScope profile_scope(
         opt.profile_file.empty() ? nullptr : &profiler);
-    result = exp::RunScenario(spec, hooks);
-  }
-  if (metrics_failed) return 1;
-  if (!opt.journal_file.empty()) {
-    if (result.journal == nullptr ||
-        !obs::WriteJournalJsonl(*result.journal, opt.journal_file, provenance)) {
-      std::fprintf(stderr, "cannot write journal file '%s'\n",
-                   opt.journal_file.c_str());
-      return 1;
-    }
-    std::printf("journal                -> %s (every %d, signature %s)\n",
-                opt.journal_file.c_str(), result.journal->every(),
-                obs::JournalHex(result.journal->Signature()).c_str());
+    result = run.Execute();
   }
 
-  const metrics::FigureMetrics& m = result.figure;
-  const mac::BsCounters& bs = result.bs;
-  std::printf(
-      "==== osumac_sim: mac=%s rho=%.2f users=%d gps=%d cycles=%d channel=%s ====\n",
-      opt.mac.c_str(), opt.rho, opt.data_users, opt.gps_users, opt.cycles,
-      opt.channel.c_str());
-  std::printf("utilization            %8.3f\n", m.utilization);
-  std::printf("packet delay           %8.2f cycles (p95 %.2f)\n",
-              m.mean_packet_delay_cycles, m.p95_packet_delay_cycles);
-  std::printf("message delay          %8.2f cycles\n", m.mean_message_delay_cycles);
-  std::printf("collision probability  %8.3f\n", m.collision_probability);
-  std::printf("fairness (Jain)        %8.4f\n", m.fairness_index);
-  std::printf("data slots used        %8.2f per cycle\n", m.avg_data_slots_used);
-  std::printf("drop rate              %8.3f (policy deadline drops)\n",
-              m.message_drop_rate);
-  if (opt.gps_users > 0) {
-    std::printf("GPS max access delay   %8.2f s (bound 4 s)\n",
-                m.gps_access_delay_max_s);
-    std::printf("GPS reports/bus/cycle  %8.3f\n", m.gps_reports_per_bus_per_cycle);
+  PrintFigureReport(opt, result);
+  if (!opt.journal_file.empty() &&
+      !WriteJournalFile(opt, *result.journal, provenance)) {
+    return 1;
   }
-  if (bs.decode_failures > 0) {
-    std::printf("uplink decode failures %8lld\n",
-                static_cast<long long>(bs.decode_failures));
+  if (!opt.metrics_file.empty()) {
+    obs::MetricsRegistry registry;
+    metrics::RegisterPolicyCellMetrics(registry, cell);
+    if (!WriteMetricsFile(opt.metrics_file, registry, "; mac." + opt.mac + ".*")) {
+      return 1;
+    }
   }
-  if (opt.slo) std::fputs(slo_report.str().c_str(), stdout);
+  if (opt.slo) cell.slo().WriteReport(std::cout);
   if (!opt.profile_file.empty() &&
       !WriteProfileFile(opt, profiler, provenance)) {
     return 1;
@@ -606,17 +621,12 @@ std::string ValidateFlagComposition(const Options& opt) {
       return "--fault-cycle perturbs the OSU cell's RNG stream; policy "
              "tenants (--mac) draw from the policy seed stream instead";
     }
-    const char* osu_only = nullptr;
-    if (opt.downlink_rho > 0) osu_only = "--downlink-rho";
-    else if (opt.arq) osu_only = "--arq";
-    else if (opt.no_second_cf) osu_only = "--no-second-cf";
-    else if (opt.static_gps) osu_only = "--static-gps";
-    else if (opt.static_contention) osu_only = "--static-contention";
-    if (osu_only != nullptr) {
-      return std::string(osu_only) +
-             " drives the OSU scheduler and would be silently ignored by "
-             "--mac " + opt.mac + " (policy tenants are uplink-only)";
-    }
+    // --downlink-rho, --arq, --no-second-cf, --static-gps and
+    // --static-contention set the spec's OSU-only inputs.
+    std::string ignored;
+    const std::string tenant_error =
+        exp::TenantInputError(SpecFromOptions(opt, &ignored));
+    if (!tenant_error.empty()) return "--mac " + opt.mac + ": " + tenant_error;
   }
   if (!opt.scenario_file.empty()) {
     const char* conflicting = nullptr;
@@ -885,36 +895,7 @@ int main(int argc, char** argv) {
   run.Measure();
   const exp::RunResult result = run.Finish();
 
-  const metrics::FigureMetrics& m = result.figure;
-  const mac::BsCounters& bs = result.bs;
-  std::printf("==== osumac_sim: rho=%.2f users=%d gps=%d cycles=%d channel=%s ====\n",
-              opt.rho, opt.data_users, opt.gps_users, opt.cycles, opt.channel.c_str());
-  std::printf("utilization            %8.3f\n", m.utilization);
-  std::printf("packet delay           %8.2f cycles (p95 %.2f)\n",
-              m.mean_packet_delay_cycles, m.p95_packet_delay_cycles);
-  std::printf("message delay          %8.2f cycles\n", m.mean_message_delay_cycles);
-  std::printf("collision probability  %8.3f\n", m.collision_probability);
-  std::printf("reservation latency    %8.2f cycles\n", m.mean_reservation_latency);
-  std::printf("control overhead       %8.3f\n", m.control_overhead);
-  std::printf("fairness (Jain)        %8.4f\n", m.fairness_index);
-  std::printf("2nd-CF gain            %8.1f%%\n", 100 * m.second_cf_gain);
-  std::printf("data slots used        %8.2f per cycle\n", m.avg_data_slots_used);
-  std::printf("drop rate              %8.3f\n", m.message_drop_rate);
-  if (opt.gps_users > 0) {
-    std::printf("GPS max access delay   %8.2f s (bound 4 s)\n", m.gps_access_delay_max_s);
-    std::printf("GPS reports/bus/cycle  %8.3f\n", m.gps_reports_per_bus_per_cycle);
-  }
-  if (bs.decode_failures > 0 || bs.gps_packets_failed > 0) {
-    std::printf("uplink decode failures %8lld (+%lld GPS)\n",
-                static_cast<long long>(bs.decode_failures),
-                static_cast<long long>(bs.gps_packets_failed));
-  }
-  if (opt.downlink_rho > 0) {
-    std::printf("downlink msg delay     %8.2f cycles, lost packets %lld, retx %lld\n",
-                result.downlink_mean_delay_cycles,
-                static_cast<long long>(result.forward_packets_lost),
-                static_cast<long long>(bs.forward_retransmissions));
-  }
+  PrintFigureReport(opt, result);
   if (tracing) {
     std::ofstream out(opt.trace_file);
     if (!out) {
@@ -951,16 +932,8 @@ int main(int argc, char** argv) {
   bool journal_mismatch = false;
   if (journaling) {
     const obs::RunJournal& journal = *run.journal();
-    if (!opt.journal_file.empty()) {
-      if (!obs::WriteJournalJsonl(journal, opt.journal_file, provenance)) {
-        std::fprintf(stderr, "cannot open journal file '%s'\n",
-                     opt.journal_file.c_str());
-        return 1;
-      }
-      std::printf("journal                %8lld records -> %s (every %d, signature %s)\n",
-                  static_cast<long long>(journal.cells().front()->recorded()),
-                  opt.journal_file.c_str(), journal.every(),
-                  obs::JournalHex(journal.Signature()).c_str());
+    if (!opt.journal_file.empty() && !WriteJournalFile(opt, journal, provenance)) {
+      return 1;
     }
     if (expecting) {
       const obs::CellJournal& cj = *journal.cells().front();
@@ -986,21 +959,7 @@ int main(int argc, char** argv) {
   if (!opt.metrics_file.empty()) {
     obs::MetricsRegistry registry;
     metrics::RegisterCellMetrics(registry, cell);
-    std::ofstream out(opt.metrics_file);
-    if (!out) {
-      std::fprintf(stderr, "cannot open metrics file '%s'\n",
-                   opt.metrics_file.c_str());
-      return 1;
-    }
-    const bool json = opt.metrics_file.size() >= 5 &&
-                      opt.metrics_file.rfind(".json") == opt.metrics_file.size() - 5;
-    if (json) {
-      registry.WriteJson(out);
-    } else {
-      registry.WriteCsv(out);
-    }
-    std::printf("metrics                -> %s (%s)\n", opt.metrics_file.c_str(),
-                json ? "json" : "csv");
+    if (!WriteMetricsFile(opt.metrics_file, registry, "")) return 1;
   }
   if (opt.slo) cell.slo().WriteReport(std::cout);
   if (!opt.profile_file.empty() &&
