@@ -8,17 +8,15 @@
 //                              syndrome-first fast path
 //   hotpath_rs_decode_corrupt  decode with 4 symbol errors — the full
 //                              Berlekamp-Massey / Chien / Forney pipeline
-//   hotpath_channel_uniform    UniformErrorModel per-symbol Bernoulli loop
-//   hotpath_channel_fast       FastUniformErrorModel geometric skip-sampling
+//   hotpath_channel_uniform    UniformErrorModel geometric skip-sampling
 //   hotpath_cycle_untraced     a short scenario run with no trace attached
 //   hotpath_cycle_traced       the same scenario with an EventTrace attached
 //   hotpath_cycle_profiled     the same scenario with an obs::Profiler
 //                              installed (every OSUMAC_PROFILE_ZONE live)
 //
 // The gate checks *relative* invariants that hold on any machine (clean
-// decode must beat corrupt decode, fast channel must beat per-symbol, the
-// untraced cycle step must not cost more than the traced one), so absolute
-// machine speed never breaks CI.
+// decode must beat corrupt decode, the untraced cycle step must not cost
+// more than the traced one), so absolute machine speed never breaks CI.
 //
 // With --merge-into FILE the phases are spliced into an existing
 // BENCH_perf.json written by make_figures (replacing any previous
@@ -92,7 +90,7 @@ void BenchRsPhases(obs::WallTimerRegistry& wall, int reps) {
   }
 }
 
-void BenchChannelPhases(obs::WallTimerRegistry& wall, int reps) {
+void BenchChannelPhase(obs::WallTimerRegistry& wall, int reps) {
   constexpr double kErrProb = 0.002;  // the robustness grid's uniform point
   constexpr int kWords = 20000;
   const auto& rs = fec::ReedSolomon::Osu6448();
@@ -100,23 +98,11 @@ void BenchChannelPhases(obs::WallTimerRegistry& wall, int reps) {
   const auto cw = rs.Encode(RandomData(rs.k(), data_rng));
   std::vector<GfElem> buf(cw.size());
   for (int r = 0; r < reps; ++r) {
-    {
-      phy::UniformErrorModel slow(kErrProb);
-      Rng rng(31);
-      obs::ScopedWallTimer t(wall, "hotpath_channel_uniform");
-      for (int i = 0; i < kWords; ++i) {
-        buf = cw;
-        slow.Corrupt(buf, rng);
-      }
-    }
-    {
-      phy::FastUniformErrorModel fast(kErrProb, 31);
-      Rng rng(31);  // unused by the fast model; same call shape
-      obs::ScopedWallTimer t(wall, "hotpath_channel_fast");
-      for (int i = 0; i < kWords; ++i) {
-        buf = cw;
-        fast.Corrupt(buf, rng);
-      }
+    phy::UniformErrorModel model(kErrProb, 31);
+    obs::ScopedWallTimer t(wall, "hotpath_channel_uniform");
+    for (int i = 0; i < kWords; ++i) {
+      buf = cw;
+      model.Corrupt(buf);
     }
   }
 }
@@ -249,7 +235,7 @@ int main(int argc, char** argv) {
   bench::PrintProvenance("bench_hotpaths", 0, "reps=" + std::to_string(reps));
   obs::WallTimerRegistry wall;
   BenchRsPhases(wall, reps);
-  BenchChannelPhases(wall, reps);
+  BenchChannelPhase(wall, reps);
   BenchCyclePhases(wall, reps);
   wall.Report(std::cout);
 

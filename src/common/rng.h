@@ -21,8 +21,8 @@ inline std::uint64_t SplitMix64(std::uint64_t x) {
 }
 
 /// Sequential SplitMix64 generator: the k-th draw is SplitMix64(seed + k*gamma).
-/// Used by the fast channel error models, which own their stream so enabling
-/// them never perturbs the simulation's std::mt19937_64 draw order.
+/// Used by the channel error models, which own their stream so the channel
+/// never perturbs the simulation's std::mt19937_64 draw order.
 class SplitMix64Rng {
  public:
   explicit SplitMix64Rng(std::uint64_t seed) : state_(seed) {}

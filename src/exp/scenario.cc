@@ -15,8 +15,6 @@ mac::CellConfig ScenarioSpec::BuildCellConfig() const {
   config.mac = mac;
   config.forward = forward;
   config.reverse = reverse;
-  config.forward.fast_sampling = fast_channel;
-  config.reverse.fast_sampling = fast_channel;
   config.erasure_side_information = erasure_side_information;
   return config;
 }

@@ -95,11 +95,6 @@ struct ScenarioSpec {
   mac::ChannelModelConfig forward;
   mac::ChannelModelConfig reverse;
   bool erasure_side_information = false;
-  /// Run the channel error models with geometric skip-sampling
-  /// (phy::Fast*): statistically equivalent, far cheaper at low error
-  /// rates, but a different draw-for-draw random process, so fast runs
-  /// carry their own goldens.  Off by default; perfect channels ignore it.
-  bool fast_channel = false;
 
   // --- determinism / output ------------------------------------------------
   std::uint64_t seed = 2001;

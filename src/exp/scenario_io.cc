@@ -62,25 +62,33 @@ bool ParseSizes(const std::string& value, traffic::SizeDistribution* out) {
   return false;
 }
 
-/// "perfect", "uniform <ser>" or "ge <p_gb> <p_bg> <e_good> <e_bad>".
-bool ParseChannel(const std::string& value, mac::ChannelModelConfig* out) {
+/// "perfect", "uniform <ser>" or "ge <p_gb> <p_bg> <e_good> <e_bad>", every
+/// number a probability in [0, 1].  Returns "" on success, else what is
+/// wrong with the value.
+std::string ParseChannel(const std::string& value, mac::ChannelModelConfig* out) {
+  static constexpr const char* kUsage =
+      "must be perfect | uniform SER | ge P_GB P_BG E_GOOD E_BAD";
   std::istringstream in(value);
   std::string kind;
   in >> kind;
+  std::vector<double*> probabilities;
   if (kind == "perfect") {
     *out = {};
-    return true;
-  }
-  if (kind == "uniform") {
+  } else if (kind == "uniform") {
     out->kind = mac::ChannelModelConfig::Kind::kUniform;
-    return static_cast<bool>(in >> out->symbol_error_prob);
-  }
-  if (kind == "ge") {
+    probabilities = {&out->symbol_error_prob};
+  } else if (kind == "ge") {
     out->kind = mac::ChannelModelConfig::Kind::kGilbertElliott;
-    return static_cast<bool>(in >> out->ge.p_good_to_bad >> out->ge.p_bad_to_good >>
-                             out->ge.error_prob_good >> out->ge.error_prob_bad);
+    probabilities = {&out->ge.p_good_to_bad, &out->ge.p_bad_to_good,
+                     &out->ge.error_prob_good, &out->ge.error_prob_bad};
+  } else {
+    return kUsage;
   }
-  return false;
+  for (double* p : probabilities) {
+    if (!(in >> *p)) return kUsage;
+    if (!(*p >= 0.0 && *p <= 1.0)) return "probabilities must lie in [0, 1]";
+  }
+  return "";
 }
 
 bool Fail(std::string* error, const std::string& message) {
@@ -117,7 +125,6 @@ bool ApplyScenarioKey(ScenarioSpec& spec, const std::string& key,
   if (key == "erasure_side_information") {
     return set_bool(&spec.erasure_side_information);
   }
-  if (key == "fast_channel") return set_bool(&spec.fast_channel);
   if (key == "seed") {
     char* end = nullptr;
     spec.seed = std::strtoull(value.c_str(), &end, 10);
@@ -146,13 +153,10 @@ bool ApplyScenarioKey(ScenarioSpec& spec, const std::string& key,
     return ParseSizes(value, &spec.workload.downlink_sizes) ||
            Fail(error, "downlink_sizes must be 'fixed B' or 'uniform LO HI'");
   }
-  if (key == "forward_channel") {
-    return ParseChannel(value, &spec.forward) ||
-           Fail(error, "forward_channel must be perfect | uniform SER | ge ...");
-  }
-  if (key == "reverse_channel") {
-    return ParseChannel(value, &spec.reverse) ||
-           Fail(error, "reverse_channel must be perfect | uniform SER | ge ...");
+  if (key == "forward_channel" || key == "reverse_channel") {
+    const std::string problem =
+        ParseChannel(value, key == "forward_channel" ? &spec.forward : &spec.reverse);
+    return problem.empty() || Fail(error, key + " " + problem);
   }
   if (key == "mac") {
     if (!mac::IsKnownMacPolicy(value)) {

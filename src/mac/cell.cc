@@ -380,8 +380,8 @@ void Cell::PerturbRngAt(std::int64_t cycle) {
   // cycle-start tick, so the perturbation provably cannot touch it.  The
   // injected stream is node 0's: subscriber RNGs drive backoff and
   // contention-slot picks every cycle, so the burn surfaces in the slot
-  // grid regardless of the channel model (the substrate rng_ sits idle
-  // under the default fast-sampling channels, which keep private streams).
+  // grid regardless of the channel model (the substrate rng_ sits idle on
+  // the channel path: error models keep private streams).
   sim_.ScheduleAt(cycle * kCycleTicks + 1, [this] {
     (void)rng_.Next();
     if (!subscribers_.empty()) subscribers_.front()->PerturbRng();

@@ -4,18 +4,16 @@
 
 namespace osumac::mac {
 
-std::unique_ptr<phy::SymbolErrorModel> ChannelModelConfig::Make(std::uint64_t fast_seed) const {
+std::unique_ptr<phy::SymbolErrorModel> ChannelModelConfig::Make(std::uint64_t seed) const {
   switch (kind) {
     case Kind::kPerfect:
-      return phy::MakePerfectChannel();
+      break;
     case Kind::kUniform:
-      return fast_sampling ? phy::MakeFastUniformChannel(symbol_error_prob, fast_seed)
-                           : phy::MakeUniformChannel(symbol_error_prob);
+      return std::make_unique<phy::UniformErrorModel>(symbol_error_prob, seed);
     case Kind::kGilbertElliott:
-      return fast_sampling ? phy::MakeFastGilbertElliottChannel(ge, fast_seed)
-                           : phy::MakeGilbertElliottChannel(ge);
+      return std::make_unique<phy::GilbertElliottModel>(ge, seed);
   }
-  return phy::MakePerfectChannel();
+  return std::make_unique<phy::PerfectChannel>();
 }
 
 CellSubstrate::CellSubstrate(const CellConfig& config)
@@ -25,13 +23,13 @@ CellSubstrate::CellSubstrate(const CellConfig& config)
       gps_code_(fec::ReedSolomon::Osu329()) {}
 
 void CellSubstrate::AddNodeChannels(int node) {
-  const auto fast_seed = [this, node](std::uint64_t direction) {
+  const auto channel_seed = [this, node](std::uint64_t direction) {
     return SplitMix64(config_.seed +
                       kSplitMix64Gamma * (100 + 2 * static_cast<std::uint64_t>(node) +
                                           direction));
   };
-  forward_models_.push_back(config_.forward.Make(fast_seed(0)));
-  reverse_models_.push_back(config_.reverse.Make(fast_seed(1)));
+  forward_models_.push_back(config_.forward.Make(channel_seed(0)));
+  reverse_models_.push_back(config_.reverse.Make(channel_seed(1)));
 }
 
 Tick CellSubstrate::DrawGpsPhase(bool wants_gps) {

@@ -2,7 +2,8 @@
 //
 // CellSubstrate owns everything a cell-level MAC driver needs that is *not*
 // MAC policy: the discrete-event simulator and notification-cycle clock, the
-// shared simulation Rng, the per-node forward/reverse error models, the
+// shared simulation Rng, the per-node forward/reverse error models (each on
+// its own seed stream, derived from the cell seed and node index), the
 // collision-detecting reverse channel, the RS codecs and the allocation-free
 // receive scratch, plus the always-on accounting (CellMetrics, SloMonitor)
 // and the event-trace attachment point.
@@ -53,16 +54,11 @@ struct ChannelModelConfig {
   Kind kind = Kind::kPerfect;
   double symbol_error_prob = 0.0;            ///< for kUniform
   phy::GilbertElliottModel::Params ge{};     ///< for kGilbertElliott
-  /// Use the geometric skip-sampling model variants (phy::Fast*).  They
-  /// consume their own SplitMix64 stream seeded with `fast_seed`, so the
-  /// shared simulation Rng's draw order is untouched — but the error
-  /// process itself differs draw-for-draw, so fast runs are goldened
-  /// separately (exp::ScenarioSpec::fast_channel).
-  bool fast_sampling = false;
 
-  /// `fast_seed` seeds the private stream of a fast model; ignored unless
-  /// fast_sampling is set and the kind actually draws randomness.
-  std::unique_ptr<phy::SymbolErrorModel> Make(std::uint64_t fast_seed = 0) const;
+  /// Builds the model.  `seed` seeds the model's private SplitMix64 stream
+  /// (phy/error_model.h), so the shared simulation Rng's draw order never
+  /// depends on the channel; a perfect channel ignores it.
+  std::unique_ptr<phy::SymbolErrorModel> Make(std::uint64_t seed = 0) const;
 };
 
 struct CellConfig {

@@ -8,7 +8,7 @@
 namespace osumac::phy {
 
 bool ApplyChannelInto(const std::vector<std::vector<fec::GfElem>>& codewords,
-                      const fec::ReedSolomon& code, SymbolErrorModel& model, Rng& rng,
+                      const fec::ReedSolomon& code, SymbolErrorModel& model, Rng&,
                       ChannelScratch& scratch,
                       std::vector<std::vector<fec::GfElem>>& decoded,
                       int* errors_corrected_out, bool use_erasure_side_info) {
@@ -16,14 +16,10 @@ bool ApplyChannelInto(const std::vector<std::vector<fec::GfElem>>& codewords,
   for (std::size_t w = 0; w < codewords.size(); ++w) {
     const auto& cw = codewords[w];
     scratch.noisy.assign(cw.begin(), cw.end());
-    int hits = 0;
-    if (use_erasure_side_info) {
-      scratch.erasures.clear();
-      hits = model.CorruptWithSideInfo(scratch.noisy, rng, &scratch.erasures);
-    } else {
-      scratch.erasures.clear();
-      hits = model.Corrupt(scratch.noisy, rng);
-    }
+    scratch.erasures.clear();
+    const int hits = use_erasure_side_info
+                         ? model.CorruptWithSideInfo(scratch.noisy, &scratch.erasures)
+                         : model.Corrupt(scratch.noisy);
     if (hits == 0 && scratch.erasures.empty()) {
       // Untouched word: it is the codeword we put on the air, so decoding
       // can only succeed with zero corrections.  Skip the decoder (and
@@ -54,19 +50,6 @@ bool ApplyChannelInto(const std::vector<std::vector<fec::GfElem>>& codewords,
   return true;
 }
 
-std::optional<std::vector<std::vector<fec::GfElem>>> ApplyChannel(
-    const std::vector<std::vector<fec::GfElem>>& codewords,
-    const fec::ReedSolomon& code, SymbolErrorModel& model, Rng& rng,
-    int* errors_corrected_out, bool use_erasure_side_info) {
-  ChannelScratch scratch;  // lint: allow-hot-alloc (allocating wrapper; hot paths use ApplyChannelInto)
-  std::vector<std::vector<fec::GfElem>> decoded;  // lint: allow-hot-alloc
-  if (!ApplyChannelInto(codewords, code, model, rng, scratch, decoded,
-                        errors_corrected_out, use_erasure_side_info)) {
-    return std::nullopt;
-  }
-  return decoded;
-}
-
 void ReverseChannel::Transmit(CodedBurst burst) { pending_.push_back(std::move(burst)); }
 
 void ReverseChannel::CollectInto(Interval slot, std::vector<CodedBurst>& hits) {
@@ -80,31 +63,6 @@ void ReverseChannel::CollectInto(Interval slot, std::vector<CodedBurst>& hits) {
       ++it;
     }
   }
-}
-
-std::vector<CodedBurst> ReverseChannel::Collect(Interval slot) {
-  std::vector<CodedBurst> hits;  // lint: allow-hot-alloc (allocating wrapper; hot paths use CollectInto)
-  CollectInto(slot, hits);
-  return hits;
-}
-
-SlotReception ReverseChannel::ResolveSlot(Interval slot, const fec::ReedSolomon& code,
-                                          SymbolErrorModel& model, Rng& rng,
-                                          bool use_erasure_side_info) {
-  return ResolveSlotPerSender(
-      slot, code, [&model](int) -> SymbolErrorModel& { return model; }, rng,
-      use_erasure_side_info);
-}
-
-SlotReception ReverseChannel::ResolveSlotPerSender(
-    Interval slot, const fec::ReedSolomon& code,
-    const std::function<SymbolErrorModel&(int sender)>& model_for, Rng& rng,
-    bool use_erasure_side_info) {
-  ChannelScratch scratch;  // lint: allow-hot-alloc (allocating wrapper; hot paths use ResolveSlotPerSenderInto)
-  SlotReception reception;
-  ResolveSlotPerSenderInto(slot, code, model_for, rng, scratch, reception,
-                           use_erasure_side_info);
-  return reception;
 }
 
 void ReverseChannel::ResolveSlotPerSenderInto(

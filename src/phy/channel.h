@@ -15,7 +15,6 @@
 
 #include <cstdint>
 #include <functional>
-#include <optional>
 #include <vector>
 
 #include "common/rng.h"
@@ -53,7 +52,7 @@ struct SlotReception {
   std::vector<int> colliders;
 };
 
-/// Reusable per-receiver scratch for ApplyChannelInto / ResolveSlot*.
+/// Reusable per-receiver scratch for ApplyChannelInto / ResolveSlotPerSenderInto.
 /// Holds the noisy codeword copy, erasure list, and decode result so
 /// steady-state slot resolution costs zero heap allocations (buffers reach
 /// their high-water capacity within the first few slots and stay there).
@@ -64,25 +63,19 @@ struct ChannelScratch {
 };
 
 /// Passes coded codewords through an error model and an RS decoder.
-/// Returns decoded info blocks, or nullopt if any codeword fails to decode.
-/// `errors_corrected_out`, if non-null, accumulates corrected symbol counts.
-/// With `use_erasure_side_info`, the receiver feeds the model's erasure
-/// side information to the decoder (errors-and-erasures decoding doubles
-/// the correctable burst length; cf. the paper's reference [2]).
-std::optional<std::vector<std::vector<fec::GfElem>>> ApplyChannel(
-    const std::vector<std::vector<fec::GfElem>>& codewords,
-    const fec::ReedSolomon& code, SymbolErrorModel& model, Rng& rng,
-    int* errors_corrected_out = nullptr, bool use_erasure_side_info = false);
-
-/// Allocation-reusing core of ApplyChannel.  Writes the decoded info blocks
-/// into `decoded` (resized to match; inner vectors keep their capacity) and
-/// returns false if any codeword fails to decode.  Identical decode
-/// semantics to ApplyChannel.  Relies on the SymbolErrorModel contract that
-/// the returned hit count is exact: an untouched codeword (0 hits, no
-/// erasure flags) is already a valid codeword, so the RS decoder is skipped
+/// Writes the decoded info blocks into `decoded` (resized to match; inner
+/// vectors keep their capacity) and returns false if any codeword fails to
+/// decode.  `errors_corrected_out`, if non-null, accumulates corrected
+/// symbol counts.  With `use_erasure_side_info`, the receiver feeds the
+/// model's erasure side information to the decoder (errors-and-erasures
+/// decoding doubles the correctable burst length; cf. the paper's
+/// reference [2]).  Relies on the SymbolErrorModel contract that the
+/// returned hit count is exact: an untouched codeword (0 hits, no erasure
+/// flags) is already a valid codeword, so the RS decoder is skipped
 /// outright — by far the dominant case at paper error rates.
+/// The Rng& is unused: error models draw from their own streams.
 bool ApplyChannelInto(const std::vector<std::vector<fec::GfElem>>& codewords,
-                      const fec::ReedSolomon& code, SymbolErrorModel& model, Rng& rng,
+                      const fec::ReedSolomon& code, SymbolErrorModel& model, Rng&,
                       ChannelScratch& scratch,
                       std::vector<std::vector<fec::GfElem>>& decoded,
                       int* errors_corrected_out = nullptr,
@@ -95,25 +88,15 @@ class ReverseChannel {
   void Transmit(CodedBurst burst);
 
   /// Collects (and removes) every pending burst overlapping `slot`, then
-  /// classifies the slot: idle, collision (>= 2 mutually overlapping
-  /// bursts), or a single burst to be decoded with `code` through `model`.
-  SlotReception ResolveSlot(Interval slot, const fec::ReedSolomon& code,
-                            SymbolErrorModel& model, Rng& rng,
-                            bool use_erasure_side_info = false);
-
-  /// Like ResolveSlot but the caller supplies a per-sender error model via
-  /// callback (different mobiles see different uplink paths).
-  SlotReception ResolveSlotPerSender(
-      Interval slot, const fec::ReedSolomon& code,
-      const std::function<SymbolErrorModel&(int sender)>& model_for, Rng& rng,
-      bool use_erasure_side_info = false);
-
-  /// Allocation-reusing ResolveSlotPerSender: resolves into `out`, reusing
-  /// its vectors' capacity (the caller keeps one SlotReception alive across
-  /// slots).  Same classification and decode semantics.
+  /// classifies the slot into `out`: idle, collision (>= 2 mutually
+  /// overlapping bursts), or a single burst decoded with `code` through the
+  /// sender's error model from `model_for` (different mobiles see different
+  /// uplink paths).  Reuses the capacity of `out`'s vectors, so the caller
+  /// keeps one SlotReception alive across slots.
+  /// The Rng& is unused: error models draw from their own streams.
   void ResolveSlotPerSenderInto(
       Interval slot, const fec::ReedSolomon& code,
-      const std::function<SymbolErrorModel&(int sender)>& model_for, Rng& rng,
+      const std::function<SymbolErrorModel&(int sender)>& model_for, Rng&,
       ChannelScratch& scratch, SlotReception& out,
       bool use_erasure_side_info = false);
 
@@ -125,7 +108,6 @@ class ReverseChannel {
   const std::vector<CodedBurst>& pending() const { return pending_; }
 
  private:
-  std::vector<CodedBurst> Collect(Interval slot);
   /// Moves overlapping bursts into `hits` (cleared first, capacity reused).
   void CollectInto(Interval slot, std::vector<CodedBurst>& hits);
 

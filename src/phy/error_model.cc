@@ -1,191 +1,129 @@
 #include "phy/error_model.h"
 
+#include <algorithm>
 #include <cmath>
-#include <limits>
 
 #include "common/check.h"
 
 namespace osumac::phy {
 
 namespace {
-/// Replaces one byte with a uniformly random *different* value.
-void FlipByte(fec::GfElem& b, Rng& rng) {
-  const auto delta = static_cast<fec::GfElem>(rng.UniformInt(1, 255));
-  b = static_cast<fec::GfElem>(b ^ delta);
-}
+/// A gap no run ever reaches (2^62 symbols); small enough that adding a
+/// codeword length to it cannot overflow.
+constexpr std::uint64_t kNever = std::uint64_t{1} << 62;
 
-/// FlipByte for the fast models' private stream (modulo bias across 2^64
-/// draws is ~2^-56 — far below anything the sweeps can resolve).
-void FlipByteFast(fec::GfElem& b, SplitMix64Rng& stream) {
+/// Replaces one byte with a uniformly random *different* value (modulo
+/// bias across 2^64 draws is ~2^-56 — far below anything the sweeps can
+/// resolve).
+void FlipByte(fec::GfElem& b, SplitMix64Rng& stream) {
   const auto delta = static_cast<fec::GfElem>(1 + stream.Next() % 255);
   b = static_cast<fec::GfElem>(b ^ delta);
 }
 
-/// Geometric "failures before first success" via inversion:
-/// floor(log(U) / log(1-p)) with U uniform on (0, 1).
-std::uint64_t GeometricGap(SplitMix64Rng& stream, double inv_log_q) {
+/// 1 / log(1 - p), the inversion constant of GeometricGap (unused at the
+/// degenerate p = 0 and p = 1, which draw nothing).
+double InvLogQ(double p) { return p > 0.0 && p < 1.0 ? 1.0 / std::log1p(-p) : 0.0; }
+
+/// Geometric "failures before first success" at probability p, via
+/// inversion: floor(log(U) * inv_log_q) with U uniform on (0, 1) and
+/// inv_log_q = InvLogQ(p).
+std::uint64_t GeometricGap(SplitMix64Rng& stream, double p, double inv_log_q) {
+  if (p <= 0.0) return kNever;
+  if (p >= 1.0) return 0;
   const double g = std::floor(std::log(stream.NextOpenDouble()) * inv_log_q);
-  if (g >= static_cast<double>(std::numeric_limits<std::uint64_t>::max())) {
-    return std::numeric_limits<std::uint64_t>::max();
-  }
-  return static_cast<std::uint64_t>(g);
+  return g >= static_cast<double>(kNever) ? kNever : static_cast<std::uint64_t>(g);
 }
+
+bool IsProbability(double p) { return p >= 0.0 && p <= 1.0; }
 }  // namespace
 
-UniformErrorModel::UniformErrorModel(double symbol_error_prob) : p_(symbol_error_prob) {
-  OSUMAC_CHECK(p_ >= 0.0 && p_ <= 1.0);
+UniformErrorModel::UniformErrorModel(double symbol_error_prob, std::uint64_t seed)
+    : p_(symbol_error_prob),
+      inv_log_q_(InvLogQ(p_)),
+      stream_(seed),
+      skip_(GeometricGap(stream_, p_, inv_log_q_)) {
+  OSUMAC_CHECK(IsProbability(p_));
 }
 
-int UniformErrorModel::Corrupt(std::span<fec::GfElem> codeword, Rng& rng) {
-  int hits = 0;
-  for (fec::GfElem& b : codeword) {
-    if (rng.Bernoulli(p_)) {
-      FlipByte(b, rng);
-      ++hits;
-    }
-  }
-  return hits;
-}
-
-GilbertElliottModel::GilbertElliottModel(const Params& params) : params_(params) {
-  OSUMAC_CHECK(params_.p_good_to_bad >= 0 && params_.p_good_to_bad <= 1);
-  OSUMAC_CHECK(params_.p_bad_to_good >= 0 && params_.p_bad_to_good <= 1);
-}
-
-int GilbertElliottModel::Corrupt(std::span<fec::GfElem> codeword, Rng& rng) {
-  return CorruptWithSideInfo(codeword, rng, nullptr);
-}
-
-int GilbertElliottModel::CorruptWithSideInfo(std::span<fec::GfElem> codeword, Rng& rng,
-                                             std::vector<int>* erasures) {
-  int hits = 0;
-  for (std::size_t i = 0; i < codeword.size(); ++i) {
-    if (bad_) {
-      if (rng.Bernoulli(params_.p_bad_to_good)) bad_ = false;
-    } else {
-      if (rng.Bernoulli(params_.p_good_to_bad)) bad_ = true;
-    }
-    if (bad_ && erasures != nullptr) erasures->push_back(static_cast<int>(i));
-    const double p = bad_ ? params_.error_prob_bad : params_.error_prob_good;
-    if (rng.Bernoulli(p)) {
-      FlipByte(codeword[i], rng);
-      ++hits;
-    }
-  }
-  return hits;
-}
-
-FastUniformErrorModel::FastUniformErrorModel(double symbol_error_prob, std::uint64_t seed)
-    : p_(symbol_error_prob), stream_(seed) {
-  OSUMAC_CHECK(p_ >= 0.0 && p_ <= 1.0);
-  if (p_ > 0.0 && p_ < 1.0) {
-    inv_log_q_ = 1.0 / std::log1p(-p_);
-    skip_ = GeometricGap(stream_, inv_log_q_);
-  }
-}
-
-int FastUniformErrorModel::Corrupt(std::span<fec::GfElem> codeword, Rng& rng) {
-  (void)rng;  // fast models never touch the shared simulation stream
-  if (p_ <= 0.0) return 0;
-  if (p_ >= 1.0) {
-    for (fec::GfElem& b : codeword) FlipByteFast(b, stream_);
-    return static_cast<int>(codeword.size());
-  }
+int UniformErrorModel::Corrupt(std::span<fec::GfElem> codeword) {
   int hits = 0;
   std::uint64_t i = skip_;
   while (i < codeword.size()) {
-    FlipByteFast(codeword[i], stream_);
+    FlipByte(codeword[i], stream_);
     ++hits;
-    i += 1 + GeometricGap(stream_, inv_log_q_);
+    i += 1 + GeometricGap(stream_, p_, inv_log_q_);
   }
   skip_ = i - codeword.size();
   return hits;
 }
 
-FastGilbertElliottModel::FastGilbertElliottModel(const GilbertElliottModel::Params& params,
-                                                 std::uint64_t seed)
-    : params_(params), stream_(seed) {
-  OSUMAC_CHECK(params_.p_good_to_bad >= 0 && params_.p_good_to_bad <= 1);
-  OSUMAC_CHECK(params_.p_bad_to_good >= 0 && params_.p_bad_to_good <= 1);
-  good_trans_skip_ = Gap(params_.p_good_to_bad);
-  good_err_skip_ = Gap(params_.error_prob_good);
+GilbertElliottModel::GilbertElliottModel(const Params& params, std::uint64_t seed)
+    : params_(params),
+      inv_log_stay_good_(InvLogQ(params.p_good_to_bad)),
+      inv_log_clean_good_(InvLogQ(params.error_prob_good)),
+      stream_(seed),
+      good_to_fade_(GeometricGap(stream_, params.p_good_to_bad, inv_log_stay_good_)),
+      good_to_error_(GeometricGap(stream_, params.error_prob_good, inv_log_clean_good_)) {
+  OSUMAC_CHECK(IsProbability(params_.p_good_to_bad));
+  OSUMAC_CHECK(IsProbability(params_.p_bad_to_good));
+  OSUMAC_CHECK(IsProbability(params_.error_prob_good));
+  OSUMAC_CHECK(IsProbability(params_.error_prob_bad));
 }
 
-std::uint64_t FastGilbertElliottModel::Gap(double p) {
-  if (p <= 0.0) return std::numeric_limits<std::uint64_t>::max();
-  if (p >= 1.0) return 0;
-  return GeometricGap(stream_, 1.0 / std::log1p(-p));
+int GilbertElliottModel::Corrupt(std::span<fec::GfElem> codeword) {
+  return CorruptWithSideInfo(codeword, nullptr);
 }
 
-int FastGilbertElliottModel::Corrupt(std::span<fec::GfElem> codeword, Rng& rng) {
-  return CorruptWithSideInfo(codeword, rng, nullptr);
-}
-
-int FastGilbertElliottModel::CorruptWithSideInfo(std::span<fec::GfElem> codeword, Rng& rng,
-                                                 std::vector<int>* erasures) {
-  (void)rng;
+int GilbertElliottModel::CorruptWithSideInfo(std::span<fec::GfElem> codeword,
+                                             std::vector<int>* erasures) {
   int hits = 0;
   std::uint64_t i = 0;
   const std::uint64_t n = codeword.size();
   while (i < n) {
     if (!bad_) {
-      // Skip ahead to whichever Good-state event lands first.  A fade
-      // start at the same symbol as an error wins, mirroring the slow
-      // model's transition-before-error ordering.
-      const std::uint64_t next = std::min(good_trans_skip_, good_err_skip_);
+      // Skip ahead to whichever Good-state event lands first.  A fade start
+      // at the same symbol as an error wins: a symbol's state is drawn
+      // before its error, so that symbol errs at the Bad-state rate.
+      const std::uint64_t next = std::min(good_to_fade_, good_to_error_);
       if (next >= n - i) {
-        const std::uint64_t consumed = n - i;
-        good_trans_skip_ -= consumed;
-        good_err_skip_ -= consumed;
+        good_to_fade_ -= n - i;
+        good_to_error_ -= n - i;
         break;
       }
-      good_trans_skip_ -= next;
-      good_err_skip_ -= next;
+      good_to_fade_ -= next;
+      good_to_error_ -= next;
       i += next;
-      if (good_trans_skip_ == 0) {
+      if (good_to_fade_ == 0) {
         bad_ = true;  // symbol i is the first faded symbol
         continue;
       }
-      FlipByteFast(codeword[i], stream_);
+      FlipByte(codeword[i], stream_);
       ++hits;
       ++i;
-      good_err_skip_ = Gap(params_.error_prob_good);  // gap from the next symbol
+      --good_to_fade_;  // the errored symbol was a Good one too
+      good_to_error_ =
+          GeometricGap(stream_, params_.error_prob_good, inv_log_clean_good_);
     } else {
       // Fade: walk per symbol — every one is erasure-flagged regardless of
       // corruption, so there is no skipping to be had.
       if (erasures != nullptr) erasures->push_back(static_cast<int>(i));
       if (stream_.NextOpenDouble() < params_.error_prob_bad) {
-        FlipByteFast(codeword[i], stream_);
+        FlipByte(codeword[i], stream_);
         ++hits;
       }
       ++i;
       if (stream_.NextOpenDouble() < params_.p_bad_to_good) {
         bad_ = false;
-        good_trans_skip_ = Gap(params_.p_good_to_bad);
-        good_err_skip_ = Gap(params_.error_prob_good);
+        // The recovered symbol is Good for certain; each one after it may
+        // start the next fade.
+        good_to_fade_ =
+            1 + GeometricGap(stream_, params_.p_good_to_bad, inv_log_stay_good_);
+        good_to_error_ =
+            GeometricGap(stream_, params_.error_prob_good, inv_log_clean_good_);
       }
     }
   }
   return hits;
-}
-
-std::unique_ptr<SymbolErrorModel> MakePerfectChannel() {
-  return std::make_unique<PerfectChannel>();
-}
-std::unique_ptr<SymbolErrorModel> MakeUniformChannel(double symbol_error_prob) {
-  return std::make_unique<UniformErrorModel>(symbol_error_prob);
-}
-std::unique_ptr<SymbolErrorModel> MakeGilbertElliottChannel(
-    const GilbertElliottModel::Params& p) {
-  return std::make_unique<GilbertElliottModel>(p);
-}
-std::unique_ptr<SymbolErrorModel> MakeFastUniformChannel(double symbol_error_prob,
-                                                         std::uint64_t seed) {
-  return std::make_unique<FastUniformErrorModel>(symbol_error_prob, seed);
-}
-std::unique_ptr<SymbolErrorModel> MakeFastGilbertElliottChannel(
-    const GilbertElliottModel::Params& p, std::uint64_t seed) {
-  return std::make_unique<FastGilbertElliottModel>(p, seed);
 }
 
 }  // namespace osumac::phy

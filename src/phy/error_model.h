@@ -5,10 +5,16 @@
 // occur and the decoder fails.  These models inject byte(symbol)-level
 // corruption into codewords before decoding; the real RS decoder then
 // reproduces the corrects-or-fails behaviour.
+//
+// Each random model draws from its OWN SplitMix64 stream (seeded at
+// construction), never from the shared simulation Rng, and skips from one
+// error event to the next with geometric inter-arrival sampling: a quiet
+// channel costs O(events), not O(symbols).  The symbol-error process is
+// exactly the per-symbol one its parameters describe; tests/phy_test.cc
+// checks the per-codeword hit histograms against exact oracles.
 #pragma once
 
 #include <cstdint>
-#include <memory>
 #include <span>
 #include <vector>
 
@@ -26,7 +32,7 @@ class SymbolErrorModel {
 
   /// Corrupts `codeword` in place; each changed byte becomes a random value
   /// different from the original. Returns the number of corrupted bytes.
-  virtual int Corrupt(std::span<fec::GfElem> codeword, Rng& rng) = 0;
+  virtual int Corrupt(std::span<fec::GfElem> codeword) = 0;
 
   /// Like Corrupt, but additionally reports *erasure side information*:
   /// symbol positions the receiver can flag as unreliable (e.g. because the
@@ -35,35 +41,43 @@ class SymbolErrorModel {
   /// the correctable burst length — the motivation of the paper's
   /// burst-erasure reference [2] (McAuley, SIGCOMM '90).  The default
   /// implementation reports none.
-  virtual int CorruptWithSideInfo(std::span<fec::GfElem> codeword, Rng& rng,
+  virtual int CorruptWithSideInfo(std::span<fec::GfElem> codeword,
                                   std::vector<int>* erasures) {
     (void)erasures;
-    return Corrupt(codeword, rng);
+    return Corrupt(codeword);
   }
 };
 
 /// Error-free channel.
 class PerfectChannel final : public SymbolErrorModel {
  public:
-  int Corrupt(std::span<fec::GfElem>, Rng&) override { return 0; }
+  int Corrupt(std::span<fec::GfElem>) override { return 0; }
 };
 
-/// Independent symbol errors with fixed probability per byte.
+/// Independent symbol errors with fixed probability per byte.  Draws one
+/// variate per *hit*, not per symbol; the geometric gap runs across
+/// codeword boundaries like a true symbol-stream process.
 class UniformErrorModel final : public SymbolErrorModel {
  public:
   /// `symbol_error_prob` in [0, 1]: probability that each coded byte is hit.
-  explicit UniformErrorModel(double symbol_error_prob);
+  UniformErrorModel(double symbol_error_prob, std::uint64_t seed);
 
-  int Corrupt(std::span<fec::GfElem> codeword, Rng& rng) override;
+  int Corrupt(std::span<fec::GfElem> codeword) override;
 
  private:
   double p_;
+  double inv_log_q_;  ///< 1 / log(1 - p), for inversion sampling
+  SplitMix64Rng stream_;
+  std::uint64_t skip_;  ///< symbols until the next hit, carried across calls
 };
 
 /// Two-state Gilbert-Elliott burst channel: a Good state with low symbol
 /// error probability and a Bad (fade) state with high error probability.
 /// State transitions are evaluated per coded byte, so fades straddle
 /// codeword boundaries, producing the paper's "many errors at once" regime.
+/// The Good state (where essentially all airtime is spent) is skip-sampled;
+/// the Bad state is walked per symbol, since every faded symbol is
+/// erasure-flagged anyway and there is nothing to skip.
 class GilbertElliottModel final : public SymbolErrorModel {
  public:
   struct Params {
@@ -73,85 +87,26 @@ class GilbertElliottModel final : public SymbolErrorModel {
     double error_prob_bad = 0.4;
   };
 
-  explicit GilbertElliottModel(const Params& params);
+  GilbertElliottModel(const Params& params, std::uint64_t seed);
 
-  int Corrupt(std::span<fec::GfElem> codeword, Rng& rng) override;
+  int Corrupt(std::span<fec::GfElem> codeword) override;
 
   /// During fades the receiver knows its SNR collapsed: every symbol seen
   /// while in the Bad state is reported as an erasure (whether or not it
   /// was actually corrupted).
-  int CorruptWithSideInfo(std::span<fec::GfElem> codeword, Rng& rng,
+  int CorruptWithSideInfo(std::span<fec::GfElem> codeword,
                           std::vector<int>* erasures) override;
 
   bool in_bad_state() const { return bad_; }
 
  private:
   Params params_;
-  bool bad_ = false;
-};
-
-// --- fast_channel variants ---------------------------------------------
-//
-// The models above draw one Bernoulli per coded byte from the shared
-// simulation Rng, which dominates sweep wall-clock at realistic error
-// rates (almost every draw is a miss).  The Fast* variants skip directly
-// from hit to hit with geometric inter-arrival sampling, so per-symbol
-// cost vanishes when errors are rare.  They consume their OWN SplitMix64
-// stream — never the simulation Rng — so enabling them does not perturb
-// any other consumer's draw order; they are nonetheless a different
-// random process and are goldened separately (exp::ScenarioSpec::
-// fast_channel, off by default).
-
-/// Independent symbol errors with geometric skip-sampling.  Statistically
-/// matches UniformErrorModel (same per-symbol hit probability) but draws
-/// one variate per *hit*, not per symbol; the geometric gap runs across
-/// codeword boundaries like a true symbol-stream process.
-class FastUniformErrorModel final : public SymbolErrorModel {
- public:
-  FastUniformErrorModel(double symbol_error_prob, std::uint64_t seed);
-
-  int Corrupt(std::span<fec::GfElem> codeword, Rng& rng) override;
-
- private:
-  double p_;
-  double inv_log_q_ = 0.0;  ///< 1 / log(1 - p), for inversion sampling
-  SplitMix64Rng stream_;
-  std::uint64_t skip_ = 0;  ///< symbols until the next hit, carried across calls
-};
-
-/// Gilbert-Elliott burst channel with geometric skip-sampling in the Good
-/// state (where essentially all airtime is spent).  The Bad state is still
-/// walked per symbol: every faded symbol must be erasure-flagged anyway,
-/// so there is nothing to skip.  Same Params semantics as
-/// GilbertElliottModel; own SplitMix64 stream.
-class FastGilbertElliottModel final : public SymbolErrorModel {
- public:
-  FastGilbertElliottModel(const GilbertElliottModel::Params& params, std::uint64_t seed);
-
-  int Corrupt(std::span<fec::GfElem> codeword, Rng& rng) override;
-  int CorruptWithSideInfo(std::span<fec::GfElem> codeword, Rng& rng,
-                          std::vector<int>* erasures) override;
-
-  bool in_bad_state() const { return bad_; }
-
- private:
-  /// Geometric gap (failures before first success) at probability p.
-  std::uint64_t Gap(double p);
-
-  GilbertElliottModel::Params params_;
+  double inv_log_stay_good_;   ///< 1 / log(1 - p_good_to_bad)
+  double inv_log_clean_good_;  ///< 1 / log(1 - error_prob_good)
   SplitMix64Rng stream_;
   bool bad_ = false;
-  std::uint64_t good_trans_skip_ = 0;  ///< Good symbols until the fade starts
-  std::uint64_t good_err_skip_ = 0;    ///< Good symbols until the next error
+  std::uint64_t good_to_fade_;   ///< Good symbols before the fade starts
+  std::uint64_t good_to_error_;  ///< Good symbols before the next error
 };
-
-/// Factory helpers.
-std::unique_ptr<SymbolErrorModel> MakePerfectChannel();
-std::unique_ptr<SymbolErrorModel> MakeUniformChannel(double symbol_error_prob);
-std::unique_ptr<SymbolErrorModel> MakeGilbertElliottChannel(const GilbertElliottModel::Params& p);
-std::unique_ptr<SymbolErrorModel> MakeFastUniformChannel(double symbol_error_prob,
-                                                         std::uint64_t seed);
-std::unique_ptr<SymbolErrorModel> MakeFastGilbertElliottChannel(
-    const GilbertElliottModel::Params& p, std::uint64_t seed);
 
 }  // namespace osumac::phy

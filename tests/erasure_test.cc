@@ -3,6 +3,9 @@
 // as erasures let RS(64,48) absorb bursts up to twice as long.
 #include <gtest/gtest.h>
 
+#include <optional>
+#include <vector>
+
 #include "fec/reed_solomon.h"
 #include "mac/cell.h"
 #include "phy/channel.h"
@@ -24,15 +27,28 @@ phy::GilbertElliottModel::Params HarshFades() {
   return p;
 }
 
+/// Passes `codewords` through `model` and the decoder; nullopt on failure.
+std::optional<std::vector<std::vector<fec::GfElem>>> Decode(
+    const std::vector<std::vector<fec::GfElem>>& codewords, const fec::ReedSolomon& rs,
+    phy::SymbolErrorModel& model, bool side_info) {
+  Rng unused(0);
+  phy::ChannelScratch scratch;
+  std::vector<std::vector<fec::GfElem>> decoded;
+  if (!phy::ApplyChannelInto(codewords, rs, model, unused, scratch, decoded, nullptr,
+                             side_info)) {
+    return std::nullopt;
+  }
+  return decoded;
+}
+
 TEST(ErasureSideInfoTest, GilbertElliottReportsFadedSymbols) {
-  Rng rng(401);
-  phy::GilbertElliottModel model(HarshFades());
+  phy::GilbertElliottModel model(HarshFades(), 401);
   int reported = 0;
   int corrupted = 0;
   for (int i = 0; i < 500; ++i) {
     std::vector<fec::GfElem> word(64, 0);
     std::vector<int> erasures;
-    corrupted += model.CorruptWithSideInfo(word, rng, &erasures);
+    corrupted += model.CorruptWithSideInfo(word, &erasures);
     reported += static_cast<int>(erasures.size());
     for (int pos : erasures) {
       ASSERT_GE(pos, 0);
@@ -50,14 +66,13 @@ TEST(ErasureSideInfoTest, SideInfoRoughlyDoublesBurstTolerance) {
   // far fewer codewords.
   const auto& rs = fec::ReedSolomon::Osu6448();
   auto run = [&](bool side_info) {
-    Rng rng(402);  // same noise realization per mode
-    phy::GilbertElliottModel model(HarshFades());
+    phy::GilbertElliottModel model(HarshFades(), 402);  // same noise per mode
     int failures = 0;
     const int words = 3000;
     for (int i = 0; i < words; ++i) {
       std::vector<fec::GfElem> data(48, static_cast<fec::GfElem>(i & 0xFF));
       const std::vector<std::vector<fec::GfElem>> cw = {rs.Encode(data)};
-      const auto decoded = phy::ApplyChannel(cw, rs, model, rng, nullptr, side_info);
+      const auto decoded = Decode(cw, rs, model, side_info);
       if (!decoded.has_value()) {
         ++failures;
       } else {
@@ -99,14 +114,12 @@ TEST(ErasureSideInfoTest, EndToEndGpsLossDrops) {
 TEST(ErasureSideInfoTest, NoEffectOnUniformChannels) {
   // The uniform model has no side information; both modes behave alike.
   const auto& rs = fec::ReedSolomon::Osu6448();
-  phy::UniformErrorModel model(0.05);
-  Rng rng1(404), rng2(404);
   std::vector<fec::GfElem> data(48, 0x5A);
   const std::vector<std::vector<fec::GfElem>> cw = {rs.Encode(data)};
-  phy::UniformErrorModel m1(0.05), m2(0.05);
+  phy::UniformErrorModel m1(0.05, 404), m2(0.05, 404);
   for (int i = 0; i < 200; ++i) {
-    const auto a = phy::ApplyChannel(cw, rs, m1, rng1, nullptr, false);
-    const auto b = phy::ApplyChannel(cw, rs, m2, rng2, nullptr, true);
+    const auto a = Decode(cw, rs, m1, false);
+    const auto b = Decode(cw, rs, m2, true);
     EXPECT_EQ(a.has_value(), b.has_value());
   }
 }

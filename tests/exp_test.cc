@@ -68,15 +68,14 @@ std::vector<ScenarioSpec> DiverseSpecs() {
   registry.collect_registry = true;
   specs.push_back(registry);
 
-  ScenarioSpec fast = LoadPoint(0.6);
-  fast.name = "fast_channel_ge";
-  fast.warmup_cycles = 10;
-  fast.measure_cycles = 80;
-  fast.fast_channel = true;
-  fast.reverse.kind = mac::ChannelModelConfig::Kind::kGilbertElliott;
-  fast.reverse.ge = {0.01, 0.2, 0.001, 0.2};
-  fast.erasure_side_information = true;
-  specs.push_back(fast);
+  ScenarioSpec fading = LoadPoint(0.6);
+  fading.name = "ge_erasures";
+  fading.warmup_cycles = 10;
+  fading.measure_cycles = 80;
+  fading.reverse.kind = mac::ChannelModelConfig::Kind::kGilbertElliott;
+  fading.reverse.ge = {0.01, 0.2, 0.001, 0.2};
+  fading.erasure_side_information = true;
+  specs.push_back(fading);
 
   return specs;
 }
@@ -143,38 +142,27 @@ TEST(GoldenValueTest, Fig8PointRho08MatchesPreEngineHarness) {
   EXPECT_EQ(r.bs.payload_bytes_received, 203604);
 }
 
-/// The fast_channel toggle swaps in geometric skip-sampling with its own
-/// SplitMix64 streams, so its numbers are NOT comparable to the default
-/// per-symbol samplers.  This golden pins the fast-sampling trajectory
-/// separately (captured at the commit that introduced the toggle) so later
-/// optimisation passes can't silently shift it either.
-TEST(GoldenValueTest, FastChannelGePointIsSeparatelyGoldened) {
+/// Pins a lossy-channel trajectory: a Gilbert-Elliott reverse channel with
+/// erasure side information, so optimisation passes over the channel, the
+/// decoder or the MAC can't silently shift the error process either.
+TEST(GoldenValueTest, GilbertElliottErasurePointIsGoldened) {
   ScenarioSpec spec = LoadPoint(0.8);
-  spec.name = "fast_channel_golden";
+  spec.name = "ge_erasure_golden";
   spec.warmup_cycles = 10;
   spec.measure_cycles = 80;
-  spec.fast_channel = true;
   spec.erasure_side_information = true;
   spec.reverse.kind = mac::ChannelModelConfig::Kind::kGilbertElliott;
   spec.reverse.ge = {0.01, 0.2, 0.001, 0.2};
   const RunResult r = RunScenario(spec);
 
   EXPECT_DOUBLE_EQ(r.figure.utilization, 0.62535511363636365);
-  EXPECT_DOUBLE_EQ(r.figure.mean_packet_delay_cycles, 4.1705286781687301);
-  EXPECT_DOUBLE_EQ(r.figure.mean_message_delay_cycles, 4.8024285274894254);
+  EXPECT_DOUBLE_EQ(r.figure.mean_packet_delay_cycles, 4.1169428429108388);
+  EXPECT_DOUBLE_EQ(r.figure.mean_message_delay_cycles, 4.7421148019992296);
   EXPECT_DOUBLE_EQ(r.figure.collision_probability, 0.12727272727272726);
   EXPECT_DOUBLE_EQ(r.figure.fairness_index, 0.78162889186185636);
   EXPECT_EQ(r.bs.data_packets_received, 433);
   EXPECT_EQ(r.bs.collisions, 7);
   EXPECT_EQ(r.bs.payload_bytes_received, 17610);
-
-  // Same spec through the default per-symbol sampler: the two models are
-  // different stochastic processes, so the trajectories must differ — if
-  // they ever agree exactly, fast_sampling silently stopped switching
-  // models.
-  spec.fast_channel = false;
-  const RunResult slow = RunScenario(spec);
-  EXPECT_NE(ResultSignature(r), ResultSignature(slow));
 }
 
 TEST(ScenarioSpecTest, ReplicationLadderMatchesPreEngineSeeds) {
@@ -325,7 +313,6 @@ TEST(ScenarioIoTest, ParsesChannelsChurnAndDownlink) {
       "reverse_channel = ge 0.01 0.1 0.0001 0.6\n"
       "forward_channel = uniform 0.02\n"
       "erasure_side_information = true\n"
-      "fast_channel = true\n"
       "downlink_interarrival_cycles = 4\n"
       "downlink_sizes = fixed 220\n"
       "churn.arrivals = 6\n"
@@ -340,11 +327,36 @@ TEST(ScenarioIoTest, ParsesChannelsChurnAndDownlink) {
   EXPECT_EQ(s.forward.kind, mac::ChannelModelConfig::Kind::kUniform);
   EXPECT_EQ(s.forward.symbol_error_prob, 0.02);
   EXPECT_TRUE(s.erasure_side_information);
-  EXPECT_TRUE(s.fast_channel);
   EXPECT_EQ(s.workload.downlink_interarrival_cycles, 4.0);
   EXPECT_EQ(s.workload.downlink_sizes.fixed_bytes, 220);
   EXPECT_EQ(s.churn.arrivals, 6);
   EXPECT_TRUE(s.churn.sign_off_after_sample);
+}
+
+TEST(ScenarioIoTest, RejectsTheRetiredFastChannelKey) {
+  // There is one sampler per channel process now; a stale scenario file
+  // that still asks to switch samplers must fail loudly.
+  std::istringstream in("[a]\nfast_channel = true\n");
+  std::string error;
+  EXPECT_TRUE(ParseScenarios(in, &error).empty());
+  EXPECT_NE(error.find("unknown key 'fast_channel'"), std::string::npos) << error;
+}
+
+TEST(ScenarioIoTest, RejectsOutOfRangeChannelProbabilities) {
+  for (const char* text :
+       {"reverse_channel = uniform 1.5\n", "forward_channel = uniform -0.1\n",
+        "reverse_channel = ge 0.01 0.1 -0.5 7\n", "reverse_channel = ge 1.2 0.1 0 0.5\n",
+        "forward_channel = ge 0.01 2 0 0.5\n"}) {
+    std::istringstream in(text);
+    std::string error;
+    EXPECT_TRUE(ParseScenarios(in, &error).empty()) << text;
+    EXPECT_NE(error.find("line 1"), std::string::npos) << error;
+    EXPECT_NE(error.find(std::string(text).substr(0, 15)), std::string::npos) << error;
+    EXPECT_NE(error.find("[0, 1]"), std::string::npos) << error;
+  }
+  std::istringstream edges("[x]\nforward_channel = uniform 0\nreverse_channel = ge 1 0 0 1\n");
+  std::string error;
+  EXPECT_EQ(ParseScenarios(edges, &error).size(), 1u) << error;
 }
 
 TEST(ScenarioIoTest, RejectsUnknownKeysWithLineNumbers) {

@@ -35,7 +35,6 @@ Checks, in order:
      machine, so CI never depends on absolute host speed:
        - clean RS decode (syndrome fast path) beats the full
          Berlekamp-Massey pipeline by at least 1.5x
-       - geometric skip-sampling beats the per-symbol Bernoulli loop
        - an untraced cycle step costs no more than 1.10x a traced one
          (zero-cost disabled observability, with 10% timer noise head)
        - a cycle step with a live obs::Profiler installed costs no more
@@ -54,8 +53,8 @@ REQUIRED_PHASES = ("spec_build", "sweep", "sweep_journaled", "bench_network",
                    "write_csv", "write_sweeps_json")
 HOTPATH_PHASES = ("hotpath_rs_encode", "hotpath_rs_decode_clean",
                   "hotpath_rs_decode_corrupt", "hotpath_channel_uniform",
-                  "hotpath_channel_fast", "hotpath_cycle_untraced",
-                  "hotpath_cycle_traced", "hotpath_cycle_profiled")
+                  "hotpath_cycle_untraced", "hotpath_cycle_traced",
+                  "hotpath_cycle_profiled")
 # The head-to-head MAC comparison sweep; present only when the artifact was
 # generated with make_figures --mac-matrix, which the Release CI job (and
 # the committed repo-root artifact) must be.
@@ -233,8 +232,6 @@ def main():
                  f"{', '.join(missing)}")
         check_ratio(seen, "hotpath_rs_decode_clean", "hotpath_rs_decode_corrupt",
                     1.0 / 1.5, "syndrome fast path regression")
-        check_ratio(seen, "hotpath_channel_fast", "hotpath_channel_uniform",
-                    1.0, "fast-channel skip-sampling regression")
         check_ratio(seen, "hotpath_cycle_untraced", "hotpath_cycle_traced",
                     1.10, "disabled-observability overhead regression")
         # An *installed* profiler must stay cheap: the zones are aggregate

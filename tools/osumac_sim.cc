@@ -591,6 +591,9 @@ std::string ValidateFlagComposition(const Options& opt) {
     return "unknown MAC policy '" + opt.mac +
            "' (expected one of: osu, rqma, pca)";
   }
+  if (!(opt.ser >= 0.0 && opt.ser <= 1.0)) {
+    return "--ser must be a probability in [0, 1]";
+  }
   if (opt.mac != "osu") {
     if (opt.cells != 0) {
       return "--mac runs one policy cell; --cells network mode is OSU-only "
