@@ -1,58 +1,94 @@
 #include "common/bitio.h"
 
+#include <algorithm>
+#include <cstring>
+#include <utility>
+
 #include "common/check.h"
 
 namespace osumac {
 
+namespace {
+
+/// Big-endian load of 8 bytes (compiles to one load and a byte swap).
+std::uint64_t LoadBe64(const std::uint8_t* p) {
+  std::uint64_t v = 0;
+  for (int i = 0; i < 8; ++i) v = (v << 8) | p[i];
+  return v;
+}
+
+}  // namespace
+
 void BitWriter::Write(std::uint64_t value, int width) {
   OSUMAC_DCHECK(width > 0 && width <= 64);
   OSUMAC_DCHECK(width == 64 || (value >> width) == 0);
-  for (int i = width - 1; i >= 0; --i) {
-    const int bit = static_cast<int>((value >> i) & 1u);
-    const int byte_index = bit_size_ / 8;
-    const int bit_in_byte = 7 - (bit_size_ % 8);
-    if (byte_index == static_cast<int>(bytes_.size())) bytes_.push_back(0);
-    if (bit != 0) bytes_[static_cast<std::size_t>(byte_index)] |= static_cast<std::uint8_t>(1u << bit_in_byte);
-    ++bit_size_;
+  const int used = bit_size_ & 7;  // bits already taken in the last byte
+  const std::size_t first = static_cast<std::size_t>(bit_size_) >> 3;
+  bit_size_ += width;
+  bytes_.resize((static_cast<std::size_t>(bit_size_) + 7) >> 3);
+  std::uint8_t* out = bytes_.data() + first;
+  int left = width;  // low bits of `value` not yet placed
+  if (used != 0) {
+    const int room = 8 - used;
+    if (left <= room) {
+      *out = static_cast<std::uint8_t>(*out | (value << (room - left)));
+      return;
+    }
+    left -= room;
+    *out = static_cast<std::uint8_t>(*out | (value >> left));
+    ++out;
   }
+  while (left >= 8) {
+    left -= 8;
+    *out++ = static_cast<std::uint8_t>(value >> left);
+  }
+  if (left > 0) *out = static_cast<std::uint8_t>(value << (8 - left));
 }
 
 void BitWriter::WriteZeros(int count) {
   OSUMAC_DCHECK_GE(count, 0);
-  for (int i = 0; i < count; i += 64) {
-    const int chunk = count - i < 64 ? count - i : 64;
-    Write(0, chunk);
-  }
+  // Bits past bit_size_ are already zero and resize() zero-fills.
+  bit_size_ += count;
+  bytes_.resize((static_cast<std::size_t>(bit_size_) + 7) >> 3);
 }
 
-std::vector<std::uint8_t> BitWriter::BytesPaddedTo(std::size_t min_bytes) const {
-  std::vector<std::uint8_t> out = bytes_;
-  if (out.size() < min_bytes) out.resize(min_bytes, 0);
-  return out;
+std::vector<std::uint8_t> BitWriter::BytesPaddedTo(std::size_t min_bytes) && {
+  if (bytes_.size() < min_bytes) bytes_.resize(min_bytes);
+  bit_size_ = 0;
+  return std::exchange(bytes_, {});
 }
 
 std::uint64_t BitReader::Read(int width) {
   OSUMAC_DCHECK(width > 0 && width <= 64);
-  std::uint64_t value = 0;
-  for (int i = 0; i < width; ++i) {
-    const int byte_index = bit_pos_ / 8;
-    int bit = 0;
-    if (byte_index < static_cast<int>(bytes_.size())) {
-      const int bit_in_byte = 7 - (bit_pos_ % 8);
-      bit = (bytes_[static_cast<std::size_t>(byte_index)] >> bit_in_byte) & 1;
-    } else {
-      overflowed_ = true;
+  const std::size_t byte = static_cast<std::size_t>(bit_pos_) >> 3;
+  const int shift = bit_pos_ & 7;
+  bit_pos_ += width;
+  // A field spans at most 9 bytes: 8 for the word, one spill byte when the
+  // field starts mid-byte.
+  std::uint64_t word = 0;
+  std::uint8_t spill = 0;
+  if (byte + 9 <= bytes_.size()) {
+    word = LoadBe64(bytes_.data() + byte);
+    spill = bytes_[byte + 8];
+  } else {
+    // Near or past the end: stage the tail in a zero-filled window.
+    std::uint8_t window[9] = {};
+    if (byte < bytes_.size()) {
+      std::memcpy(window, bytes_.data() + byte,
+                  std::min<std::size_t>(9, bytes_.size() - byte));
     }
-    value = (value << 1) | static_cast<std::uint64_t>(bit);
-    ++bit_pos_;
+    if (static_cast<std::size_t>(bit_pos_) > bytes_.size() * 8) overflowed_ = true;
+    word = LoadBe64(window);
+    spill = window[8];
   }
-  return value;
+  if (shift != 0) word = (word << shift) | (spill >> (8 - shift));
+  return word >> (64 - width);
 }
 
 void BitReader::Skip(int count) {
   OSUMAC_DCHECK_GE(count, 0);
   bit_pos_ += count;
-  if (bit_pos_ > static_cast<int>(bytes_.size()) * 8) overflowed_ = true;
+  if (static_cast<std::size_t>(bit_pos_) > bytes_.size() * 8) overflowed_ = true;
 }
 
 }  // namespace osumac

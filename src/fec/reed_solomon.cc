@@ -16,13 +16,9 @@ ReedSolomon::ReedSolomon(int n, int k, int first_consecutive_root)
     : n_(n), k_(k), fcr_(first_consecutive_root) {
   OSUMAC_CHECK(0 < k && k < n && n <= kMaxN);
   // g(x) = (x - a^fcr)(x - a^{fcr+1}) ... (x - a^{fcr+n-k-1})
-  generator_ = {1};  // lint: allow-hot-alloc (constructor-time setup)
+  std::vector<GfElem> generator = {1};  // lint: allow-hot-alloc (constructor-time setup)
   for (int i = 0; i < n_ - k_; ++i) {
-    generator_ = poly::Mul(generator_, {gf().Exp(fcr_ + i), 1});
-  }
-  generator_log_.reserve(generator_.size());
-  for (const GfElem c : generator_) {
-    generator_log_.push_back(c == 0 ? -1 : gf().Log(c));
+    generator = poly::Mul(generator, {gf().Exp(fcr_ + i), 1});
   }
   const int nroots = n_ - k_;
   syndrome_pow_log_.resize(static_cast<std::size_t>(n_) * static_cast<std::size_t>(nroots));
@@ -35,6 +31,16 @@ ReedSolomon::ReedSolomon(int n, int k, int first_consecutive_root)
       if (e < 0) e += 255;
       syndrome_pow_log_[static_cast<std::size_t>(j) * static_cast<std::size_t>(nroots) +
                         static_cast<std::size_t>(m)] = static_cast<int>(e);
+    }
+  }
+  // Row f holds f * g(x)'s coefficients highest-first (g monic, so its
+  // leading 1 is dropped): the register update of one feedback symbol.
+  encode_table_.resize(256 * static_cast<std::size_t>(nroots));
+  for (int f = 0; f < 256; ++f) {
+    for (int j = 0; j < nroots; ++j) {
+      const GfElem g = generator[static_cast<std::size_t>(nroots - 1 - j)];
+      encode_table_[static_cast<std::size_t>(f) * static_cast<std::size_t>(nroots) +
+                    static_cast<std::size_t>(j)] = gf().Mul(static_cast<GfElem>(f), g);
     }
   }
 }
@@ -54,29 +60,20 @@ void ReedSolomon::EncodeInto(std::span<const GfElem> data, std::span<GfElem> out
   OSUMAC_CHECK_EQ(static_cast<int>(data.size()), k_);
   OSUMAC_CHECK_EQ(static_cast<int>(out.size()), n_);
   const int nroots = n_ - k_;
-  const GfElem* exp = gf().exp_table();
-  const int* log = gf().log_table();
 
-  // Systematic LFSR encode: parity = (data(x) * x^{n-k}) mod g(x), computed
-  // with a feedback shift register in the log domain — no polynomial
-  // buffers, one table product per (symbol, parity) pair.
-  GfElem parity[kMaxN];
-  std::memset(parity, 0, static_cast<std::size_t>(nroots));
+  // Systematic LFSR encode: parity = (data(x) * x^{n-k}) mod g(x).  Each
+  // symbol shifts the register one place and XORs in the product-table
+  // row of its feedback; row 0 is all zeros, so no branch on it.
+  // parity[nroots] is a constant zero the shift reads past the end.
+  GfElem parity[kMaxN + 1];
+  std::memset(parity, 0, static_cast<std::size_t>(nroots) + 1);
+  const GfElem* table = encode_table_.data();
   for (int i = 0; i < k_; ++i) {
     const GfElem feedback = static_cast<GfElem>(data[static_cast<std::size_t>(i)] ^ parity[0]);
-    if (feedback != 0) {
-      const int flog = log[feedback];
-      // parity[j-1] <- parity[j] + feedback * g_{nroots-j}  (g monic).
-      for (int j = 1; j < nroots; ++j) {
-        const int glog = generator_log_[static_cast<std::size_t>(nroots - j)];
-        parity[j - 1] = static_cast<GfElem>(
-            parity[j] ^ (glog < 0 ? 0 : exp[flog + glog]));
-      }
-      const int g0log = generator_log_[0];
-      parity[nroots - 1] = g0log < 0 ? 0 : exp[flog + g0log];
-    } else {
-      std::memmove(parity, parity + 1, static_cast<std::size_t>(nroots - 1));
-      parity[nroots - 1] = 0;
+    const GfElem* row =
+        table + static_cast<std::size_t>(feedback) * static_cast<std::size_t>(nroots);
+    for (int j = 0; j < nroots; ++j) {
+      parity[j] = static_cast<GfElem>(parity[j + 1] ^ row[j]);
     }
   }
   std::copy(data.begin(), data.end(), out.begin());

@@ -16,10 +16,11 @@
 // Hot-path design: at the paper's error rates the overwhelmingly common
 // reception is a clean codeword, so Decode*/DecodeWithErasures* check the
 // syndromes first and return without ever touching Berlekamp-Massey, Chien
-// or Forney when all of them are zero.  The full decode path and the
-// encoder run on fixed stack buffers (n <= 255) with the doubled GF(256)
-// exp table, and the *Into entry points reuse a caller-provided
-// DecodeResult so a simulation slot costs zero heap allocations.
+// or Forney when all of them are zero.  The full decode path runs on
+// fixed stack buffers (n <= 255) with the doubled GF(256) exp table, the
+// encoder on a 256-row product table of the generator polynomial, and the
+// *Into entry points reuse a caller-provided DecodeResult so a simulation
+// slot costs zero heap allocations.
 #pragma once
 
 #include <cstdint>
@@ -119,10 +120,10 @@ class ReedSolomon {
   int n_;
   int k_;
   int fcr_;
-  std::vector<GfElem> generator_;  // degree n-k, low-to-high coefficients
-  /// log of generator_[j], or -1 where the coefficient is zero — the LFSR
-  /// encoder's inner loop works entirely in the log domain.
-  std::vector<int> generator_log_;
+  /// encode_table_[f * (n-k) + j] = f * g_{n-k-1-j}: 256 rows of the
+  /// generator polynomial scaled by each feedback symbol, so the encoder
+  /// does one row lookup per data symbol.
+  std::vector<GfElem> encode_table_;
   /// syndrome_pow_log_[j * (n-k) + m] = ((fcr+m) * (n-1-j)) mod 255: the
   /// exp-table offset of symbol j's contribution to syndrome m.  Symbol-
   /// major so the syndrome loop does one log lookup per *symbol* and can

@@ -111,6 +111,12 @@ void Cell::SignOff(int node) {
   last_gps_delivery_.erase(node);
 }
 
+void Cell::SetForwardModel(int node, std::unique_ptr<phy::SymbolErrorModel> model) {
+  OSUMAC_CHECK(node >= 0 && node < subscriber_count());
+  OSUMAC_CHECK(model != nullptr);
+  forward_models_[static_cast<std::size_t>(node)] = std::move(model);
+}
+
 bool Cell::SendUplinkMessage(int node, int bytes) {
   metrics_.offered_bytes += bytes;
   ++metrics_.uplink_messages_offered;
@@ -411,6 +417,13 @@ void Cell::DeliverControlFields(const ControlFields& cf, bool second, Tick cycle
     trace_->Record(e);
   }
 
+  // The transmitted blocks are parsed at most once per delivery, on first
+  // use: a receiver whose decoded blocks equal them byte for byte shares
+  // that parse.  Any other decoded word gets a parse of its own, since a
+  // miscorrection decodes cleanly yet carries garbage.
+  bool sent_parsed = false;
+  std::optional<ControlFields> sent_cf;
+
   const std::int64_t n = cycle_start / kCycleTicks;
   for (int node = 0; node < subscriber_count(); ++node) {
     MobileSubscriber& sub = subscriber(node);
@@ -437,13 +450,23 @@ void Cell::DeliverControlFields(const ControlFields& cf, bool second, Tick cycle
 
     // Each mobile sees its own downlink path.
     int corrected = 0;
-    std::optional<ControlFields> parsed;
+    std::optional<ControlFields> own_cf;
+    const ControlFields* parsed = nullptr;
     if (phy::ApplyChannelInto(cf_codewords_, data_code_, ForwardModelFor(node), rng_,
                               channel_scratch_, cf_decoded_, &corrected,
                               config_.erasure_side_information)) {
-      parsed = ParseControlFields(cf_decoded_[0], cf_decoded_[1]);
+      if (cf_decoded_[0] == blocks[0] && cf_decoded_[1] == blocks[1]) {
+        if (!sent_parsed) {
+          sent_cf = ParseControlFields(blocks[0], blocks[1]);
+          sent_parsed = true;
+        }
+        if (sent_cf.has_value()) parsed = &*sent_cf;
+      } else {
+        own_cf = ParseControlFields(cf_decoded_[0], cf_decoded_[1]);
+        if (own_cf.has_value()) parsed = &*own_cf;
+      }
     }
-    if (!parsed.has_value()) {
+    if (parsed == nullptr) {
       sub.OnControlFieldsMissed();
       continue;
     }
@@ -599,9 +622,11 @@ void Cell::ResolveDataSlot(int slot, Interval abs, bool is_last_of_prev) {
 }
 
 void Cell::DeliverForwardSlot(int slot, Interval abs) {
-  OSUMAC_PROFILE_ZONE("cell.slot.forward");
   const std::optional<ForwardDataPacket> packet = bs_.DownlinkPacketForSlot(slot);
   if (!packet.has_value()) return;
+  // Zoned below the idle-slot return: most forward slots are idle, and a
+  // zone entry each would cost more than the lookup it measures.
+  OSUMAC_PROFILE_ZONE("cell.slot.forward");
 
   // The base station transmitted regardless of whether anyone receives.
   if (trace_ != nullptr) {

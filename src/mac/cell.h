@@ -69,6 +69,10 @@ class Cell final : public CellDriver, private CellSubstrate {
   /// Signs a subscriber off (the base station releases its resources — the
   /// paper's "sign-off"; for GPS users this triggers rules R1-R3).
   void SignOff(int node) override;
+  /// Replaces `node`'s downlink error model.  Fault injection: a model
+  /// that turns a word into a different valid codeword reproduces an RS
+  /// miscorrection, a frame that decodes cleanly but carries garbage.
+  void SetForwardModel(int node, std::unique_ptr<phy::SymbolErrorModel> model);
 
   MobileSubscriber& subscriber(int node) { return *subscribers_[static_cast<std::size_t>(node)]; }
   const MobileSubscriber& subscriber(int node) const {

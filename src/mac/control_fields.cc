@@ -1,8 +1,10 @@
 #include "mac/control_fields.h"
 
-#include "common/check.h"
+#include <algorithm>
+#include <utility>
 
 #include "common/bitio.h"
+#include "common/check.h"
 #include "phy/phy_params.h"
 
 namespace osumac::mac {
@@ -16,7 +18,7 @@ int ControlFields::ActiveGpsCount() const {
 }
 
 std::array<std::vector<fec::GfElem>, 2> SerializeControlFields(const ControlFields& cf) {
-  BitWriter w;
+  BitWriter w(2 * phy::kRsInfoBytes);
   w.Write(cf.cycle, 16);
   w.Write(cf.is_second_set ? 1 : 0, 1);
   w.Write(cf.late_grant.has_value() ? 1 : 0, 1);
@@ -46,22 +48,24 @@ std::array<std::vector<fec::GfElem>, 2> SerializeControlFields(const ControlFiel
   w.WriteZeros(kControlFieldReservedBits);  // reserved bits of the 2 codewords
   OSUMAC_CHECK_EQ(w.bit_size(), 2 * phy::kRsInfoBits);
 
-  const std::vector<fec::GfElem> bytes = w.BytesPaddedTo(2 * phy::kRsInfoBytes);
   std::array<std::vector<fec::GfElem>, 2> blocks;
-  blocks[0].assign(bytes.begin(), bytes.begin() + phy::kRsInfoBytes);
-  blocks[1].assign(bytes.begin() + phy::kRsInfoBytes, bytes.end());
+  blocks[0] = std::move(w).BytesPaddedTo(2 * phy::kRsInfoBytes);
+  blocks[1].assign(blocks[0].begin() + phy::kRsInfoBytes, blocks[0].end());
+  blocks[0].resize(phy::kRsInfoBytes);
   return blocks;
 }
 
-std::optional<ControlFields> ParseControlFields(const std::vector<fec::GfElem>& block0,
-                                                const std::vector<fec::GfElem>& block1) {
+std::optional<ControlFields> ParseControlFields(std::span<const fec::GfElem> block0,
+                                                std::span<const fec::GfElem> block1) {
   if (static_cast<int>(block0.size()) != phy::kRsInfoBytes ||
       static_cast<int>(block1.size()) != phy::kRsInfoBytes) {
     return std::nullopt;
   }
-  std::vector<fec::GfElem> bytes = block0;
-  bytes.insert(bytes.end(), block1.begin(), block1.end());
-  BitReader r(std::move(bytes));
+  // Fields straddle the block boundary: join the blocks on the stack.
+  std::array<fec::GfElem, 2 * phy::kRsInfoBytes> bytes;
+  std::copy(block0.begin(), block0.end(), bytes.begin());
+  std::copy(block1.begin(), block1.end(), bytes.begin() + phy::kRsInfoBytes);
+  BitReader r(bytes);
 
   ControlFields cf;
   cf.cycle = static_cast<std::uint16_t>(r.Read(16));

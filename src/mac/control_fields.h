@@ -30,6 +30,7 @@
 #include <array>
 #include <cstdint>
 #include <optional>
+#include <span>
 #include <vector>
 
 #include "fec/gf256.h"
@@ -123,7 +124,7 @@ std::array<std::vector<fec::GfElem>, 2> SerializeControlFields(const ControlFiel
 
 /// Parses two decoded 48-byte information blocks. Returns nullopt if the
 /// blocks are malformed (wrong size or out-of-range fields).
-std::optional<ControlFields> ParseControlFields(
-    const std::vector<fec::GfElem>& block0, const std::vector<fec::GfElem>& block1);
+std::optional<ControlFields> ParseControlFields(std::span<const fec::GfElem> block0,
+                                                std::span<const fec::GfElem> block1);
 
 }  // namespace osumac::mac

@@ -1,8 +1,9 @@
 #include "mac/packet.h"
 
-#include "common/check.h"
+#include <utility>
 
 #include "common/bitio.h"
+#include "common/check.h"
 
 namespace osumac::mac {
 
@@ -26,15 +27,15 @@ PacketHeader ReadHeader(BitReader& r) {
   return h;
 }
 
-std::vector<fec::GfElem> PadTo(const BitWriter& w, int bytes) {
-  return w.BytesPaddedTo(static_cast<std::size_t>(bytes));
+std::vector<fec::GfElem> PadTo(BitWriter& w, int bytes) {
+  return std::move(w).BytesPaddedTo(static_cast<std::size_t>(bytes));
 }
 
 }  // namespace
 
 std::vector<fec::GfElem> SerializeDataPacket(const DataPacket& p) {
   OSUMAC_CHECK_LE(p.payload_bytes, kPacketPayloadBytes);
-  BitWriter w;
+  BitWriter w(kPacketInfoBytes);
   PacketHeader h = p.header;
   h.kind = PacketKind::kData;
   WriteHeader(w, h);
@@ -51,7 +52,7 @@ std::vector<fec::GfElem> SerializeDataPacket(const DataPacket& p) {
 }
 
 std::vector<fec::GfElem> SerializeReservationPacket(const ReservationPacket& p) {
-  BitWriter w;
+  BitWriter w(kPacketInfoBytes);
   PacketHeader h;
   h.kind = PacketKind::kReservation;
   h.src = p.src;
@@ -61,7 +62,7 @@ std::vector<fec::GfElem> SerializeReservationPacket(const ReservationPacket& p) 
 }
 
 std::vector<fec::GfElem> SerializeRegistrationPacket(const RegistrationPacket& p) {
-  BitWriter w;
+  BitWriter w(kPacketInfoBytes);
   PacketHeader h;
   h.kind = PacketKind::kRegistration;
   WriteHeader(w, h);
@@ -71,7 +72,7 @@ std::vector<fec::GfElem> SerializeRegistrationPacket(const RegistrationPacket& p
 }
 
 std::vector<fec::GfElem> SerializeDeregistrationPacket(const DeregistrationPacket& p) {
-  BitWriter w;
+  BitWriter w(kPacketInfoBytes);
   PacketHeader h;
   h.kind = PacketKind::kDeregistration;
   h.src = p.src;
@@ -82,7 +83,7 @@ std::vector<fec::GfElem> SerializeDeregistrationPacket(const DeregistrationPacke
 
 std::vector<fec::GfElem> SerializeForwardAckPacket(const ForwardAckPacket& p) {
   OSUMAC_CHECK(p.count >= 0 && p.count <= kMaxForwardAcks);
-  BitWriter w;
+  BitWriter w(kPacketInfoBytes);
   PacketHeader h = p.header;
   h.kind = PacketKind::kForwardAck;
   WriteHeader(w, h);
@@ -95,7 +96,7 @@ std::vector<fec::GfElem> SerializeForwardAckPacket(const ForwardAckPacket& p) {
 }
 
 std::vector<fec::GfElem> SerializeGpsPacket(const GpsPacket& p) {
-  BitWriter w;
+  BitWriter w(9);
   w.Write(p.ein, 16);
   w.Write(p.latitude & 0xFFFFFF, 24);
   w.Write(p.longitude & 0xFFFFFF, 24);
@@ -105,7 +106,7 @@ std::vector<fec::GfElem> SerializeGpsPacket(const GpsPacket& p) {
 
 std::vector<fec::GfElem> SerializeForwardDataPacket(const ForwardDataPacket& p) {
   OSUMAC_CHECK_LE(p.payload_bytes, kPacketPayloadBytes);
-  BitWriter w;
+  BitWriter w(kPacketInfoBytes);
   w.Write(p.dest, kUserIdBits);
   w.Write(p.message_id, 32);
   w.Write(p.frag_index, 8);
@@ -117,7 +118,7 @@ std::vector<fec::GfElem> SerializeForwardDataPacket(const ForwardDataPacket& p) 
   return PadTo(w, kPacketInfoBytes);
 }
 
-std::optional<UplinkPacket> ParseUplinkPacket(const std::vector<fec::GfElem>& info) {
+std::optional<UplinkPacket> ParseUplinkPacket(std::span<const fec::GfElem> info) {
   if (static_cast<int>(info.size()) != kPacketInfoBytes) return std::nullopt;
   BitReader r(info);
   const PacketHeader h = ReadHeader(r);
@@ -172,7 +173,7 @@ std::optional<UplinkPacket> ParseUplinkPacket(const std::vector<fec::GfElem>& in
   return std::nullopt;
 }
 
-std::optional<GpsPacket> ParseGpsPacket(const std::vector<fec::GfElem>& info) {
+std::optional<GpsPacket> ParseGpsPacket(std::span<const fec::GfElem> info) {
   if (info.size() != 9) return std::nullopt;
   BitReader r(info);
   GpsPacket p;
@@ -183,7 +184,8 @@ std::optional<GpsPacket> ParseGpsPacket(const std::vector<fec::GfElem>& info) {
   return p;
 }
 
-std::optional<ForwardDataPacket> ParseForwardDataPacket(const std::vector<fec::GfElem>& info) {
+std::optional<ForwardDataPacket> ParseForwardDataPacket(
+    std::span<const fec::GfElem> info) {
   if (static_cast<int>(info.size()) != kPacketInfoBytes) return std::nullopt;
   BitReader r(info);
   ForwardDataPacket p;

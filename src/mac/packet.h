@@ -21,6 +21,7 @@
 #include <array>
 #include <cstdint>
 #include <optional>
+#include <span>
 #include <vector>
 
 #include "fec/gf256.h"
@@ -156,10 +157,11 @@ std::vector<fec::GfElem> SerializeForwardDataPacket(const ForwardDataPacket& p);
 
 /// Parses an uplink info block (48 bytes).  Returns nullopt on a malformed
 /// block (e.g. unknown kind) — treated as a packet loss by the caller.
-std::optional<UplinkPacket> ParseUplinkPacket(const std::vector<fec::GfElem>& info);
+std::optional<UplinkPacket> ParseUplinkPacket(std::span<const fec::GfElem> info);
 /// Parses a GPS info block (9 bytes).
-std::optional<GpsPacket> ParseGpsPacket(const std::vector<fec::GfElem>& info);
+std::optional<GpsPacket> ParseGpsPacket(std::span<const fec::GfElem> info);
 /// Parses a forward data packet info block.
-std::optional<ForwardDataPacket> ParseForwardDataPacket(const std::vector<fec::GfElem>& info);
+std::optional<ForwardDataPacket> ParseForwardDataPacket(
+    std::span<const fec::GfElem> info);
 
 }  // namespace osumac::mac

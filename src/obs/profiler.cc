@@ -42,6 +42,11 @@ Profiler::ThreadScope::ThreadScope(Profiler* profiler)
 Profiler::ThreadScope::~ThreadScope() { g_current_profiler = previous_; }
 
 void Profiler::EnterZone(const char* name) {
+  if (current_->last_key == name) {
+    current_ = current_->last_child;
+    return;
+  }
+  // Fallback by text: two literals with equal text share one node.
   auto it = current_->children.find(name);
   if (it == current_->children.end()) {
     auto node = std::make_unique<ZoneNode>();
@@ -49,6 +54,8 @@ void Profiler::EnterZone(const char* name) {
     node->parent = current_;
     it = current_->children.emplace(node->name, std::move(node)).first;
   }
+  current_->last_key = name;
+  current_->last_child = it->second.get();
   current_ = it->second.get();
 }
 
@@ -109,6 +116,9 @@ void Profiler::Merge(const Profiler& other) {
 void Profiler::Clear() {
   OSUMAC_CHECK_EQ(open_depth(), 0);
   root_->children.clear();
+  // The cached child was one of the nodes just freed.
+  root_->last_key = nullptr;
+  root_->last_child = nullptr;
 }
 
 // --- export ----------------------------------------------------------------

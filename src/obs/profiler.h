@@ -56,6 +56,11 @@ struct ZoneNode {
   // std::map, not unordered: exports iterate children and their order
   // reaches artifacts (rule ordered-iteration, tools/osumac_lint).
   std::map<std::string, std::unique_ptr<ZoneNode>> children;
+  /// The child entered last and the zone literal it was entered by: a
+  /// pointer compare short-cuts the map lookup when a zone re-enters from
+  /// the same call site, the common case in a cycle loop.
+  const char* last_key = nullptr;
+  ZoneNode* last_child = nullptr;
 
   /// Inclusive time minus the children's inclusive time, clamped at 0.
   std::int64_t self_ns() const;
@@ -91,8 +96,9 @@ class Profiler {
   // --- zone bookkeeping (called by ProfileZone) ----------------------------
 
   /// Descends into the child zone `name` of the current node (creating it
-  /// on first use).  `name` must outlive the call (zone macros pass string
-  /// literals).
+  /// on first use).  `name` must have static storage duration (zone macros
+  /// pass string literals): each node caches its last child by the
+  /// pointer, so a reused buffer holding new text would hit a stale entry.
   void EnterZone(const char* name);
   /// Credits `elapsed_ns` to the current node and pops back to its parent.
   void ExitZone(std::int64_t elapsed_ns);

@@ -2,8 +2,11 @@
 // statistics, the deterministic RNG and the fork/join parallel primitives.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
+#include <cstdint>
 #include <stdexcept>
+#include <utility>
 #include <vector>
 
 #include "common/bitio.h"
@@ -102,10 +105,156 @@ TEST(BitIoTest, PaddingAndZeros) {
   w.Write(0xA, 4);
   w.WriteZeros(100);
   EXPECT_EQ(w.bit_size(), 104);
-  const auto padded = w.BytesPaddedTo(48);
+  const auto padded = std::move(w).BytesPaddedTo(48);
   EXPECT_EQ(padded.size(), 48u);
   EXPECT_EQ(padded[0], 0xA0);
   for (std::size_t i = 13; i < 48; ++i) EXPECT_EQ(padded[i], 0);
+}
+
+// Bit-at-a-time reference codec: the oracle the byte- and word-at-a-time
+// BitWriter and BitReader must match bit for bit.
+class OracleBitWriter {
+ public:
+  void Write(std::uint64_t value, int width) {
+    for (int i = width - 1; i >= 0; --i) {
+      const int bit = static_cast<int>((value >> i) & 1u);
+      const std::size_t byte_index = static_cast<std::size_t>(bit_size_ / 8);
+      const int bit_in_byte = 7 - (bit_size_ % 8);
+      if (byte_index == bytes_.size()) bytes_.push_back(0);
+      if (bit != 0) bytes_[byte_index] |= static_cast<std::uint8_t>(1u << bit_in_byte);
+      ++bit_size_;
+    }
+  }
+  void WriteZeros(int count) {
+    for (int i = 0; i < count; ++i) Write(0, 1);
+  }
+  int bit_size() const { return bit_size_; }
+  const std::vector<std::uint8_t>& bytes() const { return bytes_; }
+
+ private:
+  std::vector<std::uint8_t> bytes_;
+  int bit_size_ = 0;
+};
+
+class OracleBitReader {
+ public:
+  explicit OracleBitReader(std::vector<std::uint8_t> bytes) : bytes_(std::move(bytes)) {}
+  std::uint64_t Read(int width) {
+    std::uint64_t value = 0;
+    for (int i = 0; i < width; ++i) {
+      const std::size_t byte_index = static_cast<std::size_t>(bit_pos_ / 8);
+      int bit = 0;
+      if (byte_index < bytes_.size()) {
+        bit = (bytes_[byte_index] >> (7 - (bit_pos_ % 8))) & 1;
+      } else {
+        overflowed_ = true;
+      }
+      value = (value << 1) | static_cast<std::uint64_t>(bit);
+      ++bit_pos_;
+    }
+    return value;
+  }
+  void Skip(int count) {
+    bit_pos_ += count;
+    if (bit_pos_ > static_cast<int>(bytes_.size()) * 8) overflowed_ = true;
+  }
+  bool overflowed() const { return overflowed_; }
+
+ private:
+  std::vector<std::uint8_t> bytes_;
+  int bit_pos_ = 0;
+  bool overflowed_ = false;
+};
+
+std::uint64_t RandomField(Rng& rng, int width) {
+  const std::uint64_t v = rng.Next();
+  return width == 64 ? v : v & ((std::uint64_t{1} << width) - 1);
+}
+
+TEST(BitIoTest, WriterMatchesBitLoopOracleAndReadsBack) {
+  Rng rng(0xB17);
+  for (int trial = 0; trial < 300; ++trial) {
+    BitWriter w;
+    OracleBitWriter oracle;
+    // (width, value) of every field, zero runs split into 64-bit reads.
+    std::vector<std::pair<int, std::uint64_t>> written;
+    const int fields = static_cast<int>(rng.UniformInt(1, 40));
+    for (int f = 0; f < fields; ++f) {
+      if (rng.UniformInt(0, 7) == 0) {
+        // Long enough to cross several 64-bit chunks.
+        const int count = static_cast<int>(rng.UniformInt(0, 200));
+        w.WriteZeros(count);
+        oracle.WriteZeros(count);
+        for (int left = count; left > 0; left -= 64) {
+          written.emplace_back(std::min(left, 64), 0);
+        }
+      } else {
+        const int width = static_cast<int>(rng.UniformInt(1, 64));
+        const std::uint64_t value = RandomField(rng, width);
+        w.Write(value, width);
+        oracle.Write(value, width);
+        written.emplace_back(width, value);
+      }
+      ASSERT_EQ(w.bit_size(), oracle.bit_size());
+      ASSERT_EQ(w.bytes(), oracle.bytes()) << "trial " << trial << " field " << f;
+    }
+    BitReader r(w.bytes());
+    for (const auto& [width, value] : written) {
+      ASSERT_EQ(r.Read(width), value) << "trial " << trial << " width " << width;
+    }
+    EXPECT_FALSE(r.overflowed());
+  }
+}
+
+TEST(BitIoTest, ReaderMatchesBitLoopOracle) {
+  Rng rng(0x4EAD);
+  for (int trial = 0; trial < 300; ++trial) {
+    std::vector<std::uint8_t> bytes(static_cast<std::size_t>(rng.UniformInt(0, 40)));
+    for (auto& b : bytes) b = static_cast<std::uint8_t>(rng.UniformInt(0, 255));
+    BitReader r(bytes);
+    OracleBitReader oracle(bytes);
+    // Keep going well past the end: zero fill and the overflow flag must
+    // match the oracle at every step, for reads and skips alike.
+    for (int step = 0; step < 30; ++step) {
+      if (rng.UniformInt(0, 5) == 0) {
+        const int count = static_cast<int>(rng.UniformInt(0, 70));
+        r.Skip(count);
+        oracle.Skip(count);
+      } else {
+        const int width = static_cast<int>(rng.UniformInt(1, 64));
+        ASSERT_EQ(r.Read(width), oracle.Read(width))
+            << "trial " << trial << " step " << step << " width " << width;
+      }
+      ASSERT_EQ(r.overflowed(), oracle.overflowed())
+          << "trial " << trial << " step " << step;
+    }
+  }
+}
+
+TEST(BitIoTest, NonAlignedFinalByteIsZeroPaddedAndReadsBack) {
+  BitWriter w;
+  w.Write(0x5, 3);
+  w.Write(0x1FFFF, 17);  // 20 bits: the third byte holds 4 payload bits
+  ASSERT_EQ(w.bytes().size(), 3u);
+  EXPECT_EQ(w.bytes()[2] & 0x0F, 0) << "low bits of the final byte must be zero";
+  BitReader r(w.bytes());
+  EXPECT_EQ(r.Read(3), 0x5u);
+  EXPECT_EQ(r.Read(17), 0x1FFFFu);
+  EXPECT_FALSE(r.overflowed());
+  EXPECT_EQ(r.Read(4), 0u) << "the padding reads as zeros, still in bounds";
+  EXPECT_FALSE(r.overflowed());
+  EXPECT_EQ(r.Read(1), 0u);
+  EXPECT_TRUE(r.overflowed());
+}
+
+TEST(BitIoTest, SkipPastEndOverflowsAndLaterReadsAreZero) {
+  const std::vector<std::uint8_t> bytes = {0xFF, 0xFF};
+  BitReader r(bytes);
+  r.Skip(16);
+  EXPECT_FALSE(r.overflowed()) << "skipping exactly to the end is in bounds";
+  r.Skip(1);
+  EXPECT_TRUE(r.overflowed());
+  EXPECT_EQ(r.Read(64), 0u);
 }
 
 // --- stats --------------------------------------------------------------------

@@ -121,5 +121,34 @@ TEST(ControlFieldsTest, SurvivesRsEncodingWithCorrectableErrors) {
   EXPECT_EQ(*parsed, cf);
 }
 
+TEST(ControlFieldsTest, RandomValidFieldsRoundTrip) {
+  // Any ControlFields whose values fit their wire widths survives the
+  // serialize/parse round trip exactly.
+  Rng rng(78);
+  const auto uid = [&rng] { return static_cast<UserId>(rng.UniformInt(0, kNoUser)); };
+  const auto ein = [&rng] { return static_cast<Ein>(rng.UniformInt(0, 0xFFFF)); };
+  for (int trial = 0; trial < 500; ++trial) {
+    ControlFields cf;
+    cf.cycle = static_cast<std::uint16_t>(rng.UniformInt(0, 0xFFFF));
+    cf.is_second_set = rng.UniformInt(0, 1) != 0;
+    for (UserId& u : cf.gps_schedule) u = uid();
+    for (UserId& u : cf.reverse_schedule) u = uid();
+    for (UserId& u : cf.forward_schedule) u = uid();
+    for (UserId& u : cf.reverse_acks) u = uid();
+    cf.gps_ack_bitmap = static_cast<std::uint8_t>(rng.UniformInt(0, 255));
+    cf.grant_count = static_cast<int>(rng.UniformInt(0, kMaxRegistrationGrants));
+    for (RegistrationGrant& g : cf.grants) g = {ein(), uid()};
+    cf.late_ack = uid();
+    if (rng.UniformInt(0, 1) != 0) cf.late_grant = RegistrationGrant{ein(), uid()};
+    cf.paged_count = static_cast<int>(rng.UniformInt(0, kMaxPagedUsers));
+    for (Ein& e : cf.paging) e = ein();
+
+    const auto blocks = SerializeControlFields(cf);
+    const auto parsed = ParseControlFields(blocks[0], blocks[1]);
+    ASSERT_TRUE(parsed.has_value()) << "trial " << trial;
+    ASSERT_EQ(*parsed, cf) << "trial " << trial;
+  }
+}
+
 }  // namespace
 }  // namespace osumac::mac

@@ -333,5 +333,49 @@ TEST(ReedSolomonTest, MinimumDistanceSpotCheck) {
   EXPECT_GE(diff, rs.n() - rs.k() + 1);
 }
 
+/// Textbook systematic encoder: parity(x) = data(x) * x^(n-k) mod g(x),
+/// with g(x) = (x - a^1) ... (x - a^(n-k)) and codeword symbol j the
+/// coefficient of x^(n-1-j).  The reference the table-driven LFSR must match.
+std::vector<GfElem> ReferenceEncode(const ReedSolomon& rs,
+                                    const std::vector<GfElem>& data) {
+  const int n = rs.n();
+  const int nroots = rs.n() - rs.k();
+  std::vector<GfElem> g = {1};
+  for (int i = 0; i < nroots; ++i) g = poly::Mul(g, {gf().Exp(1 + i), 1});
+  std::vector<GfElem> shifted(static_cast<std::size_t>(n), 0);  // low-to-high
+  for (int j = 0; j < rs.k(); ++j) {
+    shifted[static_cast<std::size_t>(n - 1 - j)] = data[static_cast<std::size_t>(j)];
+  }
+  const std::vector<GfElem> rem = poly::Mod(shifted, g);
+  std::vector<GfElem> cw = data;
+  for (int j = 0; j < nroots; ++j) {
+    const auto power = static_cast<std::size_t>(nroots - 1 - j);
+    cw.push_back(power < rem.size() ? rem[power] : 0);
+  }
+  return cw;
+}
+
+TEST(ReedSolomonTest, EncoderMatchesPolynomialDivisionReference) {
+  Rng rng(18);
+  for (const ReedSolomon* rs : {&ReedSolomon::Osu6448(), &ReedSolomon::Osu329()}) {
+    std::vector<std::vector<GfElem>> cases;
+    cases.emplace_back(static_cast<std::size_t>(rs->k()), 0);  // all zero
+    for (int pos = 0; pos < rs->k(); ++pos) {                  // one nonzero symbol
+      std::vector<GfElem> d(static_cast<std::size_t>(rs->k()), 0);
+      d[static_cast<std::size_t>(pos)] = static_cast<GfElem>(rng.UniformInt(1, 255));
+      cases.push_back(d);
+    }
+    for (int trial = 0; trial < 200; ++trial) cases.push_back(RandomData(rs->k(), rng));
+
+    std::vector<GfElem> out(static_cast<std::size_t>(rs->n()));
+    for (const auto& data : cases) {
+      rs->EncodeInto(data, out);
+      ASSERT_EQ(out, ReferenceEncode(*rs, data))
+          << "RS(" << rs->n() << "," << rs->k() << ")";
+      EXPECT_TRUE(rs->IsCodeword(out));
+    }
+  }
+}
+
 }  // namespace
 }  // namespace osumac::fec

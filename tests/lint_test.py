@@ -227,6 +227,15 @@ class HotAllocTest(RuleTestCase):
                         "std::vector<int> w(n);  // lint: allow-hot-alloc\n")
         self.assert_findings(hot_alloc.RULE, 0)
 
+    def test_codec_parse_path_scoped(self):
+        self.repo.write("src/common/bitio.cc",
+                        "std::vector<std::uint8_t> out = bytes_;\n")
+        self.repo.write("src/mac/control_fields.cc",
+                        "std::vector<fec::GfElem> bytes = block0;\n"
+                        "std::optional<ControlFields> ParseControlFields(\n"
+                        "    std::span<const fec::GfElem> block0);\n")
+        self.assert_findings(hot_alloc.RULE, 2)
+
     def test_other_files_unscoped(self):
         self.repo.write("src/mac/cell.cc", "std::vector<int> v(n);\n")
         self.assert_findings(hot_alloc.RULE, 0)

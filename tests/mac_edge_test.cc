@@ -4,7 +4,14 @@
 // self-addressed routing and long-run sequence wrap.
 #include <gtest/gtest.h>
 
+#include <array>
+#include <memory>
+#include <vector>
+
+#include "fec/reed_solomon.h"
 #include "mac/cell.h"
+#include "mac/control_fields.h"
+#include "phy/error_model.h"
 #include "traffic/workload.h"
 
 namespace osumac {
@@ -14,6 +21,32 @@ using mac::Cell;
 using mac::CellConfig;
 using mac::ChannelModelConfig;
 using mac::MobileSubscriber;
+
+/// Forward error model that adds a fixed nonzero codeword to every received
+/// control-field word, alternating between the two blocks of a set.  RS is
+/// linear, so the sum is again a valid codeword: it decodes cleanly, with
+/// its information bytes XORed by `delta` -- an RS miscorrection.
+class MiscorrectingModel final : public phy::SymbolErrorModel {
+ public:
+  explicit MiscorrectingModel(const std::array<std::vector<fec::GfElem>, 2>& delta) {
+    for (std::size_t b = 0; b < 2; ++b) {
+      delta_cw_[b] = fec::ReedSolomon::Osu6448().Encode(delta[b]);
+    }
+  }
+  int Corrupt(std::span<fec::GfElem> codeword) override {
+    const std::vector<fec::GfElem>& d = delta_cw_[calls_++ % 2];
+    int hits = 0;
+    for (std::size_t i = 0; i < codeword.size(); ++i) {
+      codeword[i] ^= d[i];
+      if (d[i] != 0) ++hits;
+    }
+    return hits;
+  }
+
+ private:
+  std::array<std::vector<fec::GfElem>, 2> delta_cw_;
+  std::size_t calls_ = 0;
+};
 
 TEST(MacEdgeTest, GrantQueueOverflowSpreadsAcrossCycles) {
   // Many simultaneous registrations: only two grants fit per control-field
@@ -92,6 +125,39 @@ TEST(MacEdgeTest, ReservationInLastSlotUsesLateAck) {
   EXPECT_EQ(cell.subscriber(busy).stats().packets_delivered, 4 * 12);
   EXPECT_EQ(cell.subscriber(late).stats().packets_delivered, 6 * 12);
   EXPECT_GT(cell.base_station().counters().last_slot_data_packets, 0);
+}
+
+TEST(MacEdgeTest, MiscorrectedControlFieldsGetTheirOwnParse) {
+  // The cell parses the transmitted control fields once per delivery and
+  // shares that parse with every receiver that decoded the same bytes.  A
+  // receiver whose word miscorrects must see its own (garbage) bytes: here
+  // the garbage pages a powered-off unit that nobody paged.
+  CellConfig config;
+  config.seed = 607;
+  Cell cell(config);
+  const int listener = cell.AddNode(false);  // fills the shared parse first
+  const int victim = cell.AddSubscriber(false);
+  const int bystander = cell.AddSubscriber(false);
+
+  mac::ControlFields paged;
+  paged.paged_count = 1;
+  paged.paging[0] = cell.subscriber(victim).ein();
+  const auto clean_blocks = mac::SerializeControlFields(mac::ControlFields{});
+  auto delta = mac::SerializeControlFields(paged);
+  for (std::size_t b = 0; b < 2; ++b) {
+    for (std::size_t i = 0; i < delta[b].size(); ++i) delta[b][i] ^= clean_blocks[b][i];
+  }
+  cell.SetForwardModel(victim, std::make_unique<MiscorrectingModel>(delta));
+
+  // Long enough for both powered-off units to reach a paging window.
+  cell.RunCycles(2 * config.mac.inactive_listen_period_cycles);
+  EXPECT_EQ(cell.subscriber(listener).state(), MobileSubscriber::State::kActive);
+  EXPECT_EQ(cell.subscriber(bystander).state(), MobileSubscriber::State::kOff)
+      << "the transmitted control fields page nobody";
+  EXPECT_NE(cell.subscriber(victim).state(), MobileSubscriber::State::kOff)
+      << "the victim acted on its own miscorrected parse";
+  EXPECT_EQ(cell.subscriber(victim).stats().cf_missed, 0)
+      << "a miscorrection decodes cleanly: it is not a missed CF";
 }
 
 TEST(MacEdgeTest, Cf2LossIsRecoverable) {

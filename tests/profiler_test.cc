@@ -104,6 +104,39 @@ TEST(ProfilerTest, OpenDepthTracksTheZoneStack) {
   EXPECT_EQ(p.open_depth(), 0);
 }
 
+TEST(ProfilerTest, ClearThenReenterTheSameLiteral) {
+  // EnterZone caches the last child per node by literal address; Clear()
+  // frees the root's children, so re-entering the same literal must build
+  // a fresh node rather than follow the stale cache.
+  static constexpr char kZone[] = "zone";
+  Profiler p;
+  Zone(p, kZone, 10);
+  p.Clear();
+  Zone(p, kZone, 5);
+  ASSERT_EQ(p.root().children.size(), 1u);
+  const ZoneNode& zone = *p.root().children.at("zone");
+  EXPECT_EQ(zone.count, 1);
+  EXPECT_EQ(zone.total_ns, 5);
+  EXPECT_EQ(zone.parent, &p.root());
+}
+
+TEST(ProfilerTest, LiteralsWithEqualTextShareOneNode) {
+  // Distinct arrays, equal text: the address cache misses, the by-name
+  // fallback merges them.
+  static constexpr char kFirst[] = "same";
+  static constexpr char kSecond[] = "same";
+  ASSERT_NE(static_cast<const void*>(kFirst), static_cast<const void*>(kSecond));
+  Profiler p;
+  Zone(p, kFirst, 1);
+  Zone(p, kSecond, 2);
+  Zone(p, kFirst, 4);
+  Zone(p, kFirst, 8);
+  ASSERT_EQ(p.root().children.size(), 1u);
+  const ZoneNode& same = *p.root().children.at("same");
+  EXPECT_EQ(same.count, 4);
+  EXPECT_EQ(same.total_ns, 15);
+}
+
 // --- thread-scoped installation ---------------------------------------------
 
 TEST(ProfilerTest, ZonesAreNoOpsWithoutAnInstalledProfiler) {

@@ -1,8 +1,10 @@
 """No std::vector construction in the per-slot hot paths
-(src/fec/reed_solomon.cc, src/phy/channel.cc, src/phy/error_model.cc): the
-sweep fast path works on caller-provided scratch (ChannelScratch, *Into
-APIs) so no slot allocates.  Setup-time code (constructors, the allocating
-convenience wrappers) carries a `lint: allow-hot-alloc` waiver comment."""
+(src/fec/reed_solomon.cc, src/phy/channel.cc, src/phy/error_model.cc) or
+in the bit codec and control-field parse path (src/common/bitio.cc,
+src/mac/control_fields.cc): the sweep fast path works on caller-provided
+scratch (ChannelScratch, *Into APIs, buffers viewed through spans) so no
+slot allocates.  Setup-time code (constructors, the allocating convenience
+wrappers) carries a `lint: allow-hot-alloc` waiver comment."""
 from __future__ import annotations
 
 import re
@@ -10,7 +12,8 @@ import re
 from ..engine import Context, Rule
 
 HOT_ALLOC_FILES = ("src/fec/reed_solomon.cc", "src/phy/channel.cc",
-                   "src/phy/error_model.cc")
+                   "src/phy/error_model.cc", "src/common/bitio.cc",
+                   "src/mac/control_fields.cc")
 HOT_ALLOC = re.compile(r"\bstd::vector\s*<")
 
 
@@ -49,7 +52,7 @@ def check(ctx: Context) -> None:
         for lineno, code, _raw in source.lines():
             if constructs_vector(code):
                 ctx.finding(source, lineno,
-                            "std::vector constructed in a phy/fec hot path; "
+                            "std::vector constructed in a codec hot path; "
                             "use the caller-provided scratch (ChannelScratch "
                             "/ *Into APIs) or add a `lint: allow-hot-alloc` "
                             "waiver for setup-time code")
@@ -57,7 +60,7 @@ def check(ctx: Context) -> None:
 
 RULE = Rule(
     name="hot-alloc",
-    summary="no std::vector construction in phy/fec per-slot hot paths",
+    summary="no std::vector construction in the phy/fec/codec per-slot hot paths",
     help=__doc__,
     check=check,
 )
