@@ -109,6 +109,10 @@ bool ApplyScenarioKey(ScenarioSpec& spec, const std::string& key,
     return ParseInt(value, field) ||
            Fail(error, "expected an integer for '" + key + "'");
   };
+  auto set_cycles = [&](int* field) {
+    if (!set_int(field)) return false;
+    return *field >= 0 || Fail(error, "'" + key + "' must be >= 0");
+  };
   auto set_bool = [&](bool* field) {
     return ParseBool(value, field) ||
            Fail(error, "expected true/false for '" + key + "'");
@@ -117,9 +121,9 @@ bool ApplyScenarioKey(ScenarioSpec& spec, const std::string& key,
   if (key == "rho") return set_double(&spec.workload.rho);
   if (key == "data_users") return set_int(&spec.data_users);
   if (key == "gps_users") return set_int(&spec.gps_users);
-  if (key == "registration_cycles") return set_int(&spec.registration_cycles);
-  if (key == "warmup_cycles") return set_int(&spec.warmup_cycles);
-  if (key == "measure_cycles") return set_int(&spec.measure_cycles);
+  if (key == "registration_cycles") return set_cycles(&spec.registration_cycles);
+  if (key == "warmup_cycles") return set_cycles(&spec.warmup_cycles);
+  if (key == "measure_cycles") return set_cycles(&spec.measure_cycles);
   if (key == "reset_stats") return set_bool(&spec.reset_stats_after_warmup);
   if (key == "collect_registry") return set_bool(&spec.collect_registry);
   if (key == "erasure_side_information") {

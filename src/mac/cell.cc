@@ -122,21 +122,21 @@ bool Cell::SendUplinkMessage(int node, int bytes) {
   ++metrics_.uplink_messages_offered;
   MobileSubscriber& sub = subscriber(node);
   const bool accepted = sub.EnqueueMessage(next_message_id_++, bytes, sim_.now());
-  if (accepted) {
-    // The arrival may still catch a contention slot later in this cycle.
-    if (auto burst = sub.MaybeLateContention(sim_.now()); burst.has_value()) {
-      const Tick cycle_start = (sim_.now() / kCycleTicks) * kCycleTicks;
-      const ReverseCycleLayout layout(bs_.current_format());
-      const Interval rel = layout.DataSlot(burst->slot);
-      phy::CodedBurst coded;
-      coded.on_air = {cycle_start + rel.begin, cycle_start + rel.end};
-      coded.sender = node;
-      EmitBurstTx(node, *burst, coded.on_air);
-      coded.codewords.push_back(data_code_.Encode(burst->info));
-      reverse_channel_.Transmit(std::move(coded));
-    }
-  }
+  if (accepted) TransmitLateContention(node);
   return accepted;
+}
+
+void Cell::TransmitLateContention(int node) {
+  const auto burst = subscriber(node).MaybeLateContention(sim_.now());
+  if (!burst.has_value()) return;
+  const Tick cycle_start = (sim_.now() / kCycleTicks) * kCycleTicks;
+  const Interval rel = ReverseCycleLayout(bs_.current_format()).DataSlot(burst->slot);
+  phy::CodedBurst coded;
+  coded.on_air = {cycle_start + rel.begin, cycle_start + rel.end};
+  coded.sender = node;
+  EmitBurstTx(node, *burst, coded.on_air);
+  coded.codewords.push_back(data_code_.Encode(burst->info));
+  reverse_channel_.Transmit(std::move(coded));
 }
 
 bool Cell::SendSubscriberMessage(int src_node, Ein dest_ein, int bytes) {
@@ -145,19 +145,7 @@ bool Cell::SendSubscriberMessage(int src_node, Ein dest_ein, int bytes) {
   MobileSubscriber& sub = subscriber(src_node);
   const bool accepted =
       sub.EnqueueMessage(next_message_id_++, bytes, sim_.now(), dest_ein);
-  if (accepted) {
-    if (auto burst = sub.MaybeLateContention(sim_.now()); burst.has_value()) {
-      const Tick cycle_start = (sim_.now() / kCycleTicks) * kCycleTicks;
-      const ReverseCycleLayout layout(bs_.current_format());
-      const Interval rel = layout.DataSlot(burst->slot);
-      phy::CodedBurst coded;
-      coded.on_air = {cycle_start + rel.begin, cycle_start + rel.end};
-      coded.sender = src_node;
-      EmitBurstTx(src_node, *burst, coded.on_air);
-      coded.codewords.push_back(data_code_.Encode(burst->info));
-      reverse_channel_.Transmit(std::move(coded));
-    }
-  }
+  if (accepted) TransmitLateContention(src_node);
   return accepted;
 }
 
@@ -173,10 +161,6 @@ bool Cell::SendDownlinkMessage(int node, int bytes) {
   if (!bs_.EnqueueDownlink(uid, id, bytes)) return false;
   downlink_enqueue_tick_[id] = sim_.now();
   return true;
-}
-
-void Cell::RunCycles(int cycles) {
-  RunCyclesOn(cycles, [this] { StartCycle(0); });
 }
 
 void Cell::ResetStats() {
@@ -203,13 +187,12 @@ void Cell::StartCycle(std::int64_t n) {
   // Events emitted from here on (including inside PlanCycle) belong to n.
   if (trace_ != nullptr) trace_->SetCycle(n);
 
-  const ReverseFormat format_of_prev = prev_format_;
-  const ControlFields cf1 = bs_.PlanCycle(static_cast<std::uint16_t>(n & 0xFFFF));
+  format_of_prev_ = bs_.current_format();
+  cf1_ = bs_.PlanCycle(static_cast<std::uint16_t>(n & 0xFFFF));
   // The base station's format is authoritative: under the static-GPS-slot
   // policy it stays format 1 even when the announced GPS count alone would
   // imply format 2.
   const ReverseCycleLayout layout(bs_.current_format());
-  prev_format_ = bs_.current_format();
 
   ++metrics_.cycles;
   metrics_.capacity_bytes +=
@@ -228,50 +211,34 @@ void Cell::StartCycle(std::int64_t n) {
 
   if (journal_ != nullptr && journal_->ShouldRecord(n)) JournalCycle(n);
 
-  for (CellObserver* o : observers_) o->OnCyclePlanned(*this, cf1, n, sim_.now());
+  for (CellObserver* o : observers_) o->OnCyclePlanned(*this, cf1_, n, sim_.now());
 
-  // CF1 delivery at its last symbol.
-  sim_.ScheduleAt(T + ForwardCycleLayout::ControlFields1().end,
-                  [this, cf1, T, n] { DeliverControlFields(cf1, /*second=*/false, T); (void)n; });
+  // Every slot event fires at the slot's last tick; Fire recomputes the
+  // slot interval from the layout.  CF1 delivery at its last symbol.
+  ScheduleAt(T + ForwardCycleLayout::ControlFields1().end, kCf1);
 
   // Resolution of the previous cycle's last reverse data slot (it overlaps
   // this cycle's CF1).
   if (n > 0) {
-    const ReverseCycleLayout prev_layout(format_of_prev);
+    const ReverseCycleLayout prev_layout(format_of_prev_);
     const int last = prev_layout.last_data_slot();
-    const Interval abs = {(n - 1) * kCycleTicks + prev_layout.DataSlot(last).begin,
-                          (n - 1) * kCycleTicks + prev_layout.DataSlot(last).end};
-    sim_.ScheduleAt(abs.end, [this, last, abs] {
-      ResolveDataSlot(last, abs, /*is_last_of_prev=*/true);
-    });
+    ScheduleAt((n - 1) * kCycleTicks + prev_layout.DataSlot(last).end,
+               kLastDataSlotOfPrev, last);
   }
 
   // CF2: finalized and delivered at its last symbol (the late ACK resolves
   // at T+11850/10230, well before).
-  sim_.ScheduleAt(T + ForwardCycleLayout::ControlFields2().end, [this, T] {
-    const ControlFields cf2 = bs_.SecondControlFields();
-    DeliverControlFields(cf2, /*second=*/true, T);
-  });
+  ScheduleAt(T + ForwardCycleLayout::ControlFields2().end, kCf2);
 
-  // Forward data slots.
   for (int s = 0; s < kForwardDataSlots; ++s) {
-    const Interval abs = {T + ForwardCycleLayout::DataSlot(s).begin,
-                          T + ForwardCycleLayout::DataSlot(s).end};
-    sim_.ScheduleAt(abs.end, [this, s, abs] { DeliverForwardSlot(s, abs); });
+    ScheduleAt(T + ForwardCycleLayout::DataSlot(s).end, kForwardSlot, s);
   }
-
-  // Reverse GPS slots.
   for (int i = 0; i < layout.gps_slot_count(); ++i) {
-    const Interval abs = {T + layout.GpsSlot(i).begin, T + layout.GpsSlot(i).end};
-    sim_.ScheduleAt(abs.end, [this, i, abs] { ResolveGpsSlot(i, abs); });
+    ScheduleAt(T + layout.GpsSlot(i).end, kGpsSlot, i);
   }
-
   // Reverse data slots except the last (deferred into the next cycle).
   for (int i = 0; i + 1 < layout.data_slot_count(); ++i) {
-    const Interval abs = {T + layout.DataSlot(i).begin, T + layout.DataSlot(i).end};
-    sim_.ScheduleAt(abs.end, [this, i, abs] {
-      ResolveDataSlot(i, abs, /*is_last_of_prev=*/false);
-    });
+    ScheduleAt(T + layout.DataSlot(i).end, kDataSlot, i);
   }
 
   // GPS report generation (one fix per bus per cycle, at a fixed phase).
@@ -283,7 +250,41 @@ void Cell::StartCycle(std::int64_t n) {
   }
 
   next_cycle_ = n + 1;
-  sim_.ScheduleAt(T + kCycleTicks, [this, n] { StartCycle(n + 1); });
+  ScheduleAt(T + kCycleTicks, kStartCycle);
+}
+
+void Cell::Fire(const sim::Event& event) {
+  const int slot = event.index;
+  // Slots of this cycle read its format from the base station: they all
+  // end before the next PlanCycle replaces it.
+  const ReverseCycleLayout layout(bs_.current_format());
+  switch (event.kind) {
+    case kStartCycle:
+      return StartCycle(event.when / kCycleTicks);
+    case kPerturbRng:
+      (void)rng_.Next();
+      if (!subscribers_.empty()) subscribers_.front()->PerturbRng();
+      return;
+    case kCf1:
+      return DeliverControlFields(cf1_, /*second=*/false,
+                                  event.when - ForwardCycleLayout::ControlFields1().end);
+    case kCf2:
+      return DeliverControlFields(bs_.SecondControlFields(), /*second=*/true,
+                                  event.when - ForwardCycleLayout::ControlFields2().end);
+    case kForwardSlot:
+      return DeliverForwardSlot(slot,
+                                EndingAt(event.when, ForwardCycleLayout::DataSlot(slot)));
+    case kGpsSlot:
+      return ResolveGpsSlot(slot, EndingAt(event.when, layout.GpsSlot(slot)));
+    case kDataSlot:
+      return ResolveDataSlot(slot, EndingAt(event.when, layout.DataSlot(slot)),
+                             /*is_last_of_prev=*/false);
+    case kLastDataSlotOfPrev:
+      return ResolveDataSlot(
+          slot, EndingAt(event.when, ReverseCycleLayout(format_of_prev_).DataSlot(slot)),
+          /*is_last_of_prev=*/true);
+  }
+  OSUMAC_CHECK(false && "unknown cell event kind");
 }
 
 void Cell::JournalCycle(std::int64_t n) {
@@ -388,10 +389,7 @@ void Cell::PerturbRngAt(std::int64_t cycle) {
   // contention-slot picks every cycle, so the burn surfaces in the slot
   // grid regardless of the channel model (the substrate rng_ sits idle on
   // the channel path: error models keep private streams).
-  sim_.ScheduleAt(cycle * kCycleTicks + 1, [this] {
-    (void)rng_.Next();
-    if (!subscribers_.empty()) subscribers_.front()->PerturbRng();
-  });
+  ScheduleAt(cycle * kCycleTicks + 1, kPerturbRng);
 }
 
 void Cell::DeliverControlFields(const ControlFields& cf, bool second, Tick cycle_start) {

@@ -147,8 +147,8 @@ class Cell final : public CellDriver, private CellSubstrate {
 
   // --- running ----------------------------------------------------------------
 
-  /// Runs `cycles` further notification cycles.
-  void RunCycles(int cycles) override;
+  /// Runs `cycles` (>= 0) further notification cycles.
+  void RunCycles(int cycles) override { RunCyclesOn(cycles); }
   /// Zeroes all statistics (base station, subscribers, cell aggregates):
   /// call after a warm-up period.
   void ResetStats() override;
@@ -157,6 +157,13 @@ class Cell final : public CellDriver, private CellSubstrate {
   const CellMetrics& metrics() const override { return metrics_; }
 
  private:
+  /// The cell's event kinds (sim::Event::kind); `index` is the slot.
+  /// kLastDataSlotOfPrev is the previous cycle's last data slot.
+  enum SimEvent : std::int32_t {
+    kPerturbRng = 1, kCf1, kCf2, kForwardSlot, kGpsSlot, kDataSlot, kLastDataSlotOfPrev
+  };
+
+  void Fire(const sim::Event& event) override;
   void StartCycle(std::int64_t n);
   /// Builds and appends the journal record for cycle `n` (journal hash
   /// hook: allocation-free, clock-free — `journal-hook-discipline` lint).
@@ -166,6 +173,9 @@ class Cell final : public CellDriver, private CellSubstrate {
   void ResolveDataSlot(int slot, Interval abs, bool is_last_of_prev);
   void DeliverForwardSlot(int slot, Interval abs);
   void DrainDeliveries();
+  /// An uplink arrival may still catch a contention slot later in this
+  /// cycle: puts `node`'s late contention burst, if any, on the air.
+  void TransmitLateContention(int node);
   void Emit(const obs::Event& event) {
     if (trace_ != nullptr) trace_->Record(event);
   }
@@ -176,7 +186,10 @@ class Cell final : public CellDriver, private CellSubstrate {
   BaseStation bs_;
   std::vector<std::unique_ptr<MobileSubscriber>> subscribers_;
 
-  ReverseFormat prev_format_ = ReverseFormat::kFormat2;
+  /// This cycle's first control fields, delivered at the end of CF1.
+  ControlFields cf1_;
+  /// Format of the previous cycle, whose last data slot resolves in this one.
+  ReverseFormat format_of_prev_ = ReverseFormat::kFormat2;
   std::map<std::uint32_t, Tick> downlink_enqueue_tick_;
 
   std::vector<CellObserver*> observers_;

@@ -1,6 +1,7 @@
 #include "mac/policy_cell.h"
 
 #include <algorithm>
+#include <utility>
 
 #include "common/check.h"
 #include "mac/packet.h"
@@ -65,10 +66,6 @@ bool PolicyCell::SendUplinkMessage(int node, int bytes) {
   return true;
 }
 
-void PolicyCell::RunCycles(int cycles) {
-  RunCyclesOn(cycles, [this] { StartCycle(0); });
-}
-
 void PolicyCell::ResetStats() {
   counters_ = PolicyCounters{};
   metrics_ = CellMetrics{};
@@ -100,9 +97,10 @@ phy::ReverseChannel& PolicyCell::Carrier(int carrier) {
   return *extra_carriers_[idx];
 }
 
-Interval PolicyCell::SlotInterval(const PolicySlotPlan& s, Tick T) const {
+Interval PolicyCell::SlotInterval(const PolicyCyclePlan& plan, const PolicySlotPlan& s,
+                                  Tick T) {
   const ReverseCycleLayout layout(
-      plan_.carrier_formats[static_cast<std::size_t>(s.carrier)]);
+      plan.carrier_formats[static_cast<std::size_t>(s.carrier)]);
   const Interval rel = s.short_slot ? layout.GpsSlot(s.slot) : layout.DataSlot(s.slot);
   return {T + rel.begin, T + rel.end};
 }
@@ -135,6 +133,7 @@ void PolicyCell::StartCycle(std::int64_t n) {
     views.push_back(v);
   }
 
+  std::swap(prev_plan_, plan_);
   plan_ = policy_->PlanCycle(n, views, policy_rng_);
   OSUMAC_CHECK(plan_.carriers() >= 1);
 
@@ -166,15 +165,25 @@ void PolicyCell::StartCycle(std::int64_t n) {
   if (journal_ != nullptr && journal_->ShouldRecord(n)) JournalCycle(n);
   for (PolicyCellObserver* o : observers_) o->OnCyclePlanned(*this, plan_, n, sim_.now());
 
-  for (const PolicySlotPlan& plan_slot : plan_.slots) {
-    // Resolved by value: the last data slot overlaps the next cycle's plan
-    // (same deferral as the OSU driver), so the closure must not read plan_.
-    const PolicySlotPlan s = plan_slot;
-    const Interval abs = SlotInterval(s, T);
-    sim_.ScheduleAt(abs.end, [this, s, abs] { ResolveSlot(s, abs); });
+  // A slot ending after the cycle (the last data slot, same deferral as the
+  // OSU driver) resolves once the next StartCycle has moved plan_ to
+  // prev_plan_; one ending exactly at the boundary fires before it.
+  for (std::size_t i = 0; i < plan_.slots.size(); ++i) {
+    const Tick end = SlotInterval(plan_, plan_.slots[i], T).end;
+    ScheduleAt(end, end > T + kCycleTicks ? kDeferredSlot : kSlot,
+               static_cast<std::int32_t>(i));
   }
 
-  sim_.ScheduleAt(T + kCycleTicks, [this, n] { StartCycle(n + 1); });
+  next_cycle_ = n + 1;
+  ScheduleAt(T + kCycleTicks, kStartCycle);
+}
+
+void PolicyCell::Fire(const sim::Event& event) {
+  if (event.kind == kStartCycle) return StartCycle(event.when / kCycleTicks);
+  OSUMAC_CHECK(event.kind == kSlot || event.kind == kDeferredSlot);
+  const PolicyCyclePlan& plan = event.kind == kDeferredSlot ? prev_plan_ : plan_;
+  const PolicySlotPlan& s = plan.slots[static_cast<std::size_t>(event.index)];
+  ResolveSlot(s, EndingAt(event.when, SlotInterval(plan, s, /*T=*/0)));
 }
 
 void PolicyCell::JournalCycle(std::int64_t n) {
@@ -238,7 +247,7 @@ void PolicyCell::TransmitPlanned(std::int64_t n, Tick T) {
   // k-th data grant of a node this cycle carries its k-th queued fragment.
   std::vector<int> tx_cursor(nodes_.size(), 0);
   for (const PolicySlotPlan& s : plan_.slots) {
-    const Interval abs = SlotInterval(s, T);
+    const Interval abs = SlotInterval(plan_, s, T);
     for (const int node : s.transmitters) {
       Node& nd = nodes_[static_cast<std::size_t>(node)];
       if (!nd.active) continue;

@@ -97,8 +97,8 @@ class PolicyCell final : public CellDriver, private CellSubstrate {
 
   // --- running ----------------------------------------------------------------
 
-  /// Runs `cycles` further notification cycles.
-  void RunCycles(int cycles) override;
+  /// Runs `cycles` (>= 0) further notification cycles.
+  void RunCycles(int cycles) override { RunCyclesOn(cycles); }
   /// Zeroes all statistics; call after a warm-up period.
   void ResetStats() override;
 
@@ -168,19 +168,24 @@ class PolicyCell final : public CellDriver, private CellSubstrate {
     Tick fix_ready = -1;     ///< valid when gps_report
   };
 
+  /// Event kinds (sim::Event::kind): a slot of plan_ or, when it ends after
+  /// the next cycle start, of prev_plan_; `index` is its place in `slots`.
+  enum SimEvent : std::int32_t { kSlot = 1, kDeferredSlot };
+
+  void Fire(const sim::Event& event) override;
   void StartCycle(std::int64_t n);
   /// Builds and appends the journal record for cycle `n` (journal hash
   /// hook: allocation-free, clock-free — `journal-hook-discipline` lint).
   void JournalCycle(std::int64_t n);
-  /// Resolves one planned slot; takes the plan by value because the last
-  /// data slot resolves after the next cycle has replaced plan_.
   void ResolveSlot(const PolicySlotPlan& s, Interval abs);
   void TransmitPlanned(std::int64_t n, Tick T);
   /// Ready tick of the freshest fix node has at time `t` (one fix per
   /// cycle at the node's fixed phase, like the OSU driver).
   Tick FreshestFixAt(int node, Tick t) const;
   phy::ReverseChannel& Carrier(int carrier);
-  Interval SlotInterval(const PolicySlotPlan& s, Tick T) const;
+  /// Absolute interval of `plan`'s slot `s` in the cycle starting at `T`.
+  static Interval SlotInterval(const PolicyCyclePlan& plan, const PolicySlotPlan& s,
+                               Tick T);
 
   std::unique_ptr<MacPolicy> policy_;
   /// The policy's private seed stream (exp::SeedStream::kMacPolicy): plan
@@ -190,6 +195,8 @@ class PolicyCell final : public CellDriver, private CellSubstrate {
   /// Carriers beyond the substrate's reverse channel (index 1..N-1).
   std::vector<std::unique_ptr<phy::ReverseChannel>> extra_carriers_;
   PolicyCyclePlan plan_;
+  /// The previous cycle's plan: its last data slot resolves in this cycle.
+  PolicyCyclePlan prev_plan_;
   std::map<std::uint64_t, TxRecord> tx_records_;
   std::uint64_t next_tag_ = 1;
   /// Per-message completion tracking: remaining fragments + enqueue tick.

@@ -1,5 +1,6 @@
 #include "mac/substrate.h"
 
+#include "common/check.h"
 #include "phy/phy_params.h"
 
 namespace osumac::mac {
@@ -18,6 +19,7 @@ std::unique_ptr<phy::SymbolErrorModel> ChannelModelConfig::Make(std::uint64_t se
 
 CellSubstrate::CellSubstrate(const CellConfig& config)
     : config_(config),
+      self_(sim_.AddTarget(this)),
       rng_(config.seed),
       data_code_(fec::ReedSolomon::Osu6448()),
       gps_code_(fec::ReedSolomon::Osu329()) {}
@@ -36,10 +38,9 @@ Tick CellSubstrate::DrawGpsPhase(bool wants_gps) {
   return wants_gps ? rng_.UniformInt(0, kCycleTicks - 1) : 0;
 }
 
-void CellSubstrate::RunCyclesOn(int cycles, std::function<void()> bootstrap) {
-  if (next_cycle_ == 0 && target_cycle_ == 0) {
-    sim_.ScheduleAt(0, std::move(bootstrap));
-  }
+void CellSubstrate::RunCyclesOn(int cycles) {
+  OSUMAC_CHECK_GE(cycles, 0);
+  if (target_cycle_ == 0 && cycles > 0) ScheduleAt(0, kStartCycle);
   target_cycle_ += cycles;
   sim_.RunUntil(target_cycle_ * kCycleTicks - 1);
 }

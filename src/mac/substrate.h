@@ -27,7 +27,6 @@
 #pragma once
 
 #include <cstdint>
-#include <functional>
 #include <map>
 #include <memory>
 #include <vector>
@@ -111,7 +110,7 @@ class CellDriver {
   /// Signs `node` off; the tenant releases its resources.
   virtual void SignOff(int node) = 0;
 
-  /// Runs `cycles` further notification cycles.
+  /// Runs `cycles` (>= 0) further notification cycles.
   virtual void RunCycles(int cycles) = 0;
   /// Zeroes all statistics; call after a warm-up period.
   virtual void ResetStats() = 0;
@@ -126,17 +125,28 @@ class CellDriver {
   virtual const obs::SloMonitor& slo() const = 0;
 };
 
-/// Protocol-agnostic cell state and helpers; see the file comment.  Not a
-/// polymorphic base — drivers inherit the members and helpers directly so
-/// the pre-split code (and its byte-exact behavior) carries over unchanged.
-class CellSubstrate {
+/// Protocol-agnostic cell state and helpers; see the file comment.  Its one
+/// virtual is the driver's sim::EventTarget::Fire, which receives every
+/// event scheduled through ScheduleAt.  Otherwise drivers inherit the
+/// members and helpers directly so the pre-split code (and its byte-exact
+/// behavior) carries over unchanged.
+class CellSubstrate : private sim::EventTarget {
  public:
   explicit CellSubstrate(const CellConfig& config);
-  CellSubstrate(const CellSubstrate&) = delete;
-  CellSubstrate& operator=(const CellSubstrate&) = delete;
 
  protected:
   ~CellSubstrate() = default;
+
+  /// Event kind of a cycle start, the bootstrap included; drivers number
+  /// their other kinds from 1.  The cycle is recomputed from the tick.
+  static constexpr std::int32_t kStartCycle = 0;
+
+  /// Schedules (kind, index) for the driver's Fire at `when`.
+  void ScheduleAt(Tick when, std::int32_t kind, std::int32_t index = 0) {
+    sim_.ScheduleAt(when, self_, kind, index);
+  }
+  /// The absolute interval of a slot with layout interval `rel` ending at `end`.
+  static Interval EndingAt(Tick end, Interval rel) { return {end - rel.length(), end}; }
 
   /// Appends the forward/reverse error models for node `node`.  Fast models
   /// get per-node, per-direction seeds for their private SplitMix64
@@ -149,10 +159,9 @@ class CellSubstrate {
   /// data-only node must not perturb the stream).
   Tick DrawGpsPhase(bool wants_gps);
 
-  /// Advances the cycle clock by `cycles` notification cycles, scheduling
-  /// `bootstrap` at tick 0 on the very first call (the driver's cycle-0
-  /// entry point).
-  void RunCyclesOn(int cycles, std::function<void()> bootstrap);
+  /// Advances the cycle clock by `cycles` (>= 0) notification cycles,
+  /// scheduling the cycle-0 start on the first call that runs any.
+  void RunCyclesOn(int cycles);
 
   /// Resolves one reverse slot at the base-station receiver through each
   /// sender's uplink path, reusing the shared scratch (zero steady-state
@@ -185,6 +194,7 @@ class CellSubstrate {
 
   CellConfig config_;
   sim::Simulator sim_;
+  const std::int32_t self_;  ///< this driver's target id on sim_
   Rng rng_;
   std::vector<std::unique_ptr<phy::SymbolErrorModel>> forward_models_;
   std::vector<std::unique_ptr<phy::SymbolErrorModel>> reverse_models_;

@@ -1,55 +1,51 @@
 #include "sim/simulator.h"
 
-#include <utility>
+#include <algorithm>
 
 #include "common/check.h"
 
 namespace osumac::sim {
+namespace {
 
-EventId Simulator::ScheduleAt(Tick when, std::function<void()> fn) {
+/// Heap order: std::*_heap build a max-heap, so "greater" puts the earliest
+/// (when, seq) on top.
+bool Later(const Event& a, const Event& b) {
+  if (a.when != b.when) return a.when > b.when;
+  return a.seq > b.seq;
+}
+
+}  // namespace
+
+std::int32_t Simulator::AddTarget(EventTarget* target) {
+  OSUMAC_CHECK(target != nullptr);
+  targets_.push_back(target);
+  return static_cast<std::int32_t>(targets_.size() - 1);
+}
+
+void Simulator::RemoveTarget(std::int32_t id) {
+  OSUMAC_CHECK(id >= 0 && static_cast<std::size_t>(id) < targets_.size());
+  targets_[static_cast<std::size_t>(id)] = nullptr;
+}
+
+void Simulator::ScheduleAt(Tick when, std::int32_t target, std::int32_t kind,
+                           std::int32_t index) {
   OSUMAC_CHECK_GE(when, now_);  // cannot schedule into the past
-  OSUMAC_CHECK(fn != nullptr);
-  const std::uint64_t seq = next_seq_++;
-  pending_.emplace(seq, std::move(fn));
-  queue_.push(QueueKey{when, seq});
-  return EventId{seq};
-}
-
-bool Simulator::Cancel(EventId id) { return pending_.erase(id.seq) > 0; }
-
-bool Simulator::PeekNext(QueueKey& key) {
-  while (!queue_.empty()) {
-    const QueueKey top = queue_.top();
-    if (pending_.contains(top.seq)) {
-      key = top;
-      return true;
-    }
-    queue_.pop();  // cancelled entry; discard lazily
-  }
-  return false;
-}
-
-bool Simulator::Step() {
-  QueueKey key;
-  if (!PeekNext(key)) return false;
-  queue_.pop();
-  auto node = pending_.extract(key.seq);
-  now_ = key.when;
-  ++events_executed_;
-  node.mapped()();
-  return true;
+  OSUMAC_CHECK(target >= 0 && static_cast<std::size_t>(target) < targets_.size());
+  agenda_.push_back(Event{when, next_seq_++, target, kind, index});
+  std::push_heap(agenda_.begin(), agenda_.end(), Later);
 }
 
 void Simulator::RunUntil(Tick end) {
-  const obs::ScopedWallTimer timer(wall_timers_, "sim.run_until");
-  QueueKey key;
-  while (PeekNext(key) && key.when <= end) Step();
-  if (now_ < end) now_ = end;
-}
-
-void Simulator::RunToCompletion() {
-  while (Step()) {
+  while (!agenda_.empty() && agenda_.front().when <= end) {
+    std::pop_heap(agenda_.begin(), agenda_.end(), Later);
+    const Event event = agenda_.back();
+    agenda_.pop_back();
+    now_ = event.when;
+    ++events_executed_;
+    EventTarget* target = targets_[static_cast<std::size_t>(event.target)];
+    if (target != nullptr) target->Fire(event);
   }
+  if (now_ < end) now_ = end;
 }
 
 }  // namespace osumac::sim

@@ -1,34 +1,49 @@
 // A deterministic discrete-event simulation engine.
 //
-// This is the substrate that replaces the paper's JavaSim environment: an
-// event queue keyed by (tick, insertion sequence) so that simultaneous events
-// fire in a well-defined order and every run with the same seed is bit-for-bit
-// reproducible.
+// This is the substrate that replaces the paper's JavaSim environment: a
+// plain-data agenda keyed by (tick, insertion sequence) so that simultaneous
+// events fire in a well-defined order and every run with the same seed is
+// bit-for-bit reproducible.  An event names what to do by value — a target
+// id, a kind and an index — never by closure, so the whole agenda is
+// trivially copyable data.
 #pragma once
 
 #include <cstdint>
-#include <functional>
-#include <queue>
-#include <unordered_map>
 #include <vector>
 
 #include "common/time.h"
-#include "obs/wallclock.h"
 
 namespace osumac::sim {
 
-/// Handle for a scheduled event; usable to cancel it before it fires.
-struct EventId {
+/// One scheduled event.  `target` selects the EventTarget registered with
+/// the simulator; `kind` and `index` are the target's own vocabulary (a
+/// slot kind and slot number, a node, ...).
+struct Event {
+  Tick when = 0;
   std::uint64_t seq = 0;
-  friend bool operator==(const EventId&, const EventId&) = default;
+  std::int32_t target = 0;
+  std::int32_t kind = 0;
+  std::int32_t index = 0;
+};
+
+/// Receiver of the events scheduled under its target id.  Not copyable:
+/// the simulator holds its address.
+class EventTarget {
+ public:
+  EventTarget() = default;
+  EventTarget(const EventTarget&) = delete;
+  EventTarget& operator=(const EventTarget&) = delete;
+  virtual void Fire(const Event& event) = 0;
+
+ protected:
+  ~EventTarget() = default;
 };
 
 /// Single-threaded discrete-event simulator.
 ///
-/// Events are closures scheduled at absolute ticks.  Two events scheduled for
-/// the same tick fire in scheduling order (FIFO), which the MAC relies on so
-/// that, e.g., a slot-end event posted before a cycle-start event at the same
-/// boundary tick is processed first.
+/// Two events scheduled for the same tick fire in scheduling order (FIFO),
+/// which the MAC relies on so that, e.g., a slot-end event posted before a
+/// cycle-start event at the same boundary tick is processed first.
 class Simulator {
  public:
   Simulator() = default;
@@ -38,66 +53,34 @@ class Simulator {
   /// Current simulation time.
   Tick now() const { return now_; }
 
-  /// Schedules `fn` to run at absolute time `when` (>= now()).
-  EventId ScheduleAt(Tick when, std::function<void()> fn);
+  /// Registers `target` and returns its id.  Ids are never reused.
+  std::int32_t AddTarget(EventTarget* target);
+  /// Unregisters target `id`: its pending events still fire, as counted
+  /// no-ops.
+  void RemoveTarget(std::int32_t id);
 
-  /// Schedules `fn` to run `delay` (>= 0) ticks from now.
-  EventId ScheduleAfter(Tick delay, std::function<void()> fn) {
-    return ScheduleAt(now_ + delay, std::move(fn));
-  }
-
-  /// Cancels a pending event. Returns false if it already fired,
-  /// was already cancelled, or never existed.
-  bool Cancel(EventId id);
-
-  /// Runs the earliest pending event. Returns false if the queue is empty.
-  bool Step();
+  /// Schedules (target, kind, index) at absolute time `when` (>= now()).
+  void ScheduleAt(Tick when, std::int32_t target, std::int32_t kind,
+                  std::int32_t index = 0);
 
   /// Runs events with time <= `end`; afterwards now() == end if the queue
   /// still holds later events (or was emptied), so repeated RunUntil calls
   /// advance monotonically.
   void RunUntil(Tick end);
 
-  /// Runs all events to exhaustion.
-  void RunToCompletion();
-
   /// Number of events executed so far (diagnostic).
   std::uint64_t events_executed() const { return events_executed_; }
 
-  /// Number of events currently pending (excluding cancelled).
-  std::size_t pending_events() const { return pending_.size(); }
-
-  /// Feeds wall-clock timings ("sim.run_until" per RunUntil call) into
-  /// `timers` (null detaches).  Reporting only — never simulation logic.
-  void AttachWallTimers(obs::WallTimerRegistry* timers) { wall_timers_ = timers; }
+  /// Number of events currently pending.
+  std::size_t pending_events() const { return agenda_.size(); }
 
  private:
-  struct QueueKey {
-    Tick when = 0;
-    std::uint64_t seq = 0;
-  };
-  struct KeyOrder {
-    // std::priority_queue is a max-heap; invert for earliest-first, with
-    // FIFO order among equal times.
-    bool operator()(const QueueKey& a, const QueueKey& b) const {
-      if (a.when != b.when) return a.when > b.when;
-      return a.seq > b.seq;
-    }
-  };
-
-  /// Pops cancelled entries; returns true and fills `key` with the next live
-  /// event without removing it, or returns false if none remain.
-  bool PeekNext(QueueKey& key);
-
-  obs::WallTimerRegistry* wall_timers_ = nullptr;
   Tick now_ = 0;
   std::uint64_t next_seq_ = 1;
   std::uint64_t events_executed_ = 0;
-  // Lookup-only cancel index keyed by the monotonic sequence id: never
-  // iterated, so hash order cannot leak into results.
-  std::unordered_map<std::uint64_t,  // lint: allow-ordered-iteration
-                     std::function<void()>> pending_;
-  std::priority_queue<QueueKey, std::vector<QueueKey>, KeyOrder> queue_;
+  std::vector<EventTarget*> targets_;
+  /// Binary min-heap on (when, seq).
+  std::vector<Event> agenda_;
 };
 
 }  // namespace osumac::sim

@@ -1,9 +1,10 @@
 #include "traffic/workload.h"
 
 #include <algorithm>
-#include "common/check.h"
 #include <cmath>
+#include <utility>
 
+#include "common/check.h"
 #include "mac/packet.h"
 
 namespace osumac::traffic {
@@ -19,55 +20,30 @@ Tick MeanInterarrivalTicks(double rho, int data_users, int data_slots,
   return std::max<Tick>(1, static_cast<Tick>(std::llround(t_seconds * kTicksPerSecond)));
 }
 
-PoissonUplinkWorkload::PoissonUplinkWorkload(mac::CellDriver& cell,
-                                             std::vector<int> nodes,
-                                             Tick mean_interarrival,
-                                             SizeDistribution sizes, Rng rng)
-    : PoissonUplinkWorkload(
-          cell.simulator(), std::move(nodes), mean_interarrival, sizes,
-          std::move(rng),
-          [&cell](int node, int bytes) { cell.SendUplinkMessage(node, bytes); }) {}
-
-PoissonUplinkWorkload::PoissonUplinkWorkload(sim::Simulator& sim,
-                                             std::vector<int> nodes,
-                                             Tick mean_interarrival,
-                                             SizeDistribution sizes, Rng rng,
-                                             MessageSink sink)
-    : state_(std::make_shared<State>(State{sim, mean_interarrival, sizes,
-                                           std::move(rng), std::move(sink)})) {
-  for (int node : nodes) ScheduleNext(state_, node);
+PoissonArrivals::PoissonArrivals(sim::Simulator& sim, const std::vector<int>& nodes,
+                                 Tick mean_interarrival, SizeDistribution sizes, Rng rng)
+    : sim_(sim),
+      self_(sim.AddTarget(this)),
+      mean_interarrival_(mean_interarrival),
+      sizes_(sizes),
+      rng_(std::move(rng)) {
+  for (int node : nodes) ScheduleNext(node);
 }
 
-void PoissonUplinkWorkload::ScheduleNext(const std::shared_ptr<State>& state, int node) {
+PoissonArrivals::~PoissonArrivals() { sim_.RemoveTarget(self_); }
+
+void PoissonArrivals::ScheduleNext(int node) {
   const Tick gap = std::max<Tick>(
       1, static_cast<Tick>(std::llround(
-             state->rng.Exponential(static_cast<double>(state->mean_interarrival)))));
-  state->sim.ScheduleAfter(gap, [state, node] {
-    if (state->stopped) return;
-    ++state->generated;
-    state->sink(node, state->sizes.Sample(state->rng));
-    ScheduleNext(state, node);
-  });
+             rng_.Exponential(static_cast<double>(mean_interarrival_)))));
+  sim_.ScheduleAt(sim_.now() + gap, self_, /*kind=*/0, node);
 }
 
-PoissonDownlinkWorkload::PoissonDownlinkWorkload(mac::Cell& cell, std::vector<int> nodes,
-                                                 Tick mean_interarrival,
-                                                 SizeDistribution sizes, Rng rng)
-    : state_(std::make_shared<State>(
-          State{cell, mean_interarrival, sizes, std::move(rng)})) {
-  for (int node : nodes) ScheduleNext(state_, node);
-}
-
-void PoissonDownlinkWorkload::ScheduleNext(const std::shared_ptr<State>& state, int node) {
-  const Tick gap = std::max<Tick>(
-      1, static_cast<Tick>(std::llround(
-             state->rng.Exponential(static_cast<double>(state->mean_interarrival)))));
-  state->cell.simulator().ScheduleAfter(gap, [state, node] {
-    if (state->stopped) return;
-    ++state->generated;
-    state->cell.SendDownlinkMessage(node, state->sizes.Sample(state->rng));
-    ScheduleNext(state, node);
-  });
+void PoissonArrivals::Fire(const sim::Event& event) {
+  if (stopped_) return;
+  ++generated_;
+  Deliver(event.index, sizes_.Sample(rng_));
+  ScheduleNext(event.index);
 }
 
 }  // namespace osumac::traffic

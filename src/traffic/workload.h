@@ -10,15 +10,13 @@
 //     T = m * cycle_length * avg_size / (rho * d * payload_per_slot).
 //
 // Lifetime: generators schedule their own next arrival on the Cell's
-// simulator.  The scheduled closures share ownership of the generator
-// state, so a workload object may safely be destroyed (or Stop()ped) while
-// arrivals are still pending — pending events then fire once more at most
-// and go quiet.  The Cell must outlive any running workload.
+// simulator.  A workload may be destroyed (or Stop()ped) while arrivals are
+// still pending: those events then fire as no-ops.  The Cell must outlive
+// any workload attached to it.
 #pragma once
 
 #include <cstdint>
-#include <functional>
-#include <memory>
+#include <utility>
 #include <vector>
 
 #include "common/rng.h"
@@ -59,68 +57,69 @@ struct SizeDistribution {
 Tick MeanInterarrivalTicks(double rho, int data_users, int data_slots,
                            double mean_message_bytes);
 
-/// Poisson uplink e-mail workload attached to a set of subscribers.
-/// Arrivals are scheduled on the simulator; each arrival hands a message of
-/// sampled size to the sink.  The driver convenience constructor targets
-/// CellDriver::SendUplinkMessage (mac::Cell or mac::PolicyCell) with an
-/// identical draw sequence; the sink form drives anything else.
-class PoissonUplinkWorkload {
+/// The per-node Poisson arrival process shared by the uplink and downlink
+/// workloads.  Each pending arrival is a sim::Event whose `index` is the
+/// node; the generator is the event target.
+class PoissonArrivals : private sim::EventTarget {
  public:
-  /// Sink for one generated message: (node, bytes).
-  using MessageSink = std::function<void(int, int)>;
-
-  /// Starts generating immediately.  `mean_interarrival` is per subscriber.
-  PoissonUplinkWorkload(mac::CellDriver& cell, std::vector<int> nodes,
-                        Tick mean_interarrival, SizeDistribution sizes, Rng rng);
-  /// Generic form: arrivals go to `sink`, scheduled on `sim`.
-  PoissonUplinkWorkload(sim::Simulator& sim, std::vector<int> nodes,
-                        Tick mean_interarrival, SizeDistribution sizes, Rng rng,
-                        MessageSink sink);
-
   /// Stops generating: pending arrival events become no-ops.
-  void Stop() { state_->stopped = true; }
+  void Stop() { stopped_ = true; }
 
-  std::int64_t messages_generated() const { return state_->generated; }
+  std::int64_t messages_generated() const { return generated_; }
+
+ protected:
+  /// Starts generating immediately.  `mean_interarrival` is per node.
+  PoissonArrivals(sim::Simulator& sim, const std::vector<int>& nodes,
+                  Tick mean_interarrival, SizeDistribution sizes, Rng rng);
+  /// Unregisters the generator; its pending arrivals fire as no-ops.
+  ~PoissonArrivals();
 
  private:
-  struct State {
-    sim::Simulator& sim;
-    Tick mean_interarrival;
-    SizeDistribution sizes;
-    Rng rng;
-    MessageSink sink;
-    std::int64_t generated = 0;
-    bool stopped = false;
-  };
-  static void ScheduleNext(const std::shared_ptr<State>& state, int node);
+  /// Hands one generated message of `bytes` to `node`.
+  virtual void Deliver(int node, int bytes) = 0;
+  void Fire(const sim::Event& event) override;
+  void ScheduleNext(int node);
 
-  std::shared_ptr<State> state_;
+  sim::Simulator& sim_;
+  const std::int32_t self_;  ///< target id on sim_
+  Tick mean_interarrival_;
+  SizeDistribution sizes_;
+  Rng rng_;
+  std::int64_t generated_ = 0;
+  bool stopped_ = false;
+};
+
+/// Poisson uplink e-mail workload attached to a set of nodes of any
+/// CellDriver (mac::Cell or mac::PolicyCell): each arrival hands a message
+/// of sampled size to CellDriver::SendUplinkMessage.
+class PoissonUplinkWorkload final : public PoissonArrivals {
+ public:
+  PoissonUplinkWorkload(mac::CellDriver& cell, const std::vector<int>& nodes,
+                        Tick mean_interarrival, SizeDistribution sizes, Rng rng)
+      : PoissonArrivals(cell.simulator(), nodes, mean_interarrival, sizes,
+                        std::move(rng)),
+        cell_(cell) {}
+
+ private:
+  void Deliver(int node, int bytes) override { cell_.SendUplinkMessage(node, bytes); }
+
+  mac::CellDriver& cell_;
 };
 
 /// Poisson downlink workload (e-mail delivery to mobiles), the forward-
 /// channel counterpart.
-class PoissonDownlinkWorkload {
+class PoissonDownlinkWorkload final : public PoissonArrivals {
  public:
-  PoissonDownlinkWorkload(mac::Cell& cell, std::vector<int> nodes,
-                          Tick mean_interarrival, SizeDistribution sizes, Rng rng);
-
-  /// Stops generating: pending arrival events become no-ops.
-  void Stop() { state_->stopped = true; }
-
-  std::int64_t messages_generated() const { return state_->generated; }
+  PoissonDownlinkWorkload(mac::Cell& cell, const std::vector<int>& nodes,
+                          Tick mean_interarrival, SizeDistribution sizes, Rng rng)
+      : PoissonArrivals(cell.simulator(), nodes, mean_interarrival, sizes,
+                        std::move(rng)),
+        cell_(cell) {}
 
  private:
-  struct State {
-    mac::Cell& cell;
-    Tick mean_interarrival;
-    SizeDistribution sizes;
-    Rng rng;
-    std::int64_t generated = 0;
-    bool stopped = false;
-  };
-  static void ScheduleNext(const std::shared_ptr<State>& state, int node);
+  void Deliver(int node, int bytes) override { cell_.SendDownlinkMessage(node, bytes); }
 
-  std::shared_ptr<State> state_;
+  mac::Cell& cell_;
 };
 
 }  // namespace osumac::traffic

@@ -375,6 +375,14 @@ TEST(ScenarioIoTest, RejectsMalformedValues) {
     EXPECT_TRUE(ParseScenarios(in, &error).empty()) << text;
     EXPECT_FALSE(error.empty()) << text;
   }
+  // Negative cycle counts are rejected with the key named.
+  for (const char* key : {"registration_cycles", "warmup_cycles", "measure_cycles"}) {
+    std::istringstream in(std::string("[x]\n") + key + " = -3\n");
+    std::string error;
+    EXPECT_TRUE(ParseScenarios(in, &error).empty()) << key;
+    EXPECT_NE(error.find(std::string("'") + key + "' must be >= 0"), std::string::npos)
+        << error;
+  }
 }
 
 TEST(EmitTest, CsvHasHeaderAndOneRowPerResult) {

@@ -61,11 +61,18 @@ TEST(PoissonWorkloadTest, GeneratesAtConfiguredRate) {
     cell.PowerOn(nodes.back());
   }
   const Tick mean = 5 * mac::kCycleTicks;  // 1 msg per user per 5 cycles
-  PoissonUplinkWorkload w(cell, nodes, mean, SizeDistribution::Fixed(120), Rng(4));
+  {
+    PoissonUplinkWorkload w(cell, nodes, mean, SizeDistribution::Fixed(120), Rng(4));
+    cell.RunCycles(400);
+    // Expected: 5 users * 400 cycles / 5 = 400 messages (+/- statistical).
+    EXPECT_NEAR(static_cast<double>(w.messages_generated()), 400.0, 60.0);
+    EXPECT_EQ(cell.metrics().uplink_messages_offered, w.messages_generated());
+  }
+  // A destroyed workload behaves like a stopped one: its pending arrivals
+  // still fire, as no-ops.
+  const std::int64_t offered = cell.metrics().uplink_messages_offered;
   cell.RunCycles(400);
-  // Expected: 5 users * 400 cycles / 5 = 400 messages (+/- statistical).
-  EXPECT_NEAR(static_cast<double>(w.messages_generated()), 400.0, 60.0);
-  EXPECT_EQ(cell.metrics().uplink_messages_offered, w.messages_generated());
+  EXPECT_EQ(cell.metrics().uplink_messages_offered, offered);
 }
 
 TEST(PoissonDownlinkWorkloadTest, DeliversToRegisteredUsers) {

@@ -6,7 +6,7 @@
 //
 // Single-run mode builds one declarative scenario (src/exp) from the
 // flags, drives it through the engine's phases, and prints the full
-// Section-5 metric set; --audit/--trace/--metrics/--timers attach their
+// Section-5 metric set; --audit/--trace/--metrics/--profile attach their
 // instrumentation to the live cell between phases.  Scenario mode
 // (--scenario FILE) parses a scenario file, executes every spec on the
 // sweep runner (--jobs N workers, bit-identical at any N), and emits the
@@ -42,7 +42,6 @@ struct Options {
   int fixed_size = 0;  ///< 0 = uniform 40..500
   double downlink_rho = 0.0;
   bool audit = false;
-  bool timers = false;
   bool slo = false;
   std::string trace_file;
   bool trace_format_set = false;
@@ -117,7 +116,6 @@ void PrintUsage() {
       "  --fault-cycle N     fault injection: perturb the cell RNG stream at\n"
       "                      the start of absolute cycle N (the journal\n"
       "                      record for N is untouched; N+1 diverges)\n"
-      "  --timers            report wall-clock timers on exit\n"
       "  --cells N           network mode: run N cells in lockstep with\n"
       "                      random-walk mobility and cross-cell chatter;\n"
       "                      --data-users/--gps become per-cell populations\n"
@@ -139,7 +137,7 @@ void PrintUsage() {
       "                      BENCH_sweeps.json format, else CSV (default:\n"
       "                      CSV on stdout)\n"
       "Options also accept --opt=value form.\n"
-      "Single-run instrumentation (--audit/--trace/--metrics/--timers/--slo/\n"
+      "Single-run instrumentation (--audit/--trace/--metrics/--slo/\n"
       "--flight-*) attaches to one live cell and cannot be combined with\n"
       "--scenario sweep mode; sweep results carry their SLO digests in the\n"
       "JSON output instead.\n");
@@ -240,8 +238,6 @@ bool ParseArgs(int argc, char** argv, Options& opt) {
     } else if (arg == "--fault-cycle") {
       if (!next_int(opt.fault_cycle)) return false;
       opt.fault_cycle_set = true;
-    } else if (arg == "--timers") {
-      opt.timers = true;
     } else if (arg == "--cells") {
       if (!next_int(opt.cells)) return false;
     } else if (arg == "--threads") {
@@ -547,8 +543,6 @@ int RunPolicy(const Options& opt, const exp::ScenarioSpec& spec,
   mac::PolicyCell& cell = *run.policy_cell();
   analysis::PolicyAuditor auditor;
   if (opt.audit) cell.AddObserver(&auditor);
-  obs::WallTimerRegistry wall_timers;
-  if (opt.timers) cell.simulator().AttachWallTimers(&wall_timers);
   obs::Profiler profiler;
   exp::RunResult result;
   {
@@ -574,7 +568,6 @@ int RunPolicy(const Options& opt, const exp::ScenarioSpec& spec,
       !WriteProfileFile(opt, profiler, provenance)) {
     return 1;
   }
-  if (opt.timers) wall_timers.Report(std::cout);
   if (opt.audit) {
     std::printf("audit                  %s\n", auditor.Report().c_str());
     if (!auditor.violations().empty()) return 2;
@@ -594,6 +587,8 @@ std::string ValidateFlagComposition(const Options& opt) {
   if (!(opt.ser >= 0.0 && opt.ser <= 1.0)) {
     return "--ser must be a probability in [0, 1]";
   }
+  if (opt.cycles < 0) return "--cycles must be >= 0";
+  if (opt.warmup < 0) return "--warmup must be >= 0";
   if (opt.mac != "osu") {
     if (opt.cells != 0) {
       return "--mac runs one policy cell; --cells network mode is OSU-only "
@@ -613,7 +608,7 @@ std::string ValidateFlagComposition(const Options& opt) {
       return std::string(conflicting) +
              " records the OSU cell's event stream; policy tenants (--mac) "
              "do not emit one (supported there: --audit, --metrics, --slo, "
-             "--timers, --profile, --journal)";
+             "--profile, --journal)";
     }
     if (!opt.journal_expect_file.empty()) {
       return "--journal-expect compares against the live OSU cell and is not "
@@ -637,7 +632,6 @@ std::string ValidateFlagComposition(const Options& opt) {
     else if (opt.trace_format_set) conflicting = "--trace-format";
     else if (!opt.metrics_file.empty()) conflicting = "--metrics";
     else if (opt.audit) conflicting = "--audit";
-    else if (opt.timers) conflicting = "--timers";
     else if (opt.slo) conflicting = "--slo";
     else if (!opt.flight_dir.empty()) conflicting = "--flight-dir";
     else if (opt.flight_cycles_set) conflicting = "--flight-cycles";
@@ -666,7 +660,6 @@ std::string ValidateFlagComposition(const Options& opt) {
     else if (!opt.trace_file.empty()) conflicting = "--trace";
     else if (opt.trace_format_set) conflicting = "--trace-format";
     else if (opt.audit) conflicting = "--audit";
-    else if (opt.timers) conflicting = "--timers";
     else if (!opt.flight_dir.empty()) conflicting = "--flight-dir";
     else if (opt.flight_cycles_set) conflicting = "--flight-cycles";
     else if (opt.flight_dump_on_exit) conflicting = "--flight-dump-on-exit";
@@ -836,8 +829,6 @@ int main(int argc, char** argv) {
   // --journal then agrees with a later --journal-expect --flight-dir run
   // on trace presence (without this, events would be 0 on one side only).
   if (tracing || flight || journaling) cell.AttachTrace(&trace);
-  obs::WallTimerRegistry wall_timers;
-  if (opt.timers) cell.simulator().AttachWallTimers(&wall_timers);
 
   obs::FlightRecorder recorder(
       obs::FlightRecorder::Config{static_cast<std::size_t>(opt.flight_cycles)});
@@ -994,7 +985,6 @@ int main(int argc, char** argv) {
       std::printf("flight                 armed, never tripped (no dump)\n");
     }
   }
-  if (opt.timers) wall_timers.Report(std::cout);
   if (opt.audit) {
     std::printf("audit                  %s\n", auditor.Report().c_str());
     if (!auditor.violations().empty()) return 2;
