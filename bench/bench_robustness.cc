@@ -23,7 +23,9 @@ int main(int argc, char** argv) {
   for (const int data_users : {5, 8, 11, 14}) {
     for (const int gps_users : {1, 3, 4, 8}) {
       exp::ScenarioSpec point = exp::LoadPoint(0.7);
-      point.name = "d" + std::to_string(data_users) + "_g" + std::to_string(gps_users);
+      char name[32];
+      std::snprintf(name, sizeof name, "d%d_g%d", data_users, gps_users);
+      point.name = name;
       point.data_users = data_users;
       point.gps_users = gps_users;
       point.measure_cycles = 600;

@@ -18,7 +18,12 @@ std::string UidStr(mac::UserId uid) {
 }
 
 std::string IntervalStr(Interval iv) {
-  return "[" + std::to_string(iv.begin) + ", " + std::to_string(iv.end) + ")";
+  std::string out = "[";
+  out += std::to_string(iv.begin);
+  out += ", ";
+  out += std::to_string(iv.end);
+  out += ')';
+  return out;
 }
 
 /// The real-time bound of Section 2.1: every bus reports at least once per

@@ -100,7 +100,8 @@ std::vector<ScenarioSpec> ExpandReplications(const ScenarioSpec& spec,
   for (int r = 0; r < replications; ++r) {
     ScenarioSpec copy = spec;
     copy.seed = spec.seed + kReplicationSeedStride * static_cast<std::uint64_t>(r);
-    copy.name += "#" + std::to_string(r);
+    copy.name += '#';
+    copy.name += std::to_string(r);
     out.push_back(std::move(copy));
   }
   return out;

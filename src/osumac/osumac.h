@@ -58,7 +58,6 @@
 #include "mac/gps_slot_manager.h"
 #include "mac/ids.h"
 #include "mac/mac_policy.h"
-#include "mac/multi_channel.h"
 #include "mac/network.h"
 #include "mac/packet.h"
 #include "mac/policies/pca_policy.h"

@@ -212,7 +212,8 @@ class BenchDirectCellTest(RuleTestCase):
     def test_config_and_extensions_ok(self):
         self.repo.write("bench/b.cc",
                         "mac::CellConfig config;\n"
-                        "MultiChannelCell mcc(config);\n")
+                        "exp::NetworkScenarioRun run(spec);\n"
+                        "mac::Network& site = run.network();\n")
         self.assert_findings(bench_direct_cell.RULE, 0)
 
 
@@ -326,11 +327,21 @@ class RngStreamDisciplineTest(RuleTestCase):
         self.repo.write("src/mac/a.cc", "auto s = seed + cell * 12345;\n")
         self.assert_findings(rng_stream_discipline.RULE, 1)
 
+    def test_additive_literal_first_triggers(self):
+        self.repo.write(
+            "src/mac/a.cc",
+            "cfg.seed = config.seed + 0x517CC1B7ull"
+            " * static_cast<std::uint64_t>(i + 1);\n"
+            "auto s = seed + 12345 * cell;\n")
+        self.assert_findings(rng_stream_discipline.RULE, 2)
+
     def test_substream_derivation_ok(self):
         self.repo.write(
             "src/mac/a.cc",
             "cfg.seed = DeriveSubstreamSeed(config.seed, i);\n"
-            "total = seed + offset;\n")
+            "total = seed + offset;\n"
+            "return SplitMix64(config_.seed +\n"
+            "                  kSplitMix64Gamma * (100 + 2 * node));\n")
         self.assert_findings(rng_stream_discipline.RULE, 0)
 
 

@@ -1,8 +1,9 @@
 """No direct mac::Cell / mac::Network construction in bench/: benches build
 populations through the scenario engine (exp::ScenarioSpec + SweepRunner /
-ScenarioRun) so every benchmark point is declarative, seed-derived and
-sweep-parallel.  Multi-cell/extension harnesses the engine does not model
-(e.g. MultiChannelCell) are not affected."""
+ScenarioRun, or exp::NetworkScenarioSpec + NetworkScenarioRun for
+multi-cell and multi-carrier runs) so every benchmark point is declarative,
+seed-derived and sweep-parallel.  There is no exemption: every simulation
+bench goes through the scenario engine."""
 from __future__ import annotations
 
 import re
@@ -10,7 +11,7 @@ import re
 from ..engine import Context, Rule
 
 # A Cell/Network object built directly: stack declaration, make_unique, or
-# new-expression.  \b keeps MultiChannelCell/CellConfig out of scope.
+# new-expression.  \b keeps CellConfig/NetworkScenarioRun out of scope.
 DIRECT_CELL = re.compile(
     r"(?:^|[^\w:])(?:mac::)?\b(Cell|Network)\s+[A-Za-z_]\w*\s*[({]"
     r"|make_unique<\s*(?:mac::)?(Cell|Network)\s*>"

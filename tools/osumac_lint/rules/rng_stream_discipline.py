@@ -6,9 +6,10 @@ std::default_random_engine) outside common/rng.h.  A literal seed is an
 anonymous stream: it silently decouples a consumer from the scenario seed,
 so two runs with different `--seed` values share "random" draws and the
 cross-seed confidence intervals in the figures lie.  Additive per-index
-seed arithmetic (`seed + i * constant`) is banned for the same family of
-reasons: distinct (seed, index) pairs collide -- seed 7 index 2 and seed
-7 + 2*c index 0 are the same stream -- so sibling consumers must derive
+seed arithmetic (`seed + i * constant` or `seed + constant * i`, the
+constant a numeric literal) is banned for the same family of reasons:
+distinct (seed, index) pairs collide -- seed 7 index 2 and seed 7 + 2*c
+index 0 are the same stream -- so sibling consumers must derive
 sub-streams through DeriveSubstreamSeed (common/rng.h) or exp::DeriveSeed,
 which mix the root seed before offsetting.  Tests and benches may use
 literal seeds freely (they pin exact draw sequences on purpose)."""
@@ -28,12 +29,15 @@ LITERAL_SEED_CTOR = re.compile(
 # bypasses exp::DeriveSeed's gamma spacing.
 LITERAL_SPLITMIX_CALL = re.compile(r"\bSplitMix64\s*\(\s*\d")
 # Additive sibling-stream derivation: an expression that offsets a seed by
-# a scaled index (`seed + i * 0x9E3779B9u`, `config.seed + cell * 12345`).
-# The offset aliases across (seed, index) pairs; DeriveSubstreamSeed mixes
-# the root first so siblings can never collide.
+# an index scaled by a numeric literal on either side of the `*`
+# (`seed + i * 0x9E3779B9u`, `config.seed + cell * 12345`,
+# `seed + 0x517CC1B7ull * i`).  The offset aliases across (seed, index)
+# pairs; DeriveSubstreamSeed mixes the root first so siblings can never
+# collide.
+_NUMBER = r"(?:0[xX][0-9A-Fa-f]+|\d+)"
 ADDITIVE_SEED = re.compile(
-    r"\b(?:[A-Za-z_]\w*\.)?seed_?\s*\+[^;,]*\*\s*"
-    r"(?:0[xX][0-9A-Fa-f]+|\d+)")
+    r"\b(?:[A-Za-z_]\w*\.)?seed_?\s*\+[^;,]*"
+    r"(?:\*\s*" + _NUMBER + r"|\b" + _NUMBER + r"[uUlL]*\s*\*)")
 STD_ENGINE = re.compile(
     r"\bstd::(?:mt19937(?:_64)?|random_device|default_random_engine|"
     r"minstd_rand0?|ranlux\d+(?:_base)?|knuth_b)\b")
