@@ -94,11 +94,8 @@ void FillPolicyResult(const mac::PolicyCell& cell, const std::vector<int>& data_
 }  // namespace
 
 ScenarioRun::ScenarioRun(const ScenarioSpec& spec) : spec_(spec) {
-  OSUMAC_CHECK_GE(spec_.data_users, 0);
-  OSUMAC_CHECK_GE(spec_.gps_users, 0);
-  OSUMAC_CHECK_EQ(TenantInputError(spec_), std::string());
+  OSUMAC_CHECK_EQ(SpecInputError(spec_), std::string());
   if (spec_.mac_policy == "osu") {
-    OSUMAC_CHECK_LE(spec_.gps_users, spec_.mac.max_gps_users);
     auto cell = std::make_unique<mac::Cell>(spec_.BuildCellConfig());
     osu_ = cell.get();
     driver_ = std::move(cell);

@@ -112,7 +112,7 @@ struct RunHooks {
 /// counters -> RunResult mapping are tenant-specific.
 class ScenarioRun {
  public:
-  /// CHECK-fails on a spec its tenant cannot run (TenantInputError).
+  /// CHECK-fails on a spec that cannot run (SpecInputError).
   explicit ScenarioRun(const ScenarioSpec& spec);
   ~ScenarioRun();
   ScenarioRun(const ScenarioRun&) = delete;

@@ -1,11 +1,13 @@
 #include "exp/scenario.h"
 
 #include <cstdio>
+#include <initializer_list>
 #include <utility>
 
 #include "common/check.h"
 #include "exp/seed.h"
 #include "mac/cycle_layout.h"
+#include "mac/ids.h"
 
 namespace osumac::exp {
 
@@ -23,8 +25,6 @@ int ScenarioSpec::DataSlotsForLoad() const {
   return mac::ReverseCycleLayout(mac::FormatForGpsCount(gps_users)).data_slot_count();
 }
 
-namespace {
-
 const char* ChannelKindName(mac::ChannelModelConfig::Kind kind) {
   switch (kind) {
     case mac::ChannelModelConfig::Kind::kPerfect:
@@ -36,8 +36,6 @@ const char* ChannelKindName(mac::ChannelModelConfig::Kind kind) {
   }
   return "?";
 }
-
-}  // namespace
 
 std::string ScenarioSpec::Describe() const {
   char buffer[512];
@@ -56,13 +54,62 @@ std::string ScenarioSpec::Describe() const {
   return out;
 }
 
-std::string TenantInputError(const ScenarioSpec& spec) {
-  if (spec.mac_policy == "osu") return "";
+std::string SpecInputError(const ScenarioSpec& spec, std::vector<std::string>* keys) {
+  auto fail = [keys](std::string message, std::initializer_list<const char*> involved) {
+    if (keys != nullptr) keys->assign(involved.begin(), involved.end());
+    return message;
+  };
+  auto both = [](const char* a, int x, const char* b, int y) {
+    return std::string(a) + " = " + std::to_string(x) + ", " + b + " = " +
+           std::to_string(y);
+  };
+  const ChurnSpec& churn = spec.churn;
+  const std::pair<int, const char*> counts[] = {
+      {spec.data_users, "data_users"},
+      {spec.gps_users, "gps_users"},
+      {spec.registration_cycles, "registration_cycles"},
+      {spec.warmup_cycles, "warmup_cycles"},
+      {spec.measure_cycles, "measure_cycles"},
+      {churn.arrivals, "churn.arrivals"},
+      {churn.gap_lo_cycles, "churn.gap_lo_cycles"},
+      {churn.gap_hi_cycles, "churn.gap_hi_cycles"},
+      {churn.max_extra_wait_cycles, "churn.max_extra_wait_cycles"},
+  };
+  for (const auto& [value, key] : counts) {
+    if (value < 0) return fail(std::string("'") + key + "' must be >= 0", {key});
+  }
+  if (churn.gap_lo_cycles > churn.gap_hi_cycles) {
+    return fail(both("churn.gap_lo_cycles", churn.gap_lo_cycles, "churn.gap_hi_cycles",
+                     churn.gap_hi_cycles) +
+                    ": the low gap exceeds the high gap",
+                {"churn.gap_lo_cycles", "churn.gap_hi_cycles"});
+  }
+
+  if (spec.mac_policy == "osu") {
+    if (spec.gps_users > spec.mac.max_gps_users) {
+      return fail(both("gps_users", spec.gps_users, "mac.max_gps_users",
+                       spec.mac.max_gps_users) +
+                      ": more buses than the base station admits",
+                  {"gps_users", "mac.max_gps_users"});
+    }
+    if (spec.mac.min_contention_slots < 1) {
+      return fail("'mac.min_contention_slots' must be >= 1 (slot 0 stays "
+                  "unassigned for the CF2 listener)",
+                  {"mac.min_contention_slots"});
+    }
+    return "";
+  }
+  if (spec.data_users + spec.gps_users > mac::kMaxActiveUsers) {
+    return fail(both("data_users", spec.data_users, "gps_users", spec.gps_users) +
+                    ": the " + spec.mac_policy + " tenant has " +
+                    std::to_string(mac::kMaxActiveUsers) + " user IDs",
+                {"data_users", "gps_users", "mac"});
+  }
   const mac::MacConfig d;
   const std::pair<bool, const char*> osu_only[] = {
       {spec.workload.downlink_rho > 0, "downlink_rho"},
       {spec.workload.downlink_interarrival_cycles > 0, "downlink_interarrival_cycles"},
-      {spec.churn.arrivals > 0, "churn.arrivals"},
+      {churn.arrivals > 0, "churn.arrivals"},
       {spec.mac.downlink_arq != d.downlink_arq, "mac.arq"},
       {spec.mac.use_second_control_field != d.use_second_control_field, "mac.second_cf"},
       {spec.mac.dynamic_gps_slots != d.dynamic_gps_slots, "mac.dynamic_gps"},
@@ -71,8 +118,9 @@ std::string TenantInputError(const ScenarioSpec& spec) {
   };
   for (const auto& [set, key] : osu_only) {
     if (set) {
-      return std::string(key) + " is an OSU-only input; the " + spec.mac_policy +
-             " tenant is uplink-only and would ignore it";
+      return fail(std::string(key) + " is an OSU-only input; the " + spec.mac_policy +
+                      " tenant is uplink-only and would ignore it",
+                  {key, "mac"});
     }
   }
   return "";

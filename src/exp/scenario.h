@@ -87,7 +87,7 @@ struct ScenarioSpec {
   /// — the default — runs the full mac::Cell; other names from
   /// mac::KnownMacPolicies() run the generic mac::PolicyCell driver, which
   /// has no downlink, no churn and none of the OSU scheduler toggles, so
-  /// such specs must leave them unset (TenantInputError).  Kept out of
+  /// such specs must leave them unset (SpecInputError).  Kept out of
   /// Describe()/spec JSON when default so pre-existing artifacts stay
   /// byte-identical.
   std::string mac_policy = "osu";
@@ -121,12 +121,23 @@ struct ScenarioSpec {
   std::string Describe() const;
 };
 
-/// Why `spec` cannot run on its tenant, or "" when it can.  A non-OSU spec
-/// must not set the inputs only the OSU driver honours: downlink traffic,
-/// churn, or mac.arq / mac.second_cf / mac.dynamic_gps /
-/// mac.dynamic_contention away from their defaults.  The scenario parser,
-/// osumac_sim and the run path all check this one rule.
-std::string TenantInputError(const ScenarioSpec& spec);
+/// Why `spec` cannot run, or "" when it can.  The one check of a whole
+/// spec; the scenario parser, osumac_sim and ScenarioRun (as a CHECK) all
+/// call it.  The rules:
+///   * populations, phase lengths and churn counts are >= 0, and
+///     churn.gap_lo_cycles <= churn.gap_hi_cycles;
+///   * OSU: gps_users <= mac.max_gps_users and mac.min_contention_slots >= 1;
+///   * other tenants: data_users + gps_users fit the kMaxActiveUsers user
+///     IDs, and the inputs only the OSU driver honours stay unset —
+///     downlink traffic, churn, and mac.arq / mac.second_cf /
+///     mac.dynamic_gps / mac.dynamic_contention at their defaults.
+/// The message names the scenario keys involved; `keys` (if non-null)
+/// receives them.
+std::string SpecInputError(const ScenarioSpec& spec,
+                           std::vector<std::string>* keys = nullptr);
+
+/// "perfect", "uniform" or "ge": the scenario-file name of a channel kind.
+const char* ChannelKindName(mac::ChannelModelConfig::Kind kind);
 
 /// The paper's Section-5 load-index sweep {0.3, 0.5, 0.8, 0.9, 1.0, 1.1}.
 const std::vector<double>& LoadSweep();

@@ -1,6 +1,11 @@
 #include "exp/scenario_io.h"
 
+#include <algorithm>
+#include <cctype>
+#include <cerrno>
+#include <climits>
 #include <cstdlib>
+#include <map>
 #include <sstream>
 
 #include "mac/mac_policy.h"
@@ -34,12 +39,10 @@ bool ParseDouble(const std::string& value, double* out) {
   return end != nullptr && *end == '\0' && end != value.c_str();
 }
 
-bool ParseInt(const std::string& value, int* out) {
-  char* end = nullptr;
-  const long v = std::strtol(value.c_str(), &end, 10);
-  if (end == nullptr || *end != '\0' || end == value.c_str()) return false;
-  *out = static_cast<int>(v);
-  return true;
+/// True when `in` holds nothing but whitespace past its last read.
+bool AtEnd(std::istringstream& in) {
+  std::string extra;
+  return !(in >> extra);
 }
 
 /// "fixed 120" or "uniform 40 500".
@@ -49,13 +52,13 @@ bool ParseSizes(const std::string& value, traffic::SizeDistribution* out) {
   in >> kind;
   if (kind == "fixed") {
     int bytes = 0;
-    if (!(in >> bytes) || bytes <= 0) return false;
+    if (!(in >> bytes) || bytes <= 0 || !AtEnd(in)) return false;
     *out = traffic::SizeDistribution::Fixed(bytes);
     return true;
   }
   if (kind == "uniform") {
     int lo = 0, hi = 0;
-    if (!(in >> lo >> hi) || lo <= 0 || hi < lo) return false;
+    if (!(in >> lo >> hi) || lo <= 0 || hi < lo || !AtEnd(in)) return false;
     *out = traffic::SizeDistribution::Uniform(lo, hi);
     return true;
   }
@@ -88,7 +91,7 @@ std::string ParseChannel(const std::string& value, mac::ChannelModelConfig* out)
     if (!(in >> *p)) return kUsage;
     if (!(*p >= 0.0 && *p <= 1.0)) return "probabilities must lie in [0, 1]";
   }
-  return "";
+  return AtEnd(in) ? "" : kUsage;
 }
 
 bool Fail(std::string* error, const std::string& message) {
@@ -97,6 +100,16 @@ bool Fail(std::string* error, const std::string& message) {
 }
 
 }  // namespace
+
+bool ParseInt(const std::string& value, int* out) {
+  char* end = nullptr;
+  errno = 0;
+  const long v = std::strtol(value.c_str(), &end, 10);
+  if (end == nullptr || *end != '\0' || end == value.c_str()) return false;
+  if (errno == ERANGE || v < INT_MIN || v > INT_MAX) return false;
+  *out = static_cast<int>(v);
+  return true;
+}
 
 bool ApplyScenarioKey(ScenarioSpec& spec, const std::string& key,
                       const std::string& value, int* replications,
@@ -109,10 +122,6 @@ bool ApplyScenarioKey(ScenarioSpec& spec, const std::string& key,
     return ParseInt(value, field) ||
            Fail(error, "expected an integer for '" + key + "'");
   };
-  auto set_cycles = [&](int* field) {
-    if (!set_int(field)) return false;
-    return *field >= 0 || Fail(error, "'" + key + "' must be >= 0");
-  };
   auto set_bool = [&](bool* field) {
     return ParseBool(value, field) ||
            Fail(error, "expected true/false for '" + key + "'");
@@ -121,19 +130,22 @@ bool ApplyScenarioKey(ScenarioSpec& spec, const std::string& key,
   if (key == "rho") return set_double(&spec.workload.rho);
   if (key == "data_users") return set_int(&spec.data_users);
   if (key == "gps_users") return set_int(&spec.gps_users);
-  if (key == "registration_cycles") return set_cycles(&spec.registration_cycles);
-  if (key == "warmup_cycles") return set_cycles(&spec.warmup_cycles);
-  if (key == "measure_cycles") return set_cycles(&spec.measure_cycles);
+  if (key == "registration_cycles") return set_int(&spec.registration_cycles);
+  if (key == "warmup_cycles") return set_int(&spec.warmup_cycles);
+  if (key == "measure_cycles") return set_int(&spec.measure_cycles);
   if (key == "reset_stats") return set_bool(&spec.reset_stats_after_warmup);
   if (key == "collect_registry") return set_bool(&spec.collect_registry);
   if (key == "erasure_side_information") {
     return set_bool(&spec.erasure_side_information);
   }
   if (key == "seed") {
+    // Digits only: strtoull would take a sign and negate ("-1" -> 2^64 - 1).
     char* end = nullptr;
+    errno = 0;
     spec.seed = std::strtoull(value.c_str(), &end, 10);
-    if (end == nullptr || *end != '\0' || end == value.c_str()) {
-      return Fail(error, "expected an unsigned seed");
+    if (value.empty() || !std::isdigit(static_cast<unsigned char>(value[0])) ||
+        *end != '\0' || errno == ERANGE) {
+      return Fail(error, "expected an unsigned 64-bit integer for 'seed'");
     }
     return true;
   }
@@ -200,12 +212,29 @@ std::vector<ScenarioSpec> ParseScenarios(std::istream& in, std::string* error) {
   ScenarioSpec current;
   int replications = 1;
   bool in_section = false;
+  int section_line = 0;
+  // The line that last set each key (for the current section: its own
+  // lines over the defaults'), so a whole-spec error can point at it.
+  std::map<std::string, int> default_lines;
+  std::map<std::string, int> key_lines;
 
   // Validates the finished section (its `mac` line may follow the keys it
-  // conflicts with) and appends its expansion.
+  // conflicts with) and appends its expansion.  The error blames the latest
+  // line among the keys involved, or the section header.
   auto flush = [&]() {
-    if (const std::string detail = TenantInputError(current); !detail.empty()) {
-      if (error != nullptr) *error = "scenario '" + current.name + "': " + detail;
+    std::vector<std::string> keys;
+    const std::string detail = SpecInputError(current, &keys);
+    if (!detail.empty()) {
+      int line = 0;
+      for (const std::string& key : keys) {
+        if (const auto it = key_lines.find(key); it != key_lines.end()) {
+          line = std::max(line, it->second);
+        }
+      }
+      if (error != nullptr) {
+        *error = "line " + std::to_string(line > 0 ? line : section_line) +
+                 ": scenario '" + current.name + "': " + detail;
+      }
       return false;
     }
     const std::vector<ScenarioSpec> expanded =
@@ -236,6 +265,8 @@ std::vector<ScenarioSpec> ParseScenarios(std::istream& in, std::string* error) {
       current.name = Trim(line.substr(1, line.size() - 2));
       replications = 1;
       in_section = true;
+      section_line = lineno;
+      key_lines = default_lines;
       continue;
     }
 
@@ -257,11 +288,13 @@ std::vector<ScenarioSpec> ParseScenarios(std::istream& in, std::string* error) {
       }
       return {};
     }
+    (in_section ? key_lines : default_lines)[key] = lineno;
   }
   if (!in_section) {
     // A sectionless file defines exactly one scenario from the defaults.
     current = defaults;
     if (current.name.empty()) current.name = "scenario";
+    key_lines = default_lines;
   }
   if (!flush()) return {};
   if (error != nullptr) error->clear();

@@ -30,14 +30,20 @@ namespace osumac::exp {
 
 /// Parses scenario text.  On success returns the expanded spec list (one
 /// per section, times its replications); on failure returns an empty
-/// vector and sets `error` to "line N: what went wrong".
+/// vector and sets `error` to "line N: what went wrong".  Each finished
+/// section must pass SpecInputError.
 std::vector<ScenarioSpec> ParseScenarios(std::istream& in, std::string* error);
 
 /// Applies one "key = value" assignment to `spec`.  Returns false and sets
 /// `error` if the key is unknown or the value malformed.  `replications`
-/// (if non-null) receives the section's replication count.
+/// (if non-null) receives the section's replication count.  The one
+/// parser of run inputs: osumac_sim's model flags come through here too.
 bool ApplyScenarioKey(ScenarioSpec& spec, const std::string& key,
                       const std::string& value, int* replications,
                       std::string* error);
+
+/// Strict base-10 int: the whole of `value`, within int range.  The
+/// parse behind every integer key and osumac_sim's integer flags.
+bool ParseInt(const std::string& value, int* out);
 
 }  // namespace osumac::exp

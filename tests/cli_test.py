@@ -1,0 +1,132 @@
+#!/usr/bin/env python3
+"""End-to-end tests of the osumac_sim command line.
+
+Hostile flags and scenario files must exit 1 quickly with a message naming
+the flag or scenario key (never a CHECK abort), and three journal
+signatures pin the single-OSU, single-policy and network run paths.
+
+Run via ctest, or directly:  python3 tests/cli_test.py build/tools/osumac_sim
+"""
+from __future__ import annotations
+
+import re
+import subprocess
+import sys
+import tempfile
+import time
+import unittest
+from pathlib import Path
+
+REPO = Path(__file__).resolve().parents[1]
+SIM = None  # set from argv in main
+
+
+def run(*args: str, cwd: str | None = None) -> subprocess.CompletedProcess:
+    return subprocess.run([SIM, *args], cwd=cwd, capture_output=True, text=True,
+                          timeout=60)
+
+
+class HostileInputTest(unittest.TestCase):
+    """Each input exits 1 in under a second, naming what is wrong."""
+
+    def expect_rejected(self, args: list[str], named: str, cwd: str | None = None):
+        start = time.monotonic()
+        proc = run(*args, cwd=cwd)
+        elapsed = time.monotonic() - start
+        self.assertEqual(proc.returncode, 1, f"{args}: {proc.stdout}{proc.stderr}")
+        self.assertIn(named, proc.stderr, args)
+        self.assertLess(elapsed, 1.0, args)
+
+    def test_malformed_flag_values(self):
+        for args, named in [
+            (["--cycles", "abc"], "--cycles abc"),
+            (["--rho", "abc"], "--rho abc"),
+            (["--cells", "abc"], "--cells abc"),
+            (["--cells", "2x"], "--cells 2x"),
+            (["--seed", "-1"], "--seed -1"),
+            (["--seed", "18446744073709551616"], "'seed'"),
+            (["--ser", "0.02x", "--channel", "uniform"], "--ser 0.02x"),
+            (["--rho"], "--rho needs a value"),
+            (["--bogus"], "unknown option --bogus"),
+        ]:
+            with self.subTest(args=args):
+                self.expect_rejected(args, named)
+
+    def test_flags_the_mode_does_not_honour(self):
+        scn = str(REPO / "scenarios" / "load_sweep.scn")
+        for args, named in [
+            (["--cells", "2", "--rho", "0.9"], "--rho does not apply to network"),
+            (["--scenario", scn, "--rho", "0.9"], "--rho does not apply to sweep"),
+            (["--ser", "0.5"], "--ser 0.5"),
+            (["--channel", "ge", "--ser", "0.1"], "--ser 0.1"),
+            (["--mac", "rqma", "--arq"], "--arq does not apply to policy"),
+            (["--threads", "2"], "--threads does not apply to osu"),
+            (["--journal-every", "2"], "--journal-every needs --journal"),
+        ]:
+            with self.subTest(args=args):
+                self.expect_rejected(args, named)
+
+    def test_negative_cycle_counts(self):
+        self.expect_rejected(["--warmup", "-5"], "--warmup -5")
+        self.expect_rejected(["--cycles", "-1"], "--cycles -1")
+
+    def test_spec_rules_on_flags(self):
+        self.expect_rejected(["--gps", "9"], "mac.max_gps_users = 8")
+        self.expect_rejected(["--mac", "rqma", "--data-users", "60"], "--data-users 60")
+
+    def test_scenario_files_fail_to_parse(self):
+        cases = {
+            "registration_cycles = -1\n": "'registration_cycles' must be >= 0",
+            "data_users = -1\n": "'data_users' must be >= 0",
+            "gps_users = 9\n": "gps_users = 9",
+            "mac.max_gps_users = -1\n": "mac.max_gps_users = -1",
+            "mac.min_contention_slots = -4\n": "'mac.min_contention_slots'",
+            "mac = rqma\ndata_users = 300\n": "data_users = 300",
+            "churn.arrivals = 2\nchurn.gap_lo_cycles = 5\nchurn.gap_hi_cycles = 1\n":
+                "churn.gap_lo_cycles = 5",
+            "seed = -1\n": "'seed'",
+        }
+        with tempfile.TemporaryDirectory() as tmp:
+            for text, named in cases.items():
+                with self.subTest(text=text):
+                    path = Path(tmp) / "hostile.scn"
+                    path.write_text("[hostile]\n" + text)
+                    self.expect_rejected(["--scenario", str(path)], named)
+
+
+class RunTest(unittest.TestCase):
+    def test_help(self):
+        proc = run("--help")
+        self.assertEqual(proc.returncode, 0, proc.stderr)
+        self.assertIn("--rho X", proc.stdout)
+        self.assertIn("[key rho; osu policy]", proc.stdout)
+
+    def test_seed_takes_the_full_uint64_range(self):
+        proc = run("--seed", "18446744073709551615", "--cycles", "1", "--warmup", "0")
+        self.assertEqual(proc.returncode, 0, proc.stderr)
+        self.assertIn("seed=18446744073709551615 ", proc.stdout.splitlines()[0])
+
+    def test_journal_signatures(self):
+        # Recorded before the flags became scenario keys: the three run
+        # paths must journal exactly as they did.
+        golden = [
+            (["--rho", "0.8", "--cycles", "60", "--channel", "uniform", "--ser", "0.001"],
+             "00c03d2b114d397b"),
+            (["--mac", "rqma", "--cycles", "60"], "940293df7d804035"),
+            (["--cells", "2", "--cycles", "30"], "bcc6fd265273d7bf"),
+        ]
+        with tempfile.TemporaryDirectory() as tmp:
+            for args, signature in golden:
+                with self.subTest(args=args):
+                    proc = run(*args, "--journal", "run.jsonl", cwd=tmp)
+                    self.assertEqual(proc.returncode, 0, proc.stderr)
+                    found = re.search(r"signature ([0-9a-f]{16})", proc.stdout)
+                    self.assertIsNotNone(found, proc.stdout)
+                    self.assertEqual(found.group(1), signature)
+
+
+if __name__ == "__main__":
+    if len(sys.argv) < 2:
+        sys.exit("usage: cli_test.py PATH/TO/osumac_sim [unittest args]")
+    SIM = sys.argv.pop(1)
+    unittest.main()

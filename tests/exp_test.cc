@@ -385,6 +385,78 @@ TEST(ScenarioIoTest, RejectsMalformedValues) {
   }
 }
 
+// A scenario the run path would CHECK-abort on fails to parse instead, at
+// the line that set the offending key and naming it.
+void ExpectSpecError(const std::string& text, const std::string& line,
+                     const std::string& key) {
+  std::istringstream in(text);
+  std::string error;
+  EXPECT_TRUE(ParseScenarios(in, &error).empty()) << text;
+  EXPECT_EQ(error.rfind(line + ": ", 0), 0u) << error;
+  EXPECT_NE(error.find(key), std::string::npos) << error;
+}
+
+TEST(ScenarioIoTest, RejectsNegativeDataUsers) {
+  ExpectSpecError("[a]\nrho = 0.5\ndata_users = -1\n", "line 3", "'data_users' must be >= 0");
+}
+
+TEST(ScenarioIoTest, RejectsMoreGpsUsersThanTheOsuCellAdmits) {
+  ExpectSpecError("[a]\ngps_users = 9\n", "line 2", "mac.max_gps_users = 8");
+}
+
+TEST(ScenarioIoTest, RejectsNegativeMaxGpsUsers) {
+  ExpectSpecError("[a]\nmac.max_gps_users = -1\n", "line 2", "mac.max_gps_users = -1");
+}
+
+TEST(ScenarioIoTest, RejectsMinContentionSlotsBelowOne) {
+  ExpectSpecError("[a]\nmac.min_contention_slots = -4\n", "line 2",
+                  "'mac.min_contention_slots' must be >= 1");
+  // A policy tenant has no contention controller, so the rule is OSU-only.
+  std::istringstream in("[a]\nmac = rqma\nmac.min_contention_slots = 0\n");
+  std::string error;
+  EXPECT_EQ(ParseScenarios(in, &error).size(), 1u) << error;
+}
+
+TEST(ScenarioIoTest, RejectsPolicyPopulationsBeyondTheUserIdSpace) {
+  // The blame goes to the later of the two lines involved.
+  ExpectSpecError("data_users = 300\n[a]\nmac = rqma\n", "line 3", "data_users = 300");
+  std::istringstream fits("[a]\nmac = pca\ndata_users = 59\n");
+  std::string error;
+  EXPECT_EQ(ParseScenarios(fits, &error).size(), 1u) << error;
+}
+
+TEST(ScenarioIoTest, RejectsAChurnGapRangeThatRunsBackwards) {
+  ExpectSpecError("[a]\nchurn.arrivals = 3\nchurn.gap_lo_cycles = 5\nchurn.gap_hi_cycles = 1\n",
+                  "line 4", "churn.gap_lo_cycles = 5, churn.gap_hi_cycles = 1");
+}
+
+TEST(ScenarioIoTest, SeedTakesTheFullUint64RangeAndNoSign) {
+  std::istringstream max("seed = 18446744073709551615\n");
+  std::string error;
+  const std::vector<ScenarioSpec> specs = ParseScenarios(max, &error);
+  ASSERT_EQ(specs.size(), 1u) << error;
+  EXPECT_EQ(specs[0].seed, 18446744073709551615ull);
+  for (const char* seed : {"-1", "+7", "18446744073709551616", " 7x"}) {
+    ScenarioSpec spec;
+    EXPECT_FALSE(ApplyScenarioKey(spec, "seed", seed, nullptr, &error)) << seed;
+    EXPECT_NE(error.find("'seed'"), std::string::npos) << error;
+  }
+}
+
+TEST(ScenarioIoTest, ParseIntTakesWholeIntsOnly) {
+  int n = 0;
+  EXPECT_TRUE(ParseInt("-42", &n));
+  EXPECT_EQ(n, -42);
+  for (const char* text : {"", "abc", "2x", "4294967298", "1.5"}) {
+    EXPECT_FALSE(ParseInt(text, &n)) << text;
+  }
+  // Trailing junk after a channel or size value is an error too.
+  std::string error;
+  ScenarioSpec spec;
+  EXPECT_FALSE(ApplyScenarioKey(spec, "reverse_channel", "uniform 0.02x", nullptr, &error));
+  EXPECT_FALSE(ApplyScenarioKey(spec, "sizes", "fixed 120 bytes", nullptr, &error));
+}
+
 TEST(EmitTest, CsvHasHeaderAndOneRowPerResult) {
   std::vector<ScenarioSpec> specs = {LoadPoint(0.3), LoadPoint(0.5)};
   for (ScenarioSpec& s : specs) {

@@ -202,11 +202,11 @@ TEST(MacPolicyTest, ScenarioFileRejectsOsuOnlyInputsOnPolicySections) {
   EXPECT_NE(error.find("downlink_rho"), std::string::npos) << error;
 
   ScenarioSpec spec = PolicySpec("pca", 0.5);
-  EXPECT_EQ(TenantInputError(spec), "");
+  EXPECT_EQ(SpecInputError(spec), "");
   spec.mac.dynamic_contention_slots = false;
-  EXPECT_NE(TenantInputError(spec).find("mac.dynamic_contention"), std::string::npos);
+  EXPECT_NE(SpecInputError(spec).find("mac.dynamic_contention"), std::string::npos);
   spec.mac_policy = "osu";
-  EXPECT_EQ(TenantInputError(spec), "");
+  EXPECT_EQ(SpecInputError(spec), "");
 }
 
 TEST(MacPolicyTest, SpecJsonCarriesMacKeyOnlyForPolicyRuns) {

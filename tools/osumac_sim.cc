@@ -4,20 +4,26 @@
 //                --channel uniform --ser 0.02 --seed 7
 //   $ osumac_sim --scenario sweeps.scn --jobs 8 --out sweeps.json
 //
-// Single-run mode builds one declarative scenario (src/exp) from the
-// flags, drives it through the engine's phases, and prints the full
-// Section-5 metric set; --audit/--trace/--metrics/--profile attach their
-// instrumentation to the live cell between phases.  Scenario mode
-// (--scenario FILE) parses a scenario file, executes every spec on the
-// sweep runner (--jobs N workers, bit-identical at any N), and emits the
-// results as CSV (default) or the BENCH_sweeps.json format (--out *.json).
+// Every flag is one row of kFlags: its value, the scenario key or Options
+// member it sets, the run modes that honour it and its help line.  Model
+// flags are scenario keys: they go through exp::ApplyScenarioKey onto a CLI
+// base spec, and the finished spec through exp::SpecInputError, exactly
+// like a scenario file.  Single-run mode drives that one spec through the
+// engine's phases for any MAC tenant and prints the Section-5 metric set;
+// --audit/--trace/--metrics/--profile attach their instrumentation to the
+// live cell between phases.  Scenario mode (--scenario FILE) runs every
+// spec in FILE on the sweep runner (--jobs N workers, bit-identical at any
+// N) and emits CSV or the BENCH_sweeps.json format (--out *.json).
+// Network mode (--cells N) runs N OSU cells in lockstep.
 #include <algorithm>
+#include <array>
 #include <cstdio>
-#include <cstdlib>
 #include <cstring>
 #include <fstream>
 #include <iostream>
+#include <optional>
 #include <string>
+#include <variant>
 
 #include "osumac/osumac.h"
 
@@ -25,278 +31,312 @@ using namespace osumac;
 
 namespace {
 
+/// The run modes; a flag names the ones that honour it.
+enum Mode : unsigned { kOsu = 1, kPolicy = 2, kSweep = 4, kNetwork = 8 };
+constexpr unsigned kSingle = kOsu | kPolicy;
+constexpr unsigned kLive = kSingle | kNetwork;  ///< every mode but sweep
+constexpr std::pair<unsigned, const char*> kModeNames[] = {
+    {kOsu, "osu"}, {kPolicy, "policy"}, {kSweep, "sweep"}, {kNetwork, "network"}};
+
+/// Run control and instrumentation: what a flag sets that is not a
+/// scenario key.
 struct Options {
-  double rho = 0.7;
-  int data_users = 10;
-  int gps_users = 4;
-  int cycles = 500;
-  int warmup = 50;
-  std::uint64_t seed = 1;
-  std::string channel = "perfect";
-  double ser = 0.02;
-  bool arq = false;
-  bool no_second_cf = false;
-  bool static_gps = false;
-  bool static_contention = false;
-  std::string mac = "osu";
-  int fixed_size = 0;  ///< 0 = uniform 40..500
-  double downlink_rho = 0.0;
+  unsigned mode = kOsu;
+  bool help = false;
   bool audit = false;
   bool slo = false;
   std::string trace_file;
-  bool trace_format_set = false;
   std::string trace_format = "chrome";
   std::string metrics_file;
   std::string flight_dir;
   int flight_cycles = 64;
-  bool flight_cycles_set = false;
   bool flight_dump_on_exit = false;
   std::string journal_file;
   int journal_every = 1;
-  bool journal_every_set = false;
   std::string journal_expect_file;
-  int fault_cycle = 0;
-  bool fault_cycle_set = false;
+  int fault_cycle = -1;  ///< -1 = no fault injected
   std::string scenario_file;
   std::string out_file;
   int jobs = 1;
-  int cells = 0;  ///< 0 = single-cell mode; N >= 2 = network mode
+  int cells = 0;  ///< 0 = not network mode
   int threads = 1;
-  bool threads_set = false;
   std::string profile_file;
-  bool profile_format_set = false;
   std::string profile_format = "speedscope";
-  bool help = false;
 };
+
+/// A model flag: sets scenario key `key` to `prefix` + the flag's value (a
+/// switch sets it to `prefix` alone).
+struct Key {
+  const char* key;
+  const char* prefix = "";
+};
+/// A strict-integer Options member and its least valid value.
+struct Int {
+  int Options::*member;
+  int min;
+};
+/// --channel KIND and --ser P, which expand to the forward_channel and
+/// reverse_channel keys together (ApplyChannelFlags).
+enum class Channel { kKind, kSer };
+using Text = std::string Options::*;
+
+struct Flag {
+  const char* name;
+  const char* arg;  ///< value placeholder ("a|b" lists the choices); null: a switch
+  std::variant<Key, Int, Text, bool Options::*, Channel> target;
+  unsigned modes;
+  const char* help;
+  /// The flag only means something next to one of these (set) members.
+  std::array<Text, 2> needs{};
+  const char* alias = nullptr;
+};
+
+constexpr Flag kFlags[] = {
+    {"--rho", "X", Key{"rho"}, kSingle, "reverse-channel load index (default 0.7)"},
+    {"--data-users", "N", Key{"data_users"}, kLive,
+     "data subscribers per cell (default 10)"},
+    {"--gps", "N", Key{"gps_users"}, kLive, "GPS buses per cell (default 4)"},
+    {"--cycles", "N", Key{"measure_cycles"}, kLive,
+     "measured notification cycles (default 500)"},
+    {"--warmup", "N", Key{"warmup_cycles"}, kLive,
+     "warm-up cycles excluded from stats (default 50)"},
+    {"--seed", "N", Key{"seed"}, kLive, "RNG seed, any uint64 (default 1)"},
+    {"--channel", "perfect|uniform|ge", Channel::kKind, kSingle,
+     "channel model both ways (default perfect; ge runs the\n"
+     "default Gilbert-Elliott parameters)"},
+    {"--ser", "P", Channel::kSer, kSingle,
+     "reverse symbol error rate of --channel uniform\n(default 0.02; forward gets P/2)"},
+    {"--fixed-size", "B", Key{"sizes", "fixed "}, kSingle,
+     "fixed message size in bytes (default uniform 40-500)"},
+    {"--downlink-rho", "X", Key{"downlink_rho"}, kOsu,
+     "also drive downlink e-mail at this load"},
+    {"--arq", nullptr, Key{"mac.arq", "true"}, kOsu | kNetwork, "downlink ARQ extension"},
+    {"--no-second-cf", nullptr, Key{"mac.second_cf", "false"}, kOsu | kNetwork,
+     "ablation: no second control fields"},
+    {"--static-gps", nullptr, Key{"mac.dynamic_gps", "false"}, kOsu | kNetwork,
+     "ablation: no dynamic GPS slot adjustment"},
+    {"--static-contention", nullptr, Key{"mac.dynamic_contention", "false"},
+     kOsu | kNetwork, "ablation: fixed number of contention slots"},
+    {"--mac", "NAME", Key{"mac"}, kSingle,
+     "MAC policy: osu | rqma | pca (default osu; see\ndocs/MAC_POLICIES.md)"},
+    {"--audit", nullptr, &Options::audit, kSingle,
+     "protocol-invariant auditor; exit 2 on a violation"},
+    {"--trace", "FILE", &Options::trace_file, kOsu,
+     "write the measured cycles' event trace to FILE"},
+    {"--trace-format", "chrome|jsonl|timeline", &Options::trace_format, kOsu,
+     "trace file format (default chrome)", {&Options::trace_file}},
+    {"--metrics", "FILE", &Options::metrics_file, kLive,
+     "dump the metrics registry (.json for JSON, else CSV)"},
+    {"--slo", nullptr, &Options::slo, kLive, "print the QoS/SLO report after the run"},
+    {"--flight-dir", "DIR", &Options::flight_dir, kOsu,
+     "arm the flight recorder: dump the retained window to\n"
+     "DIR on an audit violation or SLO budget miss"},
+    {"--flight-cycles", "N", Int{&Options::flight_cycles, 1}, kOsu,
+     "metrics snapshots the recorder retains (default 64)", {&Options::flight_dir}},
+    {"--flight-dump-on-exit", nullptr, &Options::flight_dump_on_exit, kOsu,
+     "also dump at run end if nothing tripped", {&Options::flight_dir}},
+    {"--journal", "FILE", &Options::journal_file, kLive,
+     "write the per-cycle digest journal to FILE (JSONL;\n"
+     "diff runs with tools/osumac_diff.py)"},
+    {"--journal-every", "N", Int{&Options::journal_every, 1}, kLive,
+     "journal every N-th cycle (default 1)",
+     {&Options::journal_file, &Options::journal_expect_file}},
+    {"--journal-expect", "REF", &Options::journal_expect_file, kOsu,
+     "compare the run against a reference journal; the first\n"
+     "divergence trips the flight recorder and exits 3"},
+    {"--fault-cycle", "N", Int{&Options::fault_cycle, 0}, kOsu,
+     "perturb the cell RNG stream at the start of cycle N"},
+    {"--cells", "N", Int{&Options::cells, 2}, kNetwork,
+     "network mode: N cells in lockstep with mobility and\ncross-cell chatter"},
+    {"--threads", "N", Int{&Options::threads, 0}, kNetwork,
+     "lockstep workers (0 = all cores, default 1; results\nare bit-identical at any N)"},
+    {"--profile", "FILE", &Options::profile_file, kLive,
+     "self-profile the run into FILE"},
+    {"--profile-format", "speedscope|collapsed|chrome|report", &Options::profile_format,
+     kLive, "profile file format (default speedscope)", {&Options::profile_file}},
+    {"--scenario", "FILE", &Options::scenario_file, kSweep,
+     "sweep mode: run every scenario in FILE"},
+    {"--jobs", "N", Int{&Options::jobs, 0}, kSweep,
+     "sweep workers (0 = all cores, default 1; results are\nbit-identical at any N)", {},
+     "-j"},
+    {"--out", "FILE", &Options::out_file, kSweep,
+     "sweep results: .json for BENCH_sweeps.json format,\n"
+     "else CSV (default CSV on stdout)"},
+    {"--help", nullptr, &Options::help, kLive | kSweep, "print this table", {}, "-h"},
+};
+
+std::string ModeNames(unsigned modes) {
+  std::string out;
+  for (const auto& [mode, name] : kModeNames) {
+    if ((modes & mode) == 0) continue;
+    if (!out.empty()) out += ' ';
+    out += name;
+  }
+  return out;
+}
+
+/// "--journal or --journal-expect": the flags `flag` needs one of.
+std::string Needs(const Flag& flag) {
+  std::string out;
+  for (const Flag& other : kFlags) {
+    const Text* member = std::get_if<Text>(&other.target);
+    if (member == nullptr || *member == nullptr ||
+        std::find(flag.needs.begin(), flag.needs.end(), *member) == flag.needs.end()) {
+      continue;
+    }
+    if (!out.empty()) out += " or ";
+    out += other.name;
+  }
+  return out;
+}
 
 void PrintUsage() {
   std::printf(
-      "usage: osumac_sim [options]\n"
-      "  --rho X             reverse-channel load index (default 0.7)\n"
-      "  --data-users N      non-real-time subscribers (default 10)\n"
-      "  --gps N             GPS buses, 0..8 (default 4)\n"
-      "  --cycles N          measured notification cycles (default 500)\n"
-      "  --warmup N          warm-up cycles excluded from stats (default 50)\n"
-      "  --seed N            RNG seed (default 1)\n"
-      "  --channel KIND      perfect | uniform | ge (default perfect)\n"
-      "  --ser P             symbol error probability for 'uniform'\n"
-      "  --fixed-size B      fixed message size in bytes (default: uniform 40-500)\n"
-      "  --downlink-rho X    also drive downlink e-mail at this load\n"
-      "  --arq               enable the downlink ARQ extension\n"
-      "  --no-second-cf      ablation: disable the second control fields\n"
-      "  --static-gps        ablation: disable dynamic GPS slot adjustment\n"
-      "  --static-contention ablation: fixed number of contention slots\n"
-      "  --mac NAME          MAC policy: osu | rqma | pca (default osu);\n"
-      "                      non-osu tenants run on the generic PolicyCell\n"
-      "                      driver (see docs/MAC_POLICIES.md)\n"
-      "  --audit             run the protocol-invariant auditor alongside\n"
-      "  --trace FILE        record the measured cycles as a structured event\n"
-      "                      trace and write it to FILE\n"
-      "  --trace-format F    chrome | jsonl | timeline (default chrome)\n"
-      "  --metrics FILE      dump the full metrics registry (.json for JSON,\n"
-      "                      anything else for CSV)\n"
-      "  --slo               print the QoS/SLO report (per-class percentiles\n"
-      "                      and budget misses) after the run\n"
-      "  --flight-dir DIR    arm the flight recorder: on an audit violation\n"
-      "                      or SLO budget miss, dump the retained event and\n"
-      "                      metrics window to DIR (see docs/OBSERVABILITY.md)\n"
-      "  --flight-cycles N   metrics snapshots the recorder retains\n"
-      "                      (default 64; requires --flight-dir)\n"
-      "  --flight-dump-on-exit  also dump at run end if nothing tripped\n"
-      "                      (requires --flight-dir)\n"
-      "  --journal FILE      record the per-cycle digest journal over the\n"
-      "                      measured cycles and write it as JSONL to FILE\n"
-      "                      (diff two runs with tools/osumac_diff.py)\n"
-      "  --journal-every N   journal every N-th cycle (default 1; requires\n"
-      "                      --journal or --journal-expect)\n"
-      "  --journal-expect REF  compare the live run against a reference\n"
-      "                      journal JSONL as it executes; the first\n"
-      "                      divergent cycle trips the flight recorder (if\n"
-      "                      armed) and the run exits 3\n"
-      "  --fault-cycle N     fault injection: perturb the cell RNG stream at\n"
-      "                      the start of absolute cycle N (the journal\n"
-      "                      record for N is untouched; N+1 diverges)\n"
-      "  --cells N           network mode: run N cells in lockstep with\n"
-      "                      random-walk mobility and cross-cell chatter;\n"
-      "                      --data-users/--gps become per-cell populations\n"
-      "                      and the report shows backbone/handoff counters\n"
-      "                      plus the merged network SLO rollup\n"
-      "  --threads N         network mode: shard the lockstep loop over N\n"
-      "                      worker threads (0 = all cores, default 1;\n"
-      "                      deterministic — journals and counters are\n"
-      "                      bit-identical at any N; requires --cells)\n"
-      "  --profile FILE      self-profile the run (obs::Profiler zones over\n"
-      "                      the cycle pipeline) and write the result to FILE\n"
-      "  --profile-format F  speedscope | collapsed | chrome | report\n"
-      "                      (default speedscope; requires --profile)\n"
-      "  --scenario FILE     sweep mode: run every scenario in FILE (see\n"
-      "                      docs/SCENARIOS.md for the format)\n"
-      "  --jobs N            sweep worker threads (0 = all cores, default 1;\n"
-      "                      results are bit-identical at any N)\n"
-      "  --out FILE          sweep results to FILE: .json for the\n"
-      "                      BENCH_sweeps.json format, else CSV (default:\n"
-      "                      CSV on stdout)\n"
-      "Options also accept --opt=value form.\n"
-      "Single-run instrumentation (--audit/--trace/--metrics/--slo/\n"
-      "--flight-*) attaches to one live cell and cannot be combined with\n"
-      "--scenario sweep mode; sweep results carry their SLO digests in the\n"
-      "JSON output instead.\n");
+      "usage: osumac_sim [options]   (--opt=value works too)\n"
+      "A run is one of four modes: osu (default, one OSU cell), policy (one\n"
+      "cell of --mac rqma|pca), sweep (--scenario FILE) or network (--cells N).\n"
+      "Each flag lists the scenario key it sets (docs/SCENARIOS.md) and the\n"
+      "modes that honour it; any other combination is an error.\n");
+  for (const Flag& flag : kFlags) {
+    std::string text = std::string(flag.help) + "\n[";
+    if (const Key* key = std::get_if<Key>(&flag.target)) {
+      text += std::string("key ") + key->key + "; ";
+    } else if (std::holds_alternative<Channel>(flag.target)) {
+      text += "keys forward_channel reverse_channel; ";
+    }
+    text += ModeNames(flag.modes);
+    if (flag.needs[0] != nullptr) text += std::string("; needs ") + Needs(flag);
+    text += "]";
+    for (std::size_t at = 0; (at = text.find('\n', at)) != std::string::npos; at += 7) {
+      text.insert(at + 1, 6, ' ');
+    }
+    std::printf("  %s%s%s%s\n      %s\n", flag.alias ? flag.alias : "",
+                flag.alias ? ", " : "", flag.name,
+                flag.arg ? (std::string(" ") + flag.arg).c_str() : "", text.c_str());
+  }
 }
 
-bool ParseArgs(int argc, char** argv, Options& opt) {
+/// --channel KIND and --ser P as forward_channel/reverse_channel values:
+/// uniform gives the stronger base-station transmitter half the reverse
+/// SER, and ge runs the default Gilbert-Elliott parameters both ways.
+std::string ApplyChannelFlags(const std::string& kind,
+                              const std::optional<std::string>& ser,
+                              exp::ScenarioSpec& spec) {
+  if (ser && kind != "uniform") {
+    return "--ser " + *ser + ": sets the error rate of --channel uniform only";
+  }
+  const phy::GilbertElliottModel::Params ge = mac::ChannelModelConfig{}.ge;
+  char text[128];
+  std::snprintf(text, sizeof text, "ge %.17g %.17g %.17g %.17g", ge.p_good_to_bad,
+                ge.p_bad_to_good, ge.error_prob_good, ge.error_prob_bad);
+  const std::string reverse =
+      kind == "uniform" ? std::string("uniform ") + ser.value_or("0.02")
+      : kind == "ge"    ? text
+                        : kind;
+  std::string error;
+  if (!exp::ApplyScenarioKey(spec, "reverse_channel", reverse, nullptr, &error)) {
+    return std::string("--ser ") + ser.value_or("") + ": " + error;
+  }
+  if (kind == "uniform") {
+    std::snprintf(text, sizeof text, "uniform %.17g", spec.reverse.symbol_error_prob / 2);
+  }
+  exp::ApplyScenarioKey(spec, "forward_channel", kind == "uniform" ? text : reverse,
+                        nullptr, &error);
+  return error;
+}
+
+/// A given flag as typed: "--rho 0.8", "--arq".
+std::string Spelled(const std::pair<const Flag*, std::string>& given) {
+  return std::string(given.first->name) + (given.first->arg ? " " + given.second : "");
+}
+
+/// Parses argv: model flags onto `spec` (the CLI base spec), everything
+/// else into `opt`.  Then checks each flag against the run mode and the
+/// finished spec against exp::SpecInputError.  Returns "" or what is wrong.
+std::string ParseArgs(int argc, char** argv, Options& opt, exp::ScenarioSpec& spec) {
+  std::vector<std::pair<const Flag*, std::string>> given;
   for (int i = 1; i < argc; ++i) {
-    std::string arg = argv[i];
-    // Accept --opt=value as well as --opt value.
-    std::string inline_value;
-    bool has_inline = false;
-    if (arg.size() > 2 && arg.rfind("--", 0) == 0) {
-      const std::size_t eq = arg.find('=');
-      if (eq != std::string::npos) {
-        inline_value = arg.substr(eq + 1);
-        arg.erase(eq);
-        has_inline = true;
-      }
+    std::string name = argv[i];
+    std::optional<std::string> value;
+    if (const std::size_t eq = name.find('=');
+        name.rfind("--", 0) == 0 && eq != std::string::npos) {
+      value = name.substr(eq + 1);
+      name.erase(eq);
     }
-    auto next_string = [&](std::string& out) {
-      if (has_inline) {
-        out = inline_value;
-        return true;
-      }
-      if (i + 1 >= argc) return false;
-      out = argv[++i];
-      return true;
-    };
-    auto next_value = [&](double& out) {
-      std::string s;
-      if (!next_string(s)) return false;
-      out = std::atof(s.c_str());
-      return true;
-    };
-    auto next_int = [&](int& out) {
-      std::string s;
-      if (!next_string(s)) return false;
-      out = std::atoi(s.c_str());
-      return true;
-    };
-    if (arg == "--rho") {
-      if (!next_value(opt.rho)) return false;
-    } else if (arg == "--data-users") {
-      if (!next_int(opt.data_users)) return false;
-    } else if (arg == "--gps") {
-      if (!next_int(opt.gps_users)) return false;
-    } else if (arg == "--cycles") {
-      if (!next_int(opt.cycles)) return false;
-    } else if (arg == "--warmup") {
-      if (!next_int(opt.warmup)) return false;
-    } else if (arg == "--seed") {
-      int s = 0;
-      if (!next_int(s)) return false;
-      opt.seed = static_cast<std::uint64_t>(s);
-    } else if (arg == "--channel") {
-      if (!next_string(opt.channel)) return false;
-    } else if (arg == "--ser") {
-      if (!next_value(opt.ser)) return false;
-    } else if (arg == "--fixed-size") {
-      if (!next_int(opt.fixed_size)) return false;
-    } else if (arg == "--downlink-rho") {
-      if (!next_value(opt.downlink_rho)) return false;
-    } else if (arg == "--arq") {
-      opt.arq = true;
-    } else if (arg == "--no-second-cf") {
-      opt.no_second_cf = true;
-    } else if (arg == "--static-gps") {
-      opt.static_gps = true;
-    } else if (arg == "--static-contention") {
-      opt.static_contention = true;
-    } else if (arg == "--mac") {
-      if (!next_string(opt.mac)) return false;
-    } else if (arg == "--audit") {
-      opt.audit = true;
-    } else if (arg == "--trace") {
-      if (!next_string(opt.trace_file)) return false;
-    } else if (arg == "--trace-format") {
-      if (!next_string(opt.trace_format)) return false;
-      opt.trace_format_set = true;
-    } else if (arg == "--metrics") {
-      if (!next_string(opt.metrics_file)) return false;
-    } else if (arg == "--slo") {
-      opt.slo = true;
-    } else if (arg == "--flight-dir") {
-      if (!next_string(opt.flight_dir)) return false;
-    } else if (arg == "--flight-cycles") {
-      if (!next_int(opt.flight_cycles)) return false;
-      opt.flight_cycles_set = true;
-    } else if (arg == "--flight-dump-on-exit") {
-      opt.flight_dump_on_exit = true;
-    } else if (arg == "--journal") {
-      if (!next_string(opt.journal_file)) return false;
-    } else if (arg == "--journal-every") {
-      if (!next_int(opt.journal_every)) return false;
-      opt.journal_every_set = true;
-    } else if (arg == "--journal-expect") {
-      if (!next_string(opt.journal_expect_file)) return false;
-    } else if (arg == "--fault-cycle") {
-      if (!next_int(opt.fault_cycle)) return false;
-      opt.fault_cycle_set = true;
-    } else if (arg == "--cells") {
-      if (!next_int(opt.cells)) return false;
-    } else if (arg == "--threads") {
-      if (!next_int(opt.threads)) return false;
-      opt.threads_set = true;
-    } else if (arg == "--profile") {
-      if (!next_string(opt.profile_file)) return false;
-    } else if (arg == "--profile-format") {
-      if (!next_string(opt.profile_format)) return false;
-      opt.profile_format_set = true;
-    } else if (arg == "--scenario") {
-      if (!next_string(opt.scenario_file)) return false;
-    } else if (arg == "--out") {
-      if (!next_string(opt.out_file)) return false;
-    } else if (arg == "--jobs" || arg == "-j") {
-      if (!next_int(opt.jobs)) return false;
-    } else if (arg == "--help" || arg == "-h") {
-      opt.help = true;
-    } else {
-      std::fprintf(stderr, "unknown option: %s\n", arg.c_str());
-      return false;
+    const Flag* flag = std::find_if(
+        std::begin(kFlags), std::end(kFlags),
+        [&](const Flag& f) { return name == f.name || (f.alias && name == f.alias); });
+    if (flag == std::end(kFlags)) return "unknown option " + name;
+    if (flag->arg == nullptr && value) return name + " takes no value";
+    if (flag->arg != nullptr && !value) {
+      if (i + 1 >= argc) return name + " needs a value " + flag->arg;
+      value = argv[++i];
     }
+    given.emplace_back(flag, value.value_or(""));
   }
-  return true;
-}
 
-/// The single-run scenario implied by the command-line flags.
-exp::ScenarioSpec SpecFromOptions(const Options& opt, std::string* error) {
-  exp::ScenarioSpec spec;
-  spec.name = "osumac_sim";
-  spec.data_users = opt.data_users;
-  spec.gps_users = opt.gps_users;
-  spec.registration_cycles = 12;
-  spec.warmup_cycles = opt.warmup;
-  spec.measure_cycles = opt.cycles;
-  spec.seed = opt.seed;
-  spec.workload.rho = opt.rho;
-  spec.workload.sizes = opt.fixed_size > 0
-                            ? traffic::SizeDistribution::Fixed(opt.fixed_size)
-                            : traffic::SizeDistribution::Uniform(40, 500);
-  spec.workload.downlink_rho = opt.downlink_rho;
-  spec.workload.downlink_sizes = spec.workload.sizes;
-  spec.mac.downlink_arq = opt.arq;
-  spec.mac.use_second_control_field = !opt.no_second_cf;
-  spec.mac.dynamic_gps_slots = !opt.static_gps;
-  spec.mac.dynamic_contention_slots = !opt.static_contention;
-  spec.mac_policy = opt.mac;
-  if (opt.channel == "uniform") {
-    spec.forward.kind = mac::ChannelModelConfig::Kind::kUniform;
-    spec.forward.symbol_error_prob = opt.ser / 2;  // stronger BS transmitter
-    spec.reverse.kind = mac::ChannelModelConfig::Kind::kUniform;
-    spec.reverse.symbol_error_prob = opt.ser;
-  } else if (opt.channel == "ge") {
-    spec.forward.kind = mac::ChannelModelConfig::Kind::kGilbertElliott;
-    spec.reverse.kind = mac::ChannelModelConfig::Kind::kGilbertElliott;
-  } else if (opt.channel != "perfect") {
-    *error = "unknown channel kind '" + opt.channel + "'";
+  std::string channel = "perfect";
+  std::optional<std::string> ser;
+  for (const auto& [flag, value] : given) {
+    // An argument spelled "a|b|c" is a choice among those words.
+    if (flag->arg != nullptr && std::strchr(flag->arg, '|') != nullptr &&
+        (std::string("|") + flag->arg + "|").find("|" + value + "|") ==
+            std::string::npos) {
+      return Spelled({flag, value}) + ": expected " + flag->arg;
+    }
+    std::string error;
+    if (const Key* key = std::get_if<Key>(&flag->target)) {
+      exp::ApplyScenarioKey(spec, key->key, key->prefix + value, nullptr, &error);
+    } else if (const Int* n = std::get_if<Int>(&flag->target)) {
+      int& field = opt.*n->member;
+      if (!exp::ParseInt(value, &field)) error = "expected an integer";
+      if (error.empty() && field < n->min) error = "must be >= " + std::to_string(n->min);
+    } else if (const Text* text = std::get_if<Text>(&flag->target)) {
+      opt.**text = value;
+    } else if (const auto* on = std::get_if<bool Options::*>(&flag->target)) {
+      opt.**on = true;
+    } else if (std::get<Channel>(flag->target) == Channel::kKind) {
+      channel = value;
+    } else {
+      ser = value;
+    }
+    if (!error.empty()) return Spelled({flag, value}) + ": " + error;
   }
-  return spec;
+  if (opt.help) return "";
+  if (const std::string error = ApplyChannelFlags(channel, ser, spec); !error.empty()) {
+    return error;
+  }
+  spec.workload.downlink_sizes = spec.workload.sizes;
+
+  opt.mode = !opt.scenario_file.empty() ? kSweep
+             : opt.cells != 0           ? kNetwork
+             : spec.mac_policy != "osu" ? kPolicy
+                                        : kOsu;
+  for (const auto& [flag, value] : given) {
+    if ((flag->modes & opt.mode) == 0) {
+      return std::string(flag->name) + " does not apply to " + ModeNames(opt.mode) +
+             " runs (it applies to: " + ModeNames(flag->modes) + ")";
+    }
+    const auto [a, b] = flag->needs;
+    if (a != nullptr && (opt.*a).empty() && (b == nullptr || (opt.*b).empty())) {
+      return std::string(flag->name) + " needs " + Needs(*flag);
+    }
+  }
+  if (opt.threads != 1 && !opt.profile_file.empty()) {
+    return "--profile zones are thread-local and worker cells would profile "
+           "into the void; use --threads 1 with --profile";
+  }
+  if (opt.mode == kSweep) return "";
+  std::vector<std::string> keys;
+  const std::string error = exp::SpecInputError(spec, &keys);
+  // Name the last flag that set one of the keys involved, if any did.
+  for (auto it = given.rbegin(); !error.empty() && it != given.rend(); ++it) {
+    const Key* key = std::get_if<Key>(&it->first->target);
+    if (key != nullptr && std::find(keys.begin(), keys.end(), key->key) != keys.end()) {
+      return Spelled(*it) + ": " + error;
+    }
+  }
+  return error;
 }
 
 /// Sweep mode: parse the scenario file, run it, emit CSV or JSON.
@@ -390,33 +430,17 @@ bool WriteMetricsFile(const std::string& path, const obs::MetricsRegistry& regis
   return true;
 }
 
-/// Writes a single-cell run journal to opt.journal_file.  Returns false
-/// (with a message) when the file cannot be written.
-bool WriteJournalFile(const Options& opt, const obs::RunJournal& journal,
-                      const std::string& provenance) {
-  if (!obs::WriteJournalJsonl(journal, opt.journal_file, provenance)) {
-    std::fprintf(stderr, "cannot open journal file '%s'\n",
-                 opt.journal_file.c_str());
-    return false;
-  }
-  std::printf("journal                %8lld records -> %s (every %d, signature %s)\n",
-              static_cast<long long>(journal.cells().front()->recorded()),
-              opt.journal_file.c_str(), journal.every(),
-              obs::JournalHex(journal.Signature()).c_str());
-  return true;
-}
-
 /// The Section-5 metric block of a single-cell run.  Policy tenants report
 /// the policy-agnostic subset (no reservation latency, control overhead or
 /// second-CF gain; drops are policy deadline drops).
-void PrintFigureReport(const Options& opt, const exp::RunResult& result) {
-  const bool osu = opt.mac == "osu";
+void PrintFigureReport(const exp::ScenarioSpec& spec, const exp::RunResult& result) {
+  const bool osu = spec.mac_policy == "osu";
   const metrics::FigureMetrics& m = result.figure;
   const mac::BsCounters& bs = result.bs;
-  const std::string tenant = osu ? "" : "mac=" + opt.mac + " ";
+  const std::string tenant = osu ? "" : "mac=" + spec.mac_policy + " ";
   std::printf("==== osumac_sim: %srho=%.2f users=%d gps=%d cycles=%d channel=%s ====\n",
-              tenant.c_str(), opt.rho, opt.data_users, opt.gps_users, opt.cycles,
-              opt.channel.c_str());
+              tenant.c_str(), spec.workload.rho, spec.data_users, spec.gps_users,
+              spec.measure_cycles, exp::ChannelKindName(spec.reverse.kind));
   std::printf("utilization            %8.3f\n", m.utilization);
   std::printf("packet delay           %8.2f cycles (p95 %.2f)\n",
               m.mean_packet_delay_cycles, m.p95_packet_delay_cycles);
@@ -431,7 +455,7 @@ void PrintFigureReport(const Options& opt, const exp::RunResult& result) {
   std::printf("data slots used        %8.2f per cycle\n", m.avg_data_slots_used);
   std::printf("drop rate              %8.3f%s\n", m.message_drop_rate,
               osu ? "" : " (policy deadline drops)");
-  if (opt.gps_users > 0) {
+  if (spec.gps_users > 0) {
     std::printf("GPS max access delay   %8.2f s (bound 4 s)\n", m.gps_access_delay_max_s);
     std::printf("GPS reports/bus/cycle  %8.3f\n", m.gps_reports_per_bus_per_cycle);
   }
@@ -443,7 +467,7 @@ void PrintFigureReport(const Options& opt, const exp::RunResult& result) {
     std::printf("uplink decode failures %8lld\n",
                 static_cast<long long>(bs.decode_failures));
   }
-  if (opt.downlink_rho > 0) {
+  if (spec.workload.downlink_rho > 0) {
     std::printf("downlink msg delay     %8.2f cycles, lost packets %lld, retx %lld\n",
                 result.downlink_mean_delay_cycles,
                 static_cast<long long>(result.forward_packets_lost),
@@ -451,23 +475,31 @@ void PrintFigureReport(const Options& opt, const exp::RunResult& result) {
   }
 }
 
-/// Network mode (--cells N): run N cells in lockstep with mobility and
-/// cross-cell chatter, then print the backbone counters and the merged
-/// network SLO rollup.
-int RunNetwork(const Options& opt, const std::string& provenance) {
+/// Network mode (--cells N): the model spec's population (per cell),
+/// phases, seed and MAC toggles on N cells in lockstep with mobility and
+/// cross-cell chatter; prints the backbone counters and the merged network
+/// SLO rollup.
+int RunNetwork(const Options& opt, const exp::ScenarioSpec& model) {
   exp::NetworkScenarioSpec spec;
   spec.name = "osumac_sim_network";
   spec.cells = opt.cells;
-  spec.data_users_per_cell = opt.data_users;
-  spec.gps_users_per_cell = opt.gps_users;
-  spec.warmup_cycles = opt.warmup;
-  spec.measure_cycles = opt.cycles;
-  spec.seed = opt.seed;
+  spec.data_users_per_cell = model.data_users;
+  spec.gps_users_per_cell = model.gps_users;
+  spec.registration_cycles = model.registration_cycles;
+  spec.warmup_cycles = model.warmup_cycles;
+  spec.measure_cycles = model.measure_cycles;
+  spec.seed = model.seed;
   spec.threads = exp::ResolveJobs(opt.threads);
-  spec.mac.downlink_arq = opt.arq;
-  spec.mac.use_second_control_field = !opt.no_second_cf;
-  spec.mac.dynamic_gps_slots = !opt.static_gps;
-  spec.mac.dynamic_contention_slots = !opt.static_contention;
+  spec.mac = model.mac;
+
+  char config_text[256];
+  std::snprintf(config_text, sizeof(config_text),
+                "cells=%d data-users=%d gps=%d cycles=%d warmup=%d", spec.cells,
+                spec.data_users_per_cell, spec.gps_users_per_cell,
+                spec.measure_cycles, spec.warmup_cycles);
+  const std::string provenance =
+      obs::ProvenanceLine("osumac_sim", spec.seed, config_text);
+  std::printf("%s\n", provenance.c_str());
 
   exp::NetworkScenarioRun run(spec);
   obs::Profiler profiler;
@@ -492,7 +524,8 @@ int RunNetwork(const Options& opt, const std::string& provenance) {
   std::printf(
       "==== osumac_sim: cells=%d users/cell=%d gps/cell=%d cycles=%d "
       "threads=%d ====\n",
-      opt.cells, opt.data_users, opt.gps_users, opt.cycles, spec.threads);
+      spec.cells, spec.data_users_per_cell, spec.gps_users_per_cell,
+      spec.measure_cycles, spec.threads);
   std::printf("subscribers            %8d\n", result.network.subscribers);
   std::printf("measured cycles        %8lld per cell\n",
               static_cast<long long>(result.measured_cycles));
@@ -534,276 +567,50 @@ int RunNetwork(const Options& opt, const std::string& provenance) {
   return 0;
 }
 
-/// Single-run path for a non-OSU MAC policy (--mac rqma|pca): the same
-/// scenario phases on the generic PolicyCell driver, audited by the
-/// per-carrier PolicyAuditor.
-int RunPolicy(const Options& opt, const exp::ScenarioSpec& spec,
-              const std::string& provenance) {
-  exp::ScenarioRun run(spec);
-  mac::PolicyCell& cell = *run.policy_cell();
-  analysis::PolicyAuditor auditor;
-  if (opt.audit) cell.AddObserver(&auditor);
-  obs::Profiler profiler;
-  exp::RunResult result;
-  {
-    const obs::Profiler::ThreadScope profile_scope(
-        opt.profile_file.empty() ? nullptr : &profiler);
-    result = run.Execute();
-  }
-
-  PrintFigureReport(opt, result);
-  if (!opt.journal_file.empty() &&
-      !WriteJournalFile(opt, *result.journal, provenance)) {
-    return 1;
-  }
-  if (!opt.metrics_file.empty()) {
-    obs::MetricsRegistry registry;
-    metrics::RegisterPolicyCellMetrics(registry, cell);
-    if (!WriteMetricsFile(opt.metrics_file, registry, "; mac." + opt.mac + ".*")) {
-      return 1;
-    }
-  }
-  if (opt.slo) cell.slo().WriteReport(std::cout);
-  if (!opt.profile_file.empty() &&
-      !WriteProfileFile(opt, profiler, provenance)) {
-    return 1;
-  }
-  if (opt.audit) {
-    std::printf("audit                  %s\n", auditor.Report().c_str());
-    if (!auditor.violations().empty()) return 2;
-  }
-  return 0;
+/// The journal component a divergence names ("chain": the chain hash).
+const char* ComponentName(int component) {
+  return component >= 0 && component < obs::kJournalComponentCount
+             ? obs::kJournalComponents[component]
+             : "chain";
 }
 
-/// Flag-composition rules, checked up front so a conflicting invocation
-/// errors out instead of silently ignoring instrumentation flags (the old
-/// behavior: sweep mode dropped --trace/--metrics/--audit on the floor).
-/// Returns an error message, or "" if the combination is valid.
-std::string ValidateFlagComposition(const Options& opt) {
-  if (!mac::IsKnownMacPolicy(opt.mac)) {
-    return "unknown MAC policy '" + opt.mac +
-           "' (expected one of: osu, rqma, pca)";
-  }
-  if (!(opt.ser >= 0.0 && opt.ser <= 1.0)) {
-    return "--ser must be a probability in [0, 1]";
-  }
-  if (opt.cycles < 0) return "--cycles must be >= 0";
-  if (opt.warmup < 0) return "--warmup must be >= 0";
-  if (opt.mac != "osu") {
-    if (opt.cells != 0) {
-      return "--mac runs one policy cell; --cells network mode is OSU-only "
-             "(cross-cell signalling rides on the OSU control fields)";
-    }
-    if (!opt.scenario_file.empty()) {
-      return "--mac shapes the single-run spec; scenario files select a "
-             "policy per spec with the 'mac' key instead (docs/SCENARIOS.md)";
-    }
-    const char* conflicting = nullptr;
-    if (!opt.trace_file.empty()) conflicting = "--trace";
-    else if (opt.trace_format_set) conflicting = "--trace-format";
-    else if (!opt.flight_dir.empty()) conflicting = "--flight-dir";
-    else if (opt.flight_cycles_set) conflicting = "--flight-cycles";
-    else if (opt.flight_dump_on_exit) conflicting = "--flight-dump-on-exit";
-    if (conflicting != nullptr) {
-      return std::string(conflicting) +
-             " records the OSU cell's event stream; policy tenants (--mac) "
-             "do not emit one (supported there: --audit, --metrics, --slo, "
-             "--profile, --journal)";
-    }
-    if (!opt.journal_expect_file.empty()) {
-      return "--journal-expect compares against the live OSU cell and is not "
-             "supported with --mac (policy runs can still record with "
-             "--journal and diff offline via tools/osumac_diff.py)";
-    }
-    if (opt.fault_cycle_set) {
-      return "--fault-cycle perturbs the OSU cell's RNG stream; policy "
-             "tenants (--mac) draw from the policy seed stream instead";
-    }
-    // --downlink-rho, --arq, --no-second-cf, --static-gps and
-    // --static-contention set the spec's OSU-only inputs.
-    std::string ignored;
-    const std::string tenant_error =
-        exp::TenantInputError(SpecFromOptions(opt, &ignored));
-    if (!tenant_error.empty()) return "--mac " + opt.mac + ": " + tenant_error;
-  }
-  if (!opt.scenario_file.empty()) {
-    const char* conflicting = nullptr;
-    if (!opt.trace_file.empty()) conflicting = "--trace";
-    else if (opt.trace_format_set) conflicting = "--trace-format";
-    else if (!opt.metrics_file.empty()) conflicting = "--metrics";
-    else if (opt.audit) conflicting = "--audit";
-    else if (opt.slo) conflicting = "--slo";
-    else if (!opt.flight_dir.empty()) conflicting = "--flight-dir";
-    else if (opt.flight_cycles_set) conflicting = "--flight-cycles";
-    else if (opt.flight_dump_on_exit) conflicting = "--flight-dump-on-exit";
-    else if (!opt.journal_file.empty()) conflicting = "--journal";
-    else if (opt.journal_every_set) conflicting = "--journal-every";
-    else if (!opt.journal_expect_file.empty()) conflicting = "--journal-expect";
-    else if (opt.fault_cycle_set) conflicting = "--fault-cycle";
-    if (conflicting != nullptr) {
-      return std::string(conflicting) +
-             " attaches to a single live cell and cannot be combined with "
-             "--scenario sweep mode (sweep JSON output carries per-point SLO "
-             "digests instead, and journal signatures when a spec sets "
-             "journal_every)";
-    }
-  }
-  if (!opt.scenario_file.empty() && !opt.profile_file.empty()) {
-    return "--profile attaches to the serial single-run (or network) path; "
-           "sweep workers run unprofiled so results stay bit-identical at "
-           "any --jobs";
-  }
-  if (opt.cells != 0) {
-    if (opt.cells < 2) return "--cells needs at least 2 cells";
-    const char* conflicting = nullptr;
-    if (!opt.scenario_file.empty()) conflicting = "--scenario";
-    else if (!opt.trace_file.empty()) conflicting = "--trace";
-    else if (opt.trace_format_set) conflicting = "--trace-format";
-    else if (opt.audit) conflicting = "--audit";
-    else if (!opt.flight_dir.empty()) conflicting = "--flight-dir";
-    else if (opt.flight_cycles_set) conflicting = "--flight-cycles";
-    else if (opt.flight_dump_on_exit) conflicting = "--flight-dump-on-exit";
-    if (conflicting != nullptr) {
-      return std::string(conflicting) +
-             " attaches to a single live cell and cannot be combined with "
-             "--cells network mode (supported there: --metrics, --slo, "
-             "--profile, --journal)";
-    }
-    if (!opt.journal_expect_file.empty()) {
-      return "--journal-expect compares one live cell against a reference; "
-             "record network journals with --journal and diff offline via "
-             "tools/osumac_diff.py";
-    }
-    if (opt.fault_cycle_set) {
-      return "--fault-cycle perturbs a single cell's RNG stream and cannot "
-             "be combined with --cells network mode";
-    }
-    if (opt.channel != "perfect") {
-      return "--cells network mode currently runs perfect channels only";
-    }
-    if (opt.downlink_rho > 0) {
-      return "--downlink-rho drives a single cell's downlink; network mode "
-             "generates its own cross-cell chatter instead";
-    }
-    if (opt.threads_set) {
-      if (opt.threads < 0) return "--threads must be >= 0 (0 = all cores)";
-      if (opt.threads != 1 && !opt.profile_file.empty()) {
-        return "--profile zones are thread-local and worker cells would "
-               "profile into the void; use --threads 1 with --profile";
-      }
-    }
-  }
-  if (opt.threads_set && opt.cells == 0) {
-    return "--threads shards the --cells lockstep loop; single-cell runs "
-           "are serial (use --jobs for sweep parallelism)";
-  }
-  if (opt.trace_format_set && opt.trace_file.empty()) {
-    return "--trace-format requires --trace FILE";
-  }
-  if (opt.profile_format_set && opt.profile_file.empty()) {
-    return "--profile-format requires --profile FILE";
-  }
-  if (opt.flight_dir.empty()) {
-    if (opt.flight_cycles_set) return "--flight-cycles requires --flight-dir DIR";
-    if (opt.flight_dump_on_exit) {
-      return "--flight-dump-on-exit requires --flight-dir DIR";
-    }
-  }
-  if (opt.flight_cycles_set && opt.flight_cycles < 1) {
-    return "--flight-cycles must be >= 1";
-  }
-  if (opt.journal_every_set) {
-    if (opt.journal_file.empty() && opt.journal_expect_file.empty()) {
-      return "--journal-every requires --journal FILE or --journal-expect REF";
-    }
-    if (opt.journal_every < 1) return "--journal-every must be >= 1";
-  }
-  if (opt.fault_cycle_set && opt.fault_cycle < 0) {
-    return "--fault-cycle must be >= 0";
-  }
-  return "";
-}
-
-}  // namespace
-
-int main(int argc, char** argv) {
-  Options opt;
-  if (!ParseArgs(argc, argv, opt) || opt.help) {
-    PrintUsage();
-    return opt.help ? 0 : 1;
-  }
-  if (const std::string err = ValidateFlagComposition(opt); !err.empty()) {
-    std::fprintf(stderr, "osumac_sim: %s\n\n", err.c_str());
-    PrintUsage();
-    return 1;
-  }
-  if (!opt.scenario_file.empty()) return RunSweep(opt);
-  if (opt.gps_users < 0 || opt.gps_users > 8 || opt.data_users < 1) {
-    std::fprintf(stderr, "invalid population\n");
-    return 1;
-  }
-  if (opt.trace_format != "chrome" && opt.trace_format != "jsonl" &&
-      opt.trace_format != "timeline") {
-    std::fprintf(stderr, "unknown trace format '%s'\n", opt.trace_format.c_str());
-    return 1;
-  }
-  if (opt.profile_format != "speedscope" && opt.profile_format != "collapsed" &&
-      opt.profile_format != "chrome" && opt.profile_format != "report") {
-    std::fprintf(stderr, "unknown profile format '%s'\n",
-                 opt.profile_format.c_str());
-    return 1;
-  }
-  if (opt.cells != 0) {
-    char network_config[256];
-    std::snprintf(network_config, sizeof(network_config),
-                  "cells=%d data-users=%d gps=%d cycles=%d warmup=%d",
-                  opt.cells, opt.data_users, opt.gps_users, opt.cycles,
-                  opt.warmup);
-    const std::string provenance =
-        obs::ProvenanceLine("osumac_sim", opt.seed, network_config);
-    std::printf("%s\n", provenance.c_str());
-    return RunNetwork(opt, provenance);
-  }
-
+/// Single-run mode, every tenant: one ScenarioRun under one profiler scope,
+/// then one report and epilogue.  The event trace, flight recorder,
+/// --journal-expect and --fault-cycle attach to the OSU cell only (the flag
+/// table keeps them off policy runs).
+int RunSingle(const Options& opt, exp::ScenarioSpec spec) {
+  const bool osu = spec.mac_policy == "osu";
   char config_text[256];
-  if (opt.mac != "osu") {
-    std::snprintf(config_text, sizeof(config_text),
-                  "mac=%s rho=%g data-users=%d gps=%d cycles=%d warmup=%d "
-                  "channel=%s",
-                  opt.mac.c_str(), opt.rho, opt.data_users, opt.gps_users,
-                  opt.cycles, opt.warmup, opt.channel.c_str());
-  } else {
-    std::snprintf(config_text, sizeof(config_text),
-                  "rho=%g data-users=%d gps=%d cycles=%d warmup=%d channel=%s",
-                  opt.rho, opt.data_users, opt.gps_users, opt.cycles,
-                  opt.warmup, opt.channel.c_str());
-  }
+  std::snprintf(config_text, sizeof(config_text),
+                "%s%srho=%g data-users=%d gps=%d cycles=%d warmup=%d channel=%s",
+                osu ? "" : "mac=", osu ? "" : (spec.mac_policy + " ").c_str(),
+                spec.workload.rho, spec.data_users, spec.gps_users, spec.measure_cycles,
+                spec.warmup_cycles, exp::ChannelKindName(spec.reverse.kind));
   const std::string provenance =
-      obs::ProvenanceLine("osumac_sim", opt.seed, config_text);
+      obs::ProvenanceLine("osumac_sim", spec.seed, config_text);
   std::printf("%s\n", provenance.c_str());
 
-  std::string spec_error;
-  exp::ScenarioSpec spec = SpecFromOptions(opt, &spec_error);
-  if (!spec_error.empty()) {
-    std::fprintf(stderr, "%s\n", spec_error.c_str());
-    return 1;
-  }
   // --journal-expect implies journaling even without --journal FILE: the
   // live run still needs its own records to compare against the reference.
   const bool journaling =
       !opt.journal_file.empty() || !opt.journal_expect_file.empty();
   if (journaling) spec.journal_every = opt.journal_every;
-  if (opt.mac != "osu") return RunPolicy(opt, spec, provenance);
 
   exp::ScenarioRun run(spec);
-  mac::Cell& cell = run.cell();
+  mac::PolicyCell* const policy = run.policy_cell();
+  mac::Cell* const cell = policy == nullptr ? &run.cell() : nullptr;
   const bool flight = !opt.flight_dir.empty();
   analysis::ProtocolAuditor auditor;
-  // The flight recorder's trigger policy watches the auditor, so arming it
-  // implies auditing even without --audit (violations just aren't printed).
-  if (opt.audit || flight) cell.AddObserver(&auditor);
+  analysis::PolicyAuditor policy_auditor;
+  if (policy != nullptr) {
+    if (opt.audit) policy->AddObserver(&policy_auditor);
+  } else if (opt.audit || flight) {
+    // The flight recorder's trigger policy watches the auditor, so arming it
+    // implies auditing even without --audit (violations just aren't printed).
+    cell->AddObserver(&auditor);
+  }
 
-  // Self-profiling: install for the rest of main (all run phases) so every
+  // Self-profiling: install for the rest of the run (all phases) so every
   // zone — population, warm-up, measured cycles, finish — lands in one
   // aggregated tree.  A null install is a no-op, so unprofiled runs pay
   // only the thread-local null check per zone.
@@ -819,47 +626,48 @@ int main(int argc, char** argv) {
   // timeline and the figure metrics cover exactly the same window.  Size the
   // ring generously so nothing is overwritten mid-run (a dropped event would
   // make the occupancy reconstruction partial).  The flight recorder rides
-  // on the same trace even when --trace wasn't requested.
-  obs::EventTrace trace(
-      std::max<std::size_t>(obs::EventTrace::kDefaultCapacity,
-                            static_cast<std::size_t>(opt.cycles) * 512));
+  // on the same trace even when --trace wasn't requested, and journaled runs
+  // attach it so the journal's `events` component carries a live
+  // fingerprint: a reference recorded with --journal then agrees with a
+  // later --journal-expect --flight-dir run on trace presence.
   const bool tracing = !opt.trace_file.empty();
-  // Journaled runs also attach the trace so the journal's `events`
-  // component carries a live fingerprint; a reference recorded with
-  // --journal then agrees with a later --journal-expect --flight-dir run
-  // on trace presence (without this, events would be 0 on one side only).
-  if (tracing || flight || journaling) cell.AttachTrace(&trace);
+  std::optional<obs::EventTrace> trace;
+  if (cell != nullptr && (tracing || flight || journaling)) {
+    trace.emplace(std::max<std::size_t>(
+        obs::EventTrace::kDefaultCapacity,
+        static_cast<std::size_t>(spec.measure_cycles) * 512));
+    cell->AttachTrace(&*trace);
+  }
 
   obs::FlightRecorder recorder(
       obs::FlightRecorder::Config{static_cast<std::size_t>(opt.flight_cycles)});
   obs::MetricsRegistry flight_registry;
   analysis::FlightRecorderObserver flight_observer(&recorder, &auditor);
   if (flight) {
-    metrics::RegisterCellMetrics(flight_registry, cell);
-    recorder.AttachTrace(&trace);
+    metrics::RegisterCellMetrics(flight_registry, *cell);
+    recorder.AttachTrace(&*trace);
     recorder.AttachRegistry(&flight_registry);
-    recorder.AttachSlo(&cell.slo());
+    recorder.AttachSlo(&cell->slo());
     recorder.SetScenario(config_text);
     recorder.SetProvenance(provenance);
     flight_observer.SetDumpDir(opt.flight_dir);
-    cell.AddObserver(&flight_observer);
+    cell->AddObserver(&flight_observer);
   }
 
   // Journal expectation: installed after Warmup() (which created the
   // journal) and before the measured cycles, so the first mismatching
   // record trips the flight recorder while the trace window is still warm.
-  obs::LoadedJournal expect;
+  const bool expecting = !opt.journal_expect_file.empty();
   std::size_t expect_count = 0;
-  bool expecting = false;
   long long diverged_cycle = -1;
   int diverged_component = -2;
-  if (!opt.journal_expect_file.empty()) {
+  if (expecting) {
+    obs::LoadedJournal expect;
     if (!obs::LoadJournalJsonl(opt.journal_expect_file, &expect)) {
       std::fprintf(stderr, "cannot read reference journal '%s'\n",
                    opt.journal_expect_file.c_str());
       return 1;
     }
-    expecting = true;
     std::vector<obs::JournalRecord> reference;
     for (std::size_t c = 0; c < expect.cell_ids.size(); ++c) {
       if (expect.cell_ids[c] == 0) reference = expect.cell_records[c];
@@ -873,23 +681,19 @@ int main(int argc, char** argv) {
           diverged_component = component;
           if (flight) {
             char reason[128];
-            std::snprintf(
-                reason, sizeof reason,
-                "journal divergence: cycle %lld: %s hash diverged",
-                static_cast<long long>(live.cycle),
-                component >= 0 && component < obs::kJournalComponentCount
-                    ? obs::kJournalComponents[component]
-                    : "chain");
+            std::snprintf(reason, sizeof reason,
+                          "journal divergence: cycle %lld: %s hash diverged",
+                          static_cast<long long>(live.cycle), ComponentName(component));
             recorder.Trip(reason, live.cycle);
           }
         });
   }
-  if (opt.fault_cycle_set) cell.PerturbRngAt(opt.fault_cycle);
+  if (opt.fault_cycle >= 0) cell->PerturbRngAt(opt.fault_cycle);
 
   run.Measure();
   const exp::RunResult result = run.Finish();
 
-  PrintFigureReport(opt, result);
+  PrintFigureReport(spec, result);
   if (tracing) {
     std::ofstream out(opt.trace_file);
     if (!out) {
@@ -897,22 +701,22 @@ int main(int argc, char** argv) {
       return 1;
     }
     if (opt.trace_format == "chrome") {
-      obs::WriteChromeTrace(out, trace, provenance);
+      obs::WriteChromeTrace(out, *trace, provenance);
     } else if (opt.trace_format == "jsonl") {
-      obs::WriteJsonl(out, trace);
+      obs::WriteJsonl(out, *trace);
     } else {
-      obs::WriteTimeline(out, trace);
+      obs::WriteTimeline(out, *trace);
     }
     std::printf("trace                  %8lld events -> %s (%s)\n",
-                static_cast<long long>(trace.size()), opt.trace_file.c_str(),
+                static_cast<long long>(trace->size()), opt.trace_file.c_str(),
                 opt.trace_format.c_str());
-    if (trace.dropped() > 0) {
+    if (trace->dropped() > 0) {
       std::printf("trace dropped          %8lld (ring wrapped; timeline partial)\n",
-                  static_cast<long long>(trace.dropped()));
+                  static_cast<long long>(trace->dropped()));
     }
-    const obs::Timeline timeline = obs::ReconstructTimeline(trace);
+    const obs::Timeline timeline = obs::ReconstructTimeline(*trace);
     std::printf("timeline utilization   %8.6f (cell %8.6f)\n",
-                timeline.PaperUtilization(), cell.metrics().Utilization());
+                timeline.PaperUtilization(), cell->metrics().Utilization());
     std::printf("reverse busy fraction  %8.3f, forward %8.3f\n",
                 timeline.ReverseBusyFraction(), timeline.ForwardBusyFraction());
     const Tick guard = timeline.MinGuardObserved();
@@ -926,18 +730,22 @@ int main(int argc, char** argv) {
   bool journal_mismatch = false;
   if (journaling) {
     const obs::RunJournal& journal = *run.journal();
-    if (!opt.journal_file.empty() && !WriteJournalFile(opt, journal, provenance)) {
-      return 1;
+    if (!opt.journal_file.empty()) {
+      if (!obs::WriteJournalJsonl(journal, opt.journal_file, provenance)) {
+        std::fprintf(stderr, "cannot open journal file '%s'\n",
+                     opt.journal_file.c_str());
+        return 1;
+      }
+      std::printf("journal                %8lld records -> %s (every %d, signature %s)\n",
+                  static_cast<long long>(journal.cells().front()->recorded()),
+                  opt.journal_file.c_str(), journal.every(),
+                  obs::JournalHex(journal.Signature()).c_str());
     }
     if (expecting) {
       const obs::CellJournal& cj = *journal.cells().front();
       if (diverged_cycle >= 0) {
         std::printf("journal                DIVERGED at cycle %lld (%s hash)\n",
-                    diverged_cycle,
-                    diverged_component >= 0 &&
-                            diverged_component < obs::kJournalComponentCount
-                        ? obs::kJournalComponents[diverged_component]
-                        : "chain");
+                    diverged_cycle, ComponentName(diverged_component));
         journal_mismatch = true;
       } else if (static_cast<std::size_t>(cj.recorded()) != expect_count) {
         std::printf("journal                record count %lld != reference %lld\n",
@@ -952,17 +760,22 @@ int main(int argc, char** argv) {
   }
   if (!opt.metrics_file.empty()) {
     obs::MetricsRegistry registry;
-    metrics::RegisterCellMetrics(registry, cell);
-    if (!WriteMetricsFile(opt.metrics_file, registry, "")) return 1;
+    if (policy != nullptr) {
+      metrics::RegisterPolicyCellMetrics(registry, *policy);
+    } else {
+      metrics::RegisterCellMetrics(registry, *cell);
+    }
+    const std::string scope = osu ? "" : "; mac." + spec.mac_policy + ".*";
+    if (!WriteMetricsFile(opt.metrics_file, registry, scope)) return 1;
   }
-  if (opt.slo) cell.slo().WriteReport(std::cout);
+  if (opt.slo) (policy != nullptr ? policy->slo() : cell->slo()).WriteReport(std::cout);
   if (!opt.profile_file.empty() &&
       !WriteProfileFile(opt, profiler, provenance)) {
     return 1;
   }
   if (flight) {
     if (!recorder.tripped() && opt.flight_dump_on_exit) {
-      recorder.Trip("exit: --flight-dump-on-exit", cell.current_cycle());
+      recorder.Trip("exit: --flight-dump-on-exit", cell->current_cycle());
     }
     if (recorder.tripped() && !flight_observer.dumped()) {
       std::string err;
@@ -986,9 +799,42 @@ int main(int argc, char** argv) {
     }
   }
   if (opt.audit) {
-    std::printf("audit                  %s\n", auditor.Report().c_str());
-    if (!auditor.violations().empty()) return 2;
+    const bool clean = policy != nullptr ? policy_auditor.violations().empty()
+                                         : auditor.violations().empty();
+    std::printf("audit                  %s\n",
+                (policy != nullptr ? policy_auditor.Report() : auditor.Report()).c_str());
+    if (!clean) return 2;
   }
   if (journal_mismatch) return 3;
   return 0;
+}
+
+/// The spec model flags apply to: the scenario defaults with the CLI's own
+/// name, load, seed and run length.
+exp::ScenarioSpec CliBaseSpec() {
+  exp::ScenarioSpec spec;
+  spec.name = "osumac_sim";
+  spec.workload.rho = 0.7;
+  spec.measure_cycles = 500;
+  spec.seed = 1;
+  return spec;
+}
+
+}  // namespace
+
+int main(int argc, char** argv) {
+  Options opt;
+  exp::ScenarioSpec spec = CliBaseSpec();
+  if (const std::string error = ParseArgs(argc, argv, opt, spec); !error.empty()) {
+    std::fprintf(stderr, "osumac_sim: %s\n(osumac_sim --help lists every flag)\n",
+                 error.c_str());
+    return 1;
+  }
+  if (opt.help) {
+    PrintUsage();
+    return 0;
+  }
+  if (opt.mode == kSweep) return RunSweep(opt);
+  if (opt.mode == kNetwork) return RunNetwork(opt, spec);
+  return RunSingle(opt, spec);
 }
