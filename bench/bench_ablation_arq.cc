@@ -52,7 +52,7 @@ double DownlinkLoss(const exp::RunResult& r) {
 
 int main(int argc, char** argv) {
   osumac::bench::PrintProvenance("bench_ablation_arq");
-  const int jobs = exp::JobsFromArgs(argc, argv, 1);
+  const int jobs = bench::JobsFlag(argc, argv);
 
   std::vector<exp::ScenarioSpec> specs;
   for (const double rho : {0.3, 0.6, 0.9}) {

@@ -16,7 +16,7 @@ using namespace osumac;
 
 int main(int argc, char** argv) {
   osumac::bench::PrintProvenance("bench_ablation_contention");
-  const int jobs = exp::JobsFromArgs(argc, argv, 1);
+  const int jobs = bench::JobsFlag(argc, argv);
   const int repeats = 5;
 
   // Saturated background of 6 veterans, then 6 churn arrivals all at once

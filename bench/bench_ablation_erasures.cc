@@ -46,7 +46,7 @@ double GpsLoss(const exp::RunResult& r) {
 
 int main(int argc, char** argv) {
   osumac::bench::PrintProvenance("bench_ablation_erasures");
-  const int jobs = exp::JobsFromArgs(argc, argv, 1);
+  const int jobs = bench::JobsFlag(argc, argv);
 
   std::vector<exp::ScenarioSpec> specs;
   for (const double p_recover : {0.30, 0.15, 0.08, 0.04}) {

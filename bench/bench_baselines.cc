@@ -18,7 +18,7 @@ using namespace osumac::baselines;
 
 int main(int argc, char** argv) {
   osumac::bench::PrintProvenance("bench_baselines");
-  const int jobs = exp::JobsFromArgs(argc, argv, 1);
+  const int jobs = bench::JobsFlag(argc, argv);
 
   // Each grid cell is independent (own protocol instance, own Rng), so the
   // load x protocol grid runs through the generic parallel map.

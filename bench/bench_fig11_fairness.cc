@@ -15,7 +15,7 @@ using namespace osumac;
 
 int main(int argc, char** argv) {
   osumac::bench::PrintProvenance("bench_fig11_fairness");
-  const int jobs = exp::JobsFromArgs(argc, argv, 1);
+  const int jobs = bench::JobsFlag(argc, argv);
 
   std::vector<exp::ScenarioSpec> specs;
   for (const double rho : exp::LoadSweep()) {

@@ -20,7 +20,7 @@ using namespace osumac;
 
 int main(int argc, char** argv) {
   osumac::bench::PrintProvenance("bench_fig12_ablations");
-  const int jobs = exp::JobsFromArgs(argc, argv, 1);
+  const int jobs = bench::JobsFlag(argc, argv);
 
   // Part (a): per rho, second control field on then off.
   std::vector<exp::ScenarioSpec> cf_specs;

@@ -21,7 +21,7 @@ using namespace osumac;
 
 int main(int argc, char** argv) {
   osumac::bench::PrintProvenance("bench_fig8_utilization_delay");
-  const int jobs = exp::JobsFromArgs(argc, argv, 1);
+  const int jobs = bench::JobsFlag(argc, argv);
   constexpr int kReplications = 3;
 
   // Variable-length points (3 seed replications each), then the paper's

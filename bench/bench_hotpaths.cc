@@ -5,7 +5,7 @@
 // its wall-clock on:
 //   hotpath_rs_encode          RS(64,48) systematic encode (EncodeInto)
 //   hotpath_rs_decode_clean    decode of untouched codewords — the
-//                              syndrome-first fast path
+//                              re-encode clean check
 //   hotpath_rs_decode_corrupt  decode with 4 symbol errors — the full
 //                              Berlekamp-Massey / Chien / Forney pipeline
 //   hotpath_channel_uniform    UniformErrorModel geometric skip-sampling

@@ -5,8 +5,11 @@
 
 #include <cstdint>
 #include <cstdio>
+#include <cstdlib>
+#include <optional>
 #include <string>
 
+#include "exp/runner.h"
 #include "obs/provenance.h"
 
 namespace osumac::bench {
@@ -15,6 +18,18 @@ namespace osumac::bench {
 inline void PrintProvenance(const char* tool, std::uint64_t seed = 0,
                             const std::string& config = "") {
   std::printf("%s\n", obs::ProvenanceLine(tool, seed, config).c_str());
+}
+
+/// The bench's --jobs value (default 1).  A malformed value is a usage
+/// error: prints what is wrong and exits with status 1.
+inline int JobsFlag(int argc, char** argv) {
+  std::string error;
+  const std::optional<int> jobs = exp::JobsFromArgs(argc, argv, 1, &error);
+  if (!jobs.has_value()) {
+    std::fprintf(stderr, "error: %s\n", error.c_str());
+    std::exit(1);
+  }
+  return *jobs;
 }
 
 }  // namespace osumac::bench

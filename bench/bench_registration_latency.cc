@@ -56,7 +56,7 @@ void Report(const char* label, SampleSet& latency) {
 
 int main(int argc, char** argv) {
   osumac::bench::PrintProvenance("bench_registration_latency");
-  const int jobs = exp::JobsFromArgs(argc, argv, 1);
+  const int jobs = bench::JobsFlag(argc, argv);
 
   const std::vector<exp::ScenarioSpec> specs = {TrickleSpec("quiet", 0.0, 11),
                                                 TrickleSpec("busy", 0.8, 13)};

@@ -17,7 +17,7 @@ using namespace osumac;
 
 int main(int argc, char** argv) {
   osumac::bench::PrintProvenance("bench_robustness");
-  const int jobs = exp::JobsFromArgs(argc, argv, 1);
+  const int jobs = bench::JobsFlag(argc, argv);
 
   std::vector<exp::ScenarioSpec> specs;
   for (const int data_users : {5, 8, 11, 14}) {

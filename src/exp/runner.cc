@@ -8,6 +8,7 @@
 #include "common/parallel.h"
 #include "common/stats.h"
 #include "common/sync.h"
+#include "exp/scenario_io.h"
 #include "exp/seed.h"
 #include "mac/cycle_layout.h"
 #include "mac/mac_policy.h"
@@ -297,14 +298,30 @@ RunResult RunScenario(const ScenarioSpec& spec, const RunHooks& hooks) {
 
 int ResolveJobs(int jobs) { return ResolveParallelism(jobs); }
 
-int JobsFromArgs(int argc, char** argv, int fallback) {
+std::optional<int> JobsFromArgs(int argc, char** argv, int fallback, std::string* error) {
   for (int i = 1; i < argc; ++i) {
     const char* arg = argv[i];
-    if (std::strncmp(arg, "--jobs=", 7) == 0) return std::atoi(arg + 7);
-    if ((std::strcmp(arg, "--jobs") == 0 || std::strcmp(arg, "-j") == 0) &&
-        i + 1 < argc) {
-      return std::atoi(argv[i + 1]);
+    const char* value = nullptr;
+    if (std::strncmp(arg, "--jobs=", 7) == 0) {
+      value = arg + 7;
+    } else if (std::strcmp(arg, "--jobs") == 0 || std::strcmp(arg, "-j") == 0) {
+      if (i + 1 >= argc) {
+        if (error != nullptr) *error = std::string(arg) + " needs a value";
+        return std::nullopt;
+      }
+      value = argv[i + 1];
+    } else {
+      continue;
     }
+    int jobs = 0;
+    if (!ParseInt(value, &jobs) || jobs < 0) {
+      if (error != nullptr) {
+        *error = std::string("--jobs ") + value +
+                 ": expected a non-negative integer (0 = one worker per core)";
+      }
+      return std::nullopt;
+    }
+    return jobs;
   }
   return fallback;
 }

@@ -13,6 +13,7 @@
 #include <cstdint>
 #include <functional>
 #include <memory>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -191,9 +192,12 @@ class SweepRunner {
 /// Worker count for `jobs` requested (0 → hardware concurrency, min 1).
 int ResolveJobs(int jobs);
 
-/// Scans argv for "--jobs N" / "--jobs=N" / "-j N" and returns it (or
-/// `fallback`); the flag every migrated bench supports.
-int JobsFromArgs(int argc, char** argv, int fallback = 0);
+/// Scans argv for "--jobs N" / "--jobs=N" / "-j N" and returns N (or
+/// `fallback` when absent); the flag every figure bench supports.  N must
+/// be a whole non-negative integer (ParseInt): anything else, or a missing
+/// value, returns nullopt with `error` (if non-null) naming --jobs.
+std::optional<int> JobsFromArgs(int argc, char** argv, int fallback = 0,
+                                std::string* error = nullptr);
 
 /// Runs `fn(i)` for every i in [0, count) across `jobs` workers.
 void ParallelForIndex(int count, int jobs, const std::function<void(int)>& fn);

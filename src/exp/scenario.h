@@ -121,11 +121,19 @@ struct ScenarioSpec {
   std::string Describe() const;
 };
 
+/// Largest reverse or forward load index a spec may ask for.  The heaviest
+/// shipped load is bench_multichannel's ~2.2x; past a few times capacity a
+/// run only grows its queues, and at ~1e9 the Poisson arrivals land every
+/// tick, so the run spins without end.
+inline constexpr double kMaxLoadIndex = 10.0;
+
 /// Why `spec` cannot run, or "" when it can.  The one check of a whole
 /// spec; the scenario parser, osumac_sim and ScenarioRun (as a CHECK) all
 /// call it.  The rules:
 ///   * populations, phase lengths and churn counts are >= 0, and
 ///     churn.gap_lo_cycles <= churn.gap_hi_cycles;
+///   * rho and downlink_rho are at most kMaxLoadIndex (NaN fails too;
+///     <= 0 still means off);
 ///   * OSU: gps_users <= mac.max_gps_users and mac.min_contention_slots >= 1;
 ///   * other tenants: data_users + gps_users fit the kMaxActiveUsers user
 ///     IDs, and the inputs only the OSU driver honours stay unset —

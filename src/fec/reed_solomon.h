@@ -13,14 +13,22 @@
 // Erasure-assisted decoding (errors + erasures) is also provided, following
 // the burst-erasure motivation of reference [2] (McAuley, SIGCOMM'90).
 //
-// Hot-path design: at the paper's error rates the overwhelmingly common
-// reception is a clean codeword, so Decode*/DecodeWithErasures* check the
-// syndromes first and return without ever touching Berlekamp-Massey, Chien
-// or Forney when all of them are zero.  The full decode path runs on
-// fixed stack buffers (n <= 255) with the doubled GF(256) exp table, the
-// encoder on a 256-row product table of the generator polynomial, and the
-// *Into entry points reuse a caller-provided DecodeResult so a simulation
-// slot costs zero heap allocations.
+// Hot-path design: one LFSR remainder kernel, (d(x) * x^{n-k}) mod g(x),
+// serves the encoder and the decoder.  Its register is ceil((n-k)/8)
+// 64-bit words, and four 256-row word tables of the generator polynomial
+// advance it four data symbols per step with four independent row XORs.
+// A received word is a codeword iff re-encoding its k data symbols
+// reproduces its n-k parity symbols, so the clean check -- the
+// overwhelmingly common reception at the paper's error rates -- is a
+// re-encode and never touches the syndromes.  On a corrupt word the
+// difference of the two parities is r(x) mod g(x), and the n-k syndromes
+// come from its n-k bytes by two nibble-table row XORs per byte.
+// Berlekamp-Massey works in the log domain; the Chien search steps each
+// term's log by one add per position and stops at the deg(Lambda)-th root;
+// the post-correction check updates the syndromes by each correction
+// instead of recomputing them.  Everything runs on fixed stack buffers
+// (n <= 255), and the *Into entry points reuse a caller-provided
+// DecodeResult so a simulation slot costs zero heap allocations.
 #pragma once
 
 #include <cstdint>
@@ -49,6 +57,8 @@ class ReedSolomon {
  public:
   /// Largest supported codeword length (GF(256) minus the zero symbol).
   static constexpr int kMaxN = 255;
+  /// Largest LFSR register, in 64-bit words (n - k <= 254 parity bytes).
+  static constexpr int kMaxWords = (kMaxN - 1 + 7) / 8;
 
   /// Builds an RS(n, k) code; requires 0 < k < n <= 255.
   /// `first_consecutive_root` (fcr) selects the generator roots
@@ -94,41 +104,33 @@ class ReedSolomon {
                               std::span<const int> erasure_positions,
                               DecodeResult* out) const;
 
-  /// Reference entry point that always runs the full Berlekamp-Massey /
-  /// Chien / Forney pipeline, even when every syndrome is zero.  Exists so
-  /// tests can prove the syndrome-first fast path agrees with the full
-  /// decoder; simulation code should never call it.  Note: on a clean word
-  /// with f > 0 erasure flags the full pipeline "fills" those erasures with
-  /// zero-magnitude corrections, so erasures_filled may differ from the
-  /// fast path (which reports 0); the decoded data always agrees.
-  bool DecodeWithErasuresFullInto(std::span<const GfElem> received,
-                                  std::span<const int> erasure_positions,
-                                  DecodeResult* out) const;
-
-  /// True if `word` is a valid codeword (all syndromes zero).
+  /// True if `word` is a valid codeword (re-encoding its data reproduces
+  /// its parity).
   bool IsCodeword(std::span<const GfElem> word) const;
 
  private:
-  /// Writes the n-k syndromes into `s`; returns the OR of them (0 iff the
-  /// word is a codeword).  `s` must hold at least n-k entries.
-  int ComputeSyndromes(std::span<const GfElem> received, GfElem* s) const;
+  /// (data(x) * x^{n-k}) mod g(x) of the k symbols at `data` into
+  /// words_ register words; byte j is the coefficient of x^{n-k-1-j}.
+  void Remainder(const GfElem* data, std::uint64_t* out) const;
 
-  bool DecodeImpl(std::span<const GfElem> received,
-                  std::span<const int> erasure_positions, DecodeResult* out,
-                  bool allow_syndrome_fast_path) const;
+  /// Writes the n-k bytes of r(x) mod g(x) for the n-symbol `word` into
+  /// `rem` and returns true, or returns false (leaving `rem` unwritten)
+  /// when the remainder is zero, i.e. `word` is a codeword.
+  bool RemainderOfWord(std::span<const GfElem> word, GfElem* rem) const;
 
   int n_;
   int k_;
   int fcr_;
-  /// encode_table_[f * (n-k) + j] = f * g_{n-k-1-j}: 256 rows of the
-  /// generator polynomial scaled by each feedback symbol, so the encoder
-  /// does one row lookup per data symbol.
-  std::vector<GfElem> encode_table_;
-  /// syndrome_pow_log_[j * (n-k) + m] = ((fcr+m) * (n-1-j)) mod 255: the
-  /// exp-table offset of symbol j's contribution to syndrome m.  Symbol-
-  /// major so the syndrome loop does one log lookup per *symbol* and can
-  /// skip zero symbols outright.
-  std::vector<int> syndrome_pow_log_;
+  /// Register words, ceil((n-k)/8).
+  int words_;
+  /// Four slices of 256 rows of words_ words: remainder_table_[(s * 256 +
+  /// f) * words_ + w] is word w of (f * x^{n-k+3-s}) mod g(x).  Slice 3 is
+  /// the register update of one feedback symbol f.
+  std::vector<std::uint64_t> remainder_table_;
+  /// syndrome_table_[((j * 32) + row) * words_ + w]: word w of the n-k
+  /// syndromes of remainder byte j holding nibble value row (rows 16..31:
+  /// the high nibble), byte m being syndrome m.
+  std::vector<std::uint64_t> syndrome_table_;
 };
 
 }  // namespace osumac::fec

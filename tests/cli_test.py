@@ -4,8 +4,13 @@
 Hostile flags and scenario files must exit 1 quickly with a message naming
 the flag or scenario key (never a CHECK abort), and three journal
 signatures pin the single-OSU, single-policy and network run paths.
+make_figures' --jobs parse is held to the same rule, and the lossy-channel
+sweep (scenarios/lossy_sweep.scn) must reproduce tests/lossy_sweep.expected
+byte for byte at any --jobs value, so any change to an RS decode outcome
+fails here.
 
-Run via ctest, or directly:  python3 tests/cli_test.py build/tools/osumac_sim
+Run via ctest, or directly:
+  python3 tests/cli_test.py build/tools/osumac_sim build/tools/make_figures
 """
 from __future__ import annotations
 
@@ -19,19 +24,22 @@ from pathlib import Path
 
 REPO = Path(__file__).resolve().parents[1]
 SIM = None  # set from argv in main
+FIGURES = None
 
 
-def run(*args: str, cwd: str | None = None) -> subprocess.CompletedProcess:
-    return subprocess.run([SIM, *args], cwd=cwd, capture_output=True, text=True,
-                          timeout=60)
+def run(*args: str, cwd: str | None = None, program: str | None = None
+        ) -> subprocess.CompletedProcess:
+    return subprocess.run([program or SIM, *args], cwd=cwd, capture_output=True,
+                          text=True, timeout=60)
 
 
 class HostileInputTest(unittest.TestCase):
     """Each input exits 1 in under a second, naming what is wrong."""
 
-    def expect_rejected(self, args: list[str], named: str, cwd: str | None = None):
+    def expect_rejected(self, args: list[str], named: str, cwd: str | None = None,
+                        program: str | None = None):
         start = time.monotonic()
-        proc = run(*args, cwd=cwd)
+        proc = run(*args, cwd=cwd, program=program)
         elapsed = time.monotonic() - start
         self.assertEqual(proc.returncode, 1, f"{args}: {proc.stdout}{proc.stderr}")
         self.assertIn(named, proc.stderr, args)
@@ -65,6 +73,33 @@ class HostileInputTest(unittest.TestCase):
         ]:
             with self.subTest(args=args):
                 self.expect_rejected(args, named)
+
+    def test_load_indices_are_finite_and_bounded(self):
+        # inf and 1e9 used to spin until killed; nan silently turned the
+        # uplink off.
+        for args, named in [
+            (["--rho", "inf"], "--rho inf"),
+            (["--rho", "nan"], "--rho nan"),
+            (["--rho", "1e9"], "--rho 1e9"),
+            (["--downlink-rho", "inf"], "--downlink-rho inf"),
+            (["--downlink-rho", "11"], "a load index must be at most 10"),
+        ]:
+            with self.subTest(args=args):
+                self.expect_rejected([*args, "--cycles", "20"], named)
+
+    def test_make_figures_jobs_must_be_a_count(self):
+        with tempfile.TemporaryDirectory() as tmp:
+            for args, named in [
+                (["--jobs", "abc"], "--jobs abc"),
+                (["--jobs", "2x"], "--jobs 2x"),
+                (["--jobs", "-1"], "--jobs -1"),
+                (["--jobs=abc"], "--jobs abc"),
+                (["--jobs=2x"], "--jobs 2x"),
+                (["--jobs=-1"], "--jobs -1"),
+                (["--jobs"], "--jobs needs a value"),
+            ]:
+                with self.subTest(args=args):
+                    self.expect_rejected([tmp, *args], named, program=FIGURES)
 
     def test_negative_cycle_counts(self):
         self.expect_rejected(["--warmup", "-5"], "--warmup -5")
@@ -106,6 +141,19 @@ class RunTest(unittest.TestCase):
         self.assertEqual(proc.returncode, 0, proc.stderr)
         self.assertIn("seed=18446744073709551615 ", proc.stdout.splitlines()[0])
 
+    def test_lossy_sweep_matches_its_golden(self):
+        # Recorded before the RS codec's LFSR rewrite: every decode outcome
+        # on the lossy channels must stay as it was.
+        scn = str(REPO / "scenarios" / "lossy_sweep.scn")
+        expected = (REPO / "tests" / "lossy_sweep.expected").read_bytes()
+        with tempfile.TemporaryDirectory() as tmp:
+            for jobs in ("1", "4"):
+                with self.subTest(jobs=jobs):
+                    out = Path(tmp) / f"lossy_j{jobs}.csv"
+                    proc = run("--scenario", scn, "--jobs", jobs, "--out", str(out))
+                    self.assertEqual(proc.returncode, 0, proc.stderr)
+                    self.assertEqual(out.read_bytes(), expected)
+
     def test_journal_signatures(self):
         # Recorded before the flags became scenario keys: the three run
         # paths must journal exactly as they did.
@@ -126,7 +174,8 @@ class RunTest(unittest.TestCase):
 
 
 if __name__ == "__main__":
-    if len(sys.argv) < 2:
-        sys.exit("usage: cli_test.py PATH/TO/osumac_sim [unittest args]")
+    if len(sys.argv) < 3:
+        sys.exit("usage: cli_test.py PATH/TO/osumac_sim PATH/TO/make_figures [unittest args]")
     SIM = sys.argv.pop(1)
+    FIGURES = sys.argv.pop(1)
     unittest.main()

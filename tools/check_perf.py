@@ -33,7 +33,7 @@ Checks, in order:
      overhead-only on fewer — a 1-core host cannot demonstrate speedup).
   4. With --require-hotpaths, relative invariants that hold on any
      machine, so CI never depends on absolute host speed:
-       - clean RS decode (syndrome fast path) beats the full
+       - clean RS decode (the re-encode clean check) beats the full
          Berlekamp-Massey pipeline by at least 1.5x
        - an untraced cycle step costs no more than 1.10x a traced one
          (zero-cost disabled observability, with 10% timer noise head)
@@ -231,7 +231,7 @@ def main():
             fail(f"hotpath phase(s) absent (run bench_hotpaths --merge-into): "
                  f"{', '.join(missing)}")
         check_ratio(seen, "hotpath_rs_decode_clean", "hotpath_rs_decode_corrupt",
-                    1.0 / 1.5, "syndrome fast path regression")
+                    1.0 / 1.5, "clean-check fast path regression")
         check_ratio(seen, "hotpath_cycle_untraced", "hotpath_cycle_traced",
                     1.10, "disabled-observability overhead regression")
         # An *installed* profiler must stay cheap: the zones are aggregate

@@ -32,6 +32,7 @@
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -56,7 +57,13 @@ int main(int argc, char** argv) {
   std::printf("%s\n", osumac::obs::ProvenanceLine("make_figures", 0).c_str());
   const std::filesystem::path dir =
       argc > 1 && argv[1][0] != '-' ? argv[1] : "results";
-  const int jobs = exp::JobsFromArgs(argc, argv, 1);
+  std::string jobs_error;
+  const std::optional<int> jobs_flag = exp::JobsFromArgs(argc, argv, 1, &jobs_error);
+  if (!jobs_flag.has_value()) {
+    std::fprintf(stderr, "make_figures: %s\n", jobs_error.c_str());
+    return 1;
+  }
+  const int jobs = *jobs_flag;
   bool mac_matrix = false;
   bool no_journal = false;
   for (int i = 1; i < argc; ++i) {
