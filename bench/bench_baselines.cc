@@ -9,6 +9,7 @@
 #include <memory>
 #include <vector>
 
+#include "common/parallel.h"
 #include "osumac/osumac.h"
 
 #include "bench_provenance.h"
@@ -21,7 +22,8 @@ int main(int argc, char** argv) {
   const int jobs = bench::JobsFlag(argc, argv);
 
   // Each grid cell is independent (own protocol instance, own Rng), so the
-  // load x protocol grid runs through the generic parallel map.
+  // load x protocol grid fans out over the workers, each writing its own
+  // result slot.
   const std::vector<std::function<std::unique_ptr<BaselineProtocol>()>> factories = {
       [] { return std::make_unique<SlottedAloha>(); },
       [] { return std::make_unique<Prma>(); },
@@ -34,17 +36,18 @@ int main(int argc, char** argv) {
   const std::vector<double> loads = {0.05, 0.2, 0.4, 0.8, 1.6};
 
   const int count = static_cast<int>(loads.size() * factories.size());
-  const std::vector<BaselineResult> results =
-      exp::ParallelMap(count, jobs, [&](int i) {
-        const std::size_t load_index = static_cast<std::size_t>(i) / factories.size();
-        const std::size_t protocol_index = static_cast<std::size_t>(i) % factories.size();
-        BaselineWorkload workload;
-        workload.data_stations = 20;
-        workload.packets_per_station_per_frame = loads[load_index];
-        workload.frames = 4000;
-        Rng rng(42);
-        return factories[protocol_index]()->Run(workload, rng);
-      });
+  std::vector<BaselineResult> results(static_cast<std::size_t>(count));
+  ParallelForIndex(count, jobs, [&](int i) {
+    const std::size_t load_index = static_cast<std::size_t>(i) / factories.size();
+    const std::size_t protocol_index = static_cast<std::size_t>(i) % factories.size();
+    BaselineWorkload workload;
+    workload.data_stations = 20;
+    workload.packets_per_station_per_frame = loads[load_index];
+    workload.frames = 4000;
+    Rng rng(42);
+    results[static_cast<std::size_t>(i)] =
+        factories[protocol_index]()->Run(workload, rng);
+  });
 
   std::printf("Survey protocols on a 16-slot frame, 20 data stations\n");
   std::printf("%-14s %8s %11s %11s %11s %9s\n", "protocol", "offered", "throughput",

@@ -41,13 +41,11 @@ int main(int argc, char** argv) {
   }
   const std::vector<exp::RunResult> results = exp::SweepRunner(jobs).Run(specs);
 
-  metrics::TablePrinter table({"rho", "offered", "util", "util_sd", "pkt_delay",
-                               "delay_sd", "msg_delay", "drop_rate"},
-                              11);
   std::printf("Figure 8: utilization and packet delay vs load index\n");
   std::printf("-- variable-length messages, uniform 40-500 bytes (%d seeds) --\n",
               kReplications);
-  table.PrintHeader();
+  std::printf("%11s%11s%11s%11s%11s%11s%11s%11s\n", "rho", "offered", "util",
+              "util_sd", "pkt_delay", "delay_sd", "msg_delay", "drop_rate");
   std::size_t next = 0;
   for (const double rho : exp::LoadSweep()) {
     RunningStats offered, util, pkt_delay, msg_delay, drop;
@@ -59,19 +57,19 @@ int main(int argc, char** argv) {
       msg_delay.Add(run.figure.mean_message_delay_cycles);
       drop.Add(run.figure.message_drop_rate);
     }
-    table.PrintRow({rho, offered.mean(), util.mean(), util.stddev(),
-                    pkt_delay.mean(), pkt_delay.stddev(), msg_delay.mean(),
-                    drop.mean()});
+    std::printf("%11.4f%11.4f%11.4f%11.4f%11.4f%11.4f%11.4f%11.4f\n", rho,
+                offered.mean(), util.mean(), util.stddev(), pkt_delay.mean(),
+                pkt_delay.stddev(), msg_delay.mean(), drop.mean());
   }
 
   std::printf("\n-- fixed-length messages, 120 bytes --\n");
-  metrics::TablePrinter fixed_table({"rho", "offered", "util", "pkt_delay", "drop_rate"},
-                                    11);
-  fixed_table.PrintHeader();
+  std::printf("%11s%11s%11s%11s%11s\n", "rho", "offered", "util", "pkt_delay",
+              "drop_rate");
   for (const double rho : exp::LoadSweep()) {
     const exp::RunResult& r = results[next++];
-    fixed_table.PrintRow({rho, r.offered_load, r.figure.utilization,
-                          r.figure.mean_packet_delay_cycles, r.figure.message_drop_rate});
+    std::printf("%11.4f%11.4f%11.4f%11.4f%11.4f\n", rho, r.offered_load,
+                r.figure.utilization, r.figure.mean_packet_delay_cycles,
+                r.figure.message_drop_rate);
   }
   std::printf("\n(delays in notification cycles of %.4f s; paper Fig. 8 shape: "
               "utilization ~ rho then saturates; delay flat then explodes)\n",

@@ -326,10 +326,6 @@ std::optional<int> JobsFromArgs(int argc, char** argv, int fallback, std::string
   return fallback;
 }
 
-void ParallelForIndex(int count, int jobs, const std::function<void(int)>& fn) {
-  osumac::ParallelForIndex(count, jobs, fn);
-}
-
 SweepRunner::SweepRunner(int jobs) : jobs_(ResolveJobs(jobs)) {}
 
 std::vector<RunResult> SweepRunner::Run(
@@ -346,7 +342,7 @@ std::vector<RunResult> SweepRunner::Run(
     Mutex mu;
     int completed GUARDED_BY(mu) = 0;
   } state;
-  ParallelForIndex(total, jobs_, [&](int i) {
+  osumac::ParallelForIndex(total, jobs_, [&](int i) {
     results[static_cast<std::size_t>(i)] =
         RunScenario(specs[static_cast<std::size_t>(i)]);
     if (progress) {

@@ -199,19 +199,4 @@ int ResolveJobs(int jobs);
 std::optional<int> JobsFromArgs(int argc, char** argv, int fallback = 0,
                                 std::string* error = nullptr);
 
-/// Runs `fn(i)` for every i in [0, count) across `jobs` workers.
-void ParallelForIndex(int count, int jobs, const std::function<void(int)>& fn);
-
-/// Generic ordered parallel map over [0, count) on `jobs` workers: the
-/// non-Cell harnesses (the baseline-protocol grid) parallelize through
-/// this.  `fn(i)` must not touch shared mutable state.
-template <typename Fn>
-auto ParallelMap(int count, int jobs, Fn&& fn)
-    -> std::vector<decltype(fn(0))> {
-  std::vector<decltype(fn(0))> results(static_cast<std::size_t>(count));
-  ParallelForIndex(count, jobs,
-                   [&](int i) { results[static_cast<std::size_t>(i)] = fn(i); });
-  return results;
-}
-
 }  // namespace osumac::exp

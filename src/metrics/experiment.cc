@@ -1,7 +1,5 @@
 #include "metrics/experiment.h"
 
-#include <cstdio>
-
 #include "common/stats.h"
 
 namespace osumac::metrics {
@@ -86,28 +84,6 @@ FigureMetrics ComputeFigureMetrics(const mac::Cell& cell,
                                         static_cast<double>(bs.cycles);
   }
   return out;
-}
-
-TablePrinter::TablePrinter(std::vector<std::string> headers, int column_width)
-    : headers_(std::move(headers)), width_(column_width) {}
-
-void TablePrinter::PrintHeader() const {
-  for (const std::string& h : headers_) std::printf("%*s", width_, h.c_str());
-  std::printf("\n");
-  for (std::size_t i = 0; i < headers_.size(); ++i) {
-    for (int c = 0; c < width_; ++c) std::printf("%s", c == 0 ? " " : "-");
-  }
-  std::printf("\n");
-}
-
-void TablePrinter::PrintRow(const std::vector<double>& values) const {
-  for (double v : values) std::printf("%*.4f", width_, v);
-  std::printf("\n");
-}
-
-void TablePrinter::PrintRow(const std::vector<std::string>& values) const {
-  for (const std::string& v : values) std::printf("%*s", width_, v.c_str());
-  std::printf("\n");
 }
 
 }  // namespace osumac::metrics

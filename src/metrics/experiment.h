@@ -1,9 +1,7 @@
 // Computation of the paper's evaluation metrics (Section 5) from a finished
-// (or warmed-up) Cell run, plus small table-printing helpers shared by the
-// benchmark harnesses.
+// (or warmed-up) Cell run.
 #pragma once
 
-#include <string>
 #include <vector>
 
 #include "mac/cell.h"
@@ -32,19 +30,5 @@ struct FigureMetrics {
 /// fairness index (the paper computes fairness across data users).
 FigureMetrics ComputeFigureMetrics(const mac::Cell& cell,
                                    const std::vector<int>& data_nodes);
-
-/// Simple fixed-width table printer for bench output.
-class TablePrinter {
- public:
-  explicit TablePrinter(std::vector<std::string> headers, int column_width = 12);
-
-  void PrintHeader() const;
-  void PrintRow(const std::vector<double>& values) const;
-  void PrintRow(const std::vector<std::string>& values) const;
-
- private:
-  std::vector<std::string> headers_;
-  int width_;
-};
 
 }  // namespace osumac::metrics

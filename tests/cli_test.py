@@ -7,13 +7,16 @@ signatures pin the single-OSU, single-policy and network run paths.
 make_figures' --jobs parse is held to the same rule, and the lossy-channel
 sweep (scenarios/lossy_sweep.scn) must reproduce tests/lossy_sweep.expected
 byte for byte at any --jobs value, so any change to an RS decode outcome
-fails here.
+fails here.  make_figures' figure CSVs keep their columns, and the counter
+columns appended to them agree with the same run's BENCH_sweeps.json.
 
 Run via ctest, or directly:
   python3 tests/cli_test.py build/tools/osumac_sim build/tools/make_figures
 """
 from __future__ import annotations
 
+import csv
+import json
 import re
 import subprocess
 import sys
@@ -27,10 +30,10 @@ SIM = None  # set from argv in main
 FIGURES = None
 
 
-def run(*args: str, cwd: str | None = None, program: str | None = None
-        ) -> subprocess.CompletedProcess:
+def run(*args: str, cwd: str | None = None, program: str | None = None,
+        timeout: float = 60) -> subprocess.CompletedProcess:
     return subprocess.run([program or SIM, *args], cwd=cwd, capture_output=True,
-                          text=True, timeout=60)
+                          text=True, timeout=timeout)
 
 
 class HostileInputTest(unittest.TestCase):
@@ -171,6 +174,92 @@ class RunTest(unittest.TestCase):
                     found = re.search(r"signature ([0-9a-f]{16})", proc.stdout)
                     self.assertIsNotNone(found, proc.stdout)
                     self.assertEqual(found.group(1), signature)
+
+
+class FigureCsvTest(unittest.TestCase):
+    """make_figures is the one definition of Figs 8-12 and the robustness
+    grid: its CSVs keep their plotted columns, and the bench counters
+    appended to them equal the same run's BENCH_sweeps.json."""
+
+    # The leading columns of each CSV.  Plotting scripts read them by name,
+    # so they stay first and unchanged; new columns go after them.
+    HEADERS = {
+        "fig8_utilization_delay.csv": "rho,offered,utilization,packet_delay_cycles,"
+                                      "message_delay_cycles,p95_delay,drop_rate",
+        "fig9_collision_reservation.csv": "rho,collision_probability,"
+                                          "reservation_latency_cycles",
+        "fig10_control_overhead.csv": "rho,control_overhead,reservation_packets,"
+                                      "data_packets",
+        "fig11_fairness.csv": "rho,fairness_index",
+        "fig12a_cf2_gain.csv": "rho,cf2_gain,utilization_with_cf2,"
+                               "utilization_without_cf2",
+        "fig12b_slot_usage.csv": "rho,gps_users,dynamic,avg_data_slots_used",
+        "robustness_grid.csv": "data_users,gps_users,utilization,packet_delay_cycles,"
+                               "fairness,gps_max_access_s",
+    }
+
+    def test_bench_columns_match_the_sweep_record(self):
+        with tempfile.TemporaryDirectory() as tmp:
+            # The temp dir is also the cwd, so the run cannot touch the
+            # checkout's bench/history.jsonl.
+            proc = run("figs", "--jobs", "2", "--no-journal", cwd=tmp,
+                       program=FIGURES, timeout=600)
+            self.assertEqual(proc.returncode, 0, proc.stderr)
+            out = Path(tmp) / "figs"
+            rows = {}
+            for name, header in self.HEADERS.items():
+                with self.subTest(csv=name):
+                    with open(out / name, newline="") as f:
+                        reader = csv.DictReader(f)
+                        old = header.split(",")
+                        self.assertEqual(reader.fieldnames[:len(old)], old)
+                        rows[name] = list(reader)
+            points = {p["name"]: p for p in
+                      json.loads((out / "BENCH_sweeps.json").read_text())["points"]}
+
+        self.assertEqual(len(rows["fig9_collision_reservation.csv"]), 6)
+        self.assertEqual(len(rows["fig12a_cf2_gain.csv"]), 6)
+        for row in rows["fig9_collision_reservation.csv"]:
+            with self.subTest(fig=9, rho=row["rho"]):
+                k = points["rho_" + row["rho"]]["counters"]
+                self.assertEqual(int(row["collisions"]), k["collisions"])
+                self.assertEqual(int(row["reservation_packets"]),
+                                 k["reservation_packets_received"])
+                self.assertEqual(int(row["piggybacked"]),
+                                 k["data_packets_received"] - k["contention_data_received"])
+        for row in rows["fig12a_cf2_gain.csv"]:
+            with self.subTest(fig="12a", rho=row["rho"]):
+                k = points["rho_" + row["rho"]]["counters"]
+                self.assertEqual(int(row["last_slot_data_packets"]),
+                                 k["last_slot_data_packets"])
+                self.assertEqual(int(row["data_packets_received"]),
+                                 k["data_packets_received"])
+        grid = rows["robustness_grid.csv"]
+        self.assertEqual(len(grid), 16)
+        for row in grid:
+            with self.subTest(grid=(row["data_users"], row["gps_users"])):
+                m = points[f"grid_d{row['data_users']}_g{row['gps_users']}"]["metrics"]
+                # The CSV prints doubles at the stream default, %g.
+                self.assertEqual(row["collision_probability"],
+                                 f"{m['collision_probability']:g}")
+
+    def test_history_is_appended_only_by_clean_builds(self):
+        # A cwd holding bench/CMakeLists.txt looks like a checkout, where
+        # make_figures appends its phase timings to bench/history.jsonl --
+        # unless the binary was built from a dirty tree.
+        with tempfile.TemporaryDirectory() as tmp:
+            (Path(tmp) / "bench").mkdir()
+            (Path(tmp) / "bench" / "CMakeLists.txt").write_text("")
+            proc = run("figs", "--jobs", "2", "--no-journal", cwd=tmp,
+                       program=FIGURES, timeout=600)
+            self.assertEqual(proc.returncode, 0, proc.stderr)
+            history = Path(tmp) / "bench" / "history.jsonl"
+            if "-dirty " in proc.stdout.splitlines()[0]:
+                self.assertFalse(history.exists())
+            else:
+                lines = history.read_text().splitlines()
+                self.assertEqual(len(lines), 1)
+                self.assertNotIn("-dirty", lines[0])
 
 
 if __name__ == "__main__":

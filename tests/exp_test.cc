@@ -3,9 +3,9 @@
 // expansion, scenario-file parsing, emitters and the parallel executor.
 #include <gtest/gtest.h>
 
-#include <atomic>
 #include <sstream>
 
+#include "common/parallel.h"
 #include "exp/emit.h"
 #include "exp/runner.h"
 #include "exp/scenario.h"
@@ -511,24 +511,12 @@ TEST(EmitTest, JsonCarriesProvenanceSpecsAndFullPrecisionMetrics) {
 }
 
 TEST(ParallelTest, ParallelMapPreservesOrder) {
-  const std::vector<int> squares =
-      ParallelMap(100, 8, [](int i) { return i * i; });
-  ASSERT_EQ(squares.size(), 100u);
+  // The ordered-map idiom the non-Cell harnesses use (bench_baselines):
+  // each worker writes only its own index's slot.
+  std::vector<int> squares(100);
+  ParallelForIndex(100, 8,
+                   [&](int i) { squares[static_cast<std::size_t>(i)] = i * i; });
   for (int i = 0; i < 100; ++i) EXPECT_EQ(squares[static_cast<std::size_t>(i)], i * i);
-}
-
-TEST(ParallelTest, ParallelForVisitsEveryIndexOnce) {
-  std::vector<std::atomic<int>> visits(257);
-  ParallelForIndex(257, 8, [&](int i) { ++visits[static_cast<std::size_t>(i)]; });
-  for (const std::atomic<int>& v : visits) EXPECT_EQ(v.load(), 1);
-}
-
-TEST(ParallelTest, ExceptionsPropagateToCaller) {
-  EXPECT_THROW(ParallelForIndex(16, 4,
-                                [&](int i) {
-                                  if (i == 7) throw std::runtime_error("boom");
-                                }),
-               std::runtime_error);
 }
 
 TEST(ParallelTest, ResolveJobsDefaultsToHardware) {

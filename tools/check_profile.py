@@ -5,7 +5,7 @@ Usage: check_profile.py PROFILE.json [options]
 
 Options:
   --require-frame NAME   fail unless a frame with this exact name exists
-                         (repeatable; the CI profile-smoke job pins the
+                         (repeatable; the CI release-smoke job pins the
                          pipeline zones so instrumentation can't silently
                          fall off the hot path)
 
@@ -21,7 +21,7 @@ Checks, in order:
      exactly at endValue, so the flame's width equals the recorded zone
      total and speedscope renders without dead space.
 
-CI runs this in the profile-smoke job against `osumac_sim --profile`
+CI runs this in the release-smoke job against `osumac_sim --profile`
 output so the export format and the zone instrumentation never rot.
 """
 import json

@@ -3,8 +3,9 @@
 //   $ ./make_figures [output_dir] [--jobs N] [--mac-matrix] [--no-journal]
 //                                                (default: results/, serial)
 //
-// Builds the full Section-5 spec list up front, executes it on the sweep
-// runner (bit-identical at any --jobs), and writes one CSV per figure
+// The one definition of the paper's Figs 8-12 points and the Section-5
+// robustness grid: builds the full spec list up front, executes it on the
+// sweep runner (bit-identical at any --jobs), and writes one CSV per figure
 // (fig8_utilization_delay.csv, fig9_collision_reservation.csv,
 // fig10_control_overhead.csv, fig11_fairness.csv, fig12a_cf2_gain.csv,
 // fig12b_slot_usage.csv) plus the robustness grid, the machine-readable
@@ -23,7 +24,7 @@
 // The default run also re-executes the figure sweep with the per-cycle run
 // journal enabled (the sweep_journaled perf phase, gated at 1.10x of the
 // journal-off sweep by tools/check_perf.py) and writes the merged digest
-// chains as RUN_journal.jsonl — the artifact CI's diff-smoke job compares
+// chains as RUN_journal.jsonl — the artifact CI's release-smoke job compares
 // across --jobs 1 / --jobs 8 with tools/osumac_diff.py.  --no-journal
 // skips that phase (used by the TSan soak, where the run is about races,
 // not digests).  The primary sweep itself always runs journal-off, so
@@ -128,7 +129,7 @@ int main(int argc, char** argv) {
   // on (journal_every = 1).  Its wall phase is CI's overhead gate — check
   // tools/check_perf.py: sweep_journaled must stay within 1.10x of the
   // journal-off sweep — and its merged digest chains become
-  // RUN_journal.jsonl, the jobs-invariance artifact for diff-smoke.
+  // RUN_journal.jsonl, the jobs-invariance artifact for CI's release-smoke job.
   std::vector<exp::RunResult> journaled_results;
   if (!no_journal) {
     std::vector<exp::ScenarioSpec> journaled_specs = specs;
@@ -216,13 +217,15 @@ int main(int argc, char** argv) {
   fig8 << "rho,offered,utilization,packet_delay_cycles,message_delay_cycles,"
           "p95_delay,drop_rate\n";
   auto fig9 = Open(dir, "fig9_collision_reservation.csv");
-  fig9 << "rho,collision_probability,reservation_latency_cycles\n";
+  fig9 << "rho,collision_probability,reservation_latency_cycles,collisions,"
+          "reservation_packets,piggybacked\n";
   auto fig10 = Open(dir, "fig10_control_overhead.csv");
   fig10 << "rho,control_overhead,reservation_packets,data_packets\n";
   auto fig11 = Open(dir, "fig11_fairness.csv");
   fig11 << "rho,fairness_index\n";
   auto fig12a = Open(dir, "fig12a_cf2_gain.csv");
-  fig12a << "rho,cf2_gain,utilization_with_cf2,utilization_without_cf2\n";
+  fig12a << "rho,cf2_gain,utilization_with_cf2,utilization_without_cf2,"
+            "last_slot_data_packets,data_packets_received\n";
 
   std::size_t next = 0;
   for (const double rho : exp::LoadSweep()) {
@@ -234,14 +237,20 @@ int main(int argc, char** argv) {
          << r.figure.mean_message_delay_cycles << ','
          << r.figure.p95_packet_delay_cycles << ',' << r.figure.message_drop_rate
          << '\n';
+    // piggybacked approximates the reservation updates that rode in data
+    // headers instead of contending: every scheduled (non-contention) data
+    // packet may carry one.
     fig9 << rho << ',' << r.figure.collision_probability << ','
-         << r.figure.mean_reservation_latency << '\n';
+         << r.figure.mean_reservation_latency << ',' << r.bs.collisions << ','
+         << r.bs.reservation_packets_received << ','
+         << r.bs.data_packets_received - r.bs.contention_data_received << '\n';
     fig10 << rho << ',' << r.figure.control_overhead << ','
           << r.bs.reservation_packets_received << ',' << r.bs.data_packets_received
           << '\n';
     fig11 << rho << ',' << r.figure.fairness_index << '\n';
     fig12a << rho << ',' << r.figure.second_cf_gain << ',' << r.figure.utilization
-           << ',' << r_no.figure.utilization << '\n';
+           << ',' << r_no.figure.utilization << ',' << r.bs.last_slot_data_packets
+           << ',' << r.bs.data_packets_received << '\n';
   }
 
   auto fig12b = Open(dir, "fig12b_slot_usage.csv");
@@ -258,14 +267,15 @@ int main(int argc, char** argv) {
 
   auto grid = Open(dir, "robustness_grid.csv");
   grid << "data_users,gps_users,utilization,packet_delay_cycles,fairness,"
-          "gps_max_access_s\n";
+          "gps_max_access_s,collision_probability\n";
   next = grid_begin;
   for (const int data_users : {5, 8, 11, 14}) {
     for (const int gps_users : {1, 3, 4, 8}) {
       const exp::RunResult& r = results[next++];
       grid << data_users << ',' << gps_users << ',' << r.figure.utilization << ','
            << r.figure.mean_packet_delay_cycles << ',' << r.figure.fairness_index
-           << ',' << r.figure.gps_access_delay_max_s << '\n';
+           << ',' << r.figure.gps_access_delay_max_s << ','
+           << r.figure.collision_probability << '\n';
     }
   }
 
@@ -371,10 +381,17 @@ int main(int argc, char** argv) {
   // Perf-trajectory history: append this run's per-phase wall-clocks to
   // bench/history.jsonl when running from a repo checkout.  The marker is
   // bench/CMakeLists.txt, not the bare directory — a CMake build tree has
-  // its own bench/ binary dir, and history must not leak into it.  One
-  // append-only JSONL line per run; tools/plot_figures.py charts the
-  // trajectory.
-  if (std::filesystem::exists("bench/CMakeLists.txt")) {
+  // its own bench/ binary dir, and history must not leak into it.  A build
+  // of a dirty tree appends nothing: its numbers belong to no commit (the
+  // rule tools/check_perf.py applies to BENCH_perf.json).  One append-only
+  // JSONL line per run; tools/plot_figures.py charts the trajectory.
+  const bool in_checkout = std::filesystem::exists("bench/CMakeLists.txt");
+  const bool dirty_build =
+      std::string(obs::BuildVersion()).find("-dirty") != std::string::npos;
+  if (in_checkout && dirty_build) {
+    std::printf("dirty-tree build (version=%s): bench/history.jsonl not appended\n",
+                obs::BuildVersion());
+  } else if (in_checkout) {
     std::ofstream history("bench/history.jsonl", std::ios::app);
     if (history) {
       history << "{\"provenance\": \""
