@@ -1,32 +1,12 @@
 #include "common/logging.h"
 
-#include <atomic>
+#include <cstdio>
 
 namespace osumac {
-namespace {
-// Atomic, not plain: the level gate is read from every thread that logs
-// (sweep workers included).  Relaxed ordering is enough — the value is a
-// monotonic filter, not a synchronization point.
-std::atomic<LogLevel> g_level{LogLevel::kNone};
-
-void Emit(Tick now, const char* tag, const std::string& message) {
-  std::fprintf(stderr, "[%10.4fs t=%lld] %s: %s\n", ToSeconds(now),
-               static_cast<long long>(now), tag, message.c_str());
-}
-}  // namespace
-
-LogLevel GetLogLevel() { return g_level.load(std::memory_order_relaxed); }
-void SetLogLevel(LogLevel level) {
-  g_level.store(level, std::memory_order_relaxed);
-}
-
-void LogAt(LogLevel level, Tick now, const char* tag, const std::string& message) {
-  if (static_cast<int>(level) > static_cast<int>(GetLogLevel())) return;
-  Emit(now, tag, message);
-}
 
 void LogAlways(Tick now, const char* tag, const std::string& message) {
-  Emit(now, tag, message);
+  std::fprintf(stderr, "[%10.4fs t=%lld] %s: %s\n", ToSeconds(now),
+               static_cast<long long>(now), tag, message.c_str());
 }
 
 }  // namespace osumac

@@ -1,31 +1,17 @@
-// Minimal leveled logging for simulator internals.  Off (kNone) by default so
-// that benchmarks and tests run silently; examples turn on kInfo/kDebug to
-// narrate protocol activity.
+// Minimal stderr logging for simulator internals: check failures and audit
+// reports.  Protocol activity is recorded as structured trace events
+// (obs/event_trace.h), not as log lines.
 #pragma once
 
-#include <cstdio>
 #include <string>
 
 #include "common/time.h"
 
 namespace osumac {
 
-enum class LogLevel { kNone = 0, kError = 1, kInfo = 2, kDebug = 3 };
-
-/// Process-wide log threshold.  Stored atomically: SweepRunner workers log
-/// through the same backend, so the level must be readable from any thread
-/// without a data race (set it before fanning work out; a mid-sweep change
-/// is applied on each worker's next check, with no ordering guarantee).
-LogLevel GetLogLevel();
-void SetLogLevel(LogLevel level);
-
-/// Emits "[   12.3456s t=593100] tag: message" to stderr if `level` is
-/// enabled.  The raw tick rides along because %.4f seconds alone loses tick
-/// precision at long horizons (1 tick = 1/48000 s ~ 0.00002 s).
-void LogAt(LogLevel level, Tick now, const char* tag, const std::string& message);
-
-/// Same sink and format as LogAt but unconditional — check failures and
-/// audit reports use this so they are never swallowed by the level gate.
+/// Emits "[   12.3456s t=593100] tag: message" to stderr.  The raw tick rides
+/// along because %.4f seconds alone loses tick precision at long horizons
+/// (1 tick = 1/48000 s ~ 0.00002 s).
 void LogAlways(Tick now, const char* tag, const std::string& message);
 
 }  // namespace osumac

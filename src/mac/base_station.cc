@@ -3,7 +3,6 @@
 #include <algorithm>
 #include "common/check.h"
 
-#include "common/logging.h"
 
 namespace osumac::mac {
 

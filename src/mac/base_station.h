@@ -22,6 +22,7 @@
 #include <cstdint>
 #include <deque>
 #include <functional>
+#include <iterator>
 #include <map>
 #include <optional>
 #include <set>
@@ -33,6 +34,7 @@
 #include "mac/config.h"
 #include "mac/contention.h"
 #include "mac/control_fields.h"
+#include "mac/counter_field.h"
 #include "mac/cycle_layout.h"
 #include "mac/forward_scheduler.h"
 #include "mac/gps_slot_manager.h"
@@ -77,6 +79,43 @@ struct BsCounters {
   std::int64_t forward_buffer_drops = 0;         ///< paging buffer overflow
   std::int64_t gps_timeouts = 0;                 ///< buses signed off as gone
 };
+
+/// Every BsCounters field, in declaration order (the journal hash folds
+/// them in this order).
+inline constexpr CounterField<BsCounters> kBsCounterFields[] = {
+    {"cycles", &BsCounters::cycles},
+    {"data_packets_received", &BsCounters::data_packets_received},
+    {"contention_data_received", &BsCounters::contention_data_received},
+    {"reservation_packets_received", &BsCounters::reservation_packets_received},
+    {"registration_packets_received", &BsCounters::registration_packets_received},
+    {"gps_packets_received", &BsCounters::gps_packets_received},
+    {"gps_packets_failed", &BsCounters::gps_packets_failed},
+    {"collisions", &BsCounters::collisions},
+    {"contention_slot_cycles", &BsCounters::contention_slot_cycles},
+    {"idle_contention_slots", &BsCounters::idle_contention_slots},
+    {"idle_assigned_slots", &BsCounters::idle_assigned_slots},
+    {"decode_failures", &BsCounters::decode_failures},
+    {"duplicate_packets", &BsCounters::duplicate_packets},
+    {"payload_bytes_received", &BsCounters::payload_bytes_received},
+    {"last_slot_data_packets", &BsCounters::last_slot_data_packets},
+    {"registrations_approved", &BsCounters::registrations_approved},
+    {"registrations_rejected", &BsCounters::registrations_rejected},
+    {"forward_packets_sent", &BsCounters::forward_packets_sent},
+    {"data_slots_offered", &BsCounters::data_slots_offered},
+    {"data_slots_used", &BsCounters::data_slots_used},
+    {"downlink_dropped", &BsCounters::downlink_dropped},
+    {"deregistrations_received", &BsCounters::deregistrations_received},
+    {"forward_acks_received", &BsCounters::forward_acks_received},
+    {"forward_retransmissions", &BsCounters::forward_retransmissions},
+    {"forward_arq_drops", &BsCounters::forward_arq_drops},
+    {"messages_forwarded_local", &BsCounters::messages_forwarded_local},
+    {"messages_forwarded_backbone", &BsCounters::messages_forwarded_backbone},
+    {"messages_buffered_for_paging", &BsCounters::messages_buffered_for_paging},
+    {"forward_buffer_drops", &BsCounters::forward_buffer_drops},
+    {"gps_timeouts", &BsCounters::gps_timeouts},
+};
+static_assert(std::size(kBsCounterFields) * sizeof(std::int64_t) == sizeof(BsCounters),
+              "every BsCounters field needs a row in kBsCounterFields");
 
 /// Uplink delivery record handed to the Cell for metrics (per decoded data
 /// packet).

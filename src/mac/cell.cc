@@ -1,7 +1,6 @@
 #include "mac/cell.h"
 
 #include "common/check.h"
-#include "common/logging.h"
 #include "mac/packet.h"
 #include "obs/profiler.h"
 #include "phy/phy_params.h"
@@ -47,8 +46,7 @@ int Cell::AddSubscriber(bool wants_gps, std::optional<Ein> ein_override) {
   const Ein ein = ein_override.value_or(static_cast<Ein>(1000 + node));
   subscribers_.push_back(
       std::make_unique<MobileSubscriber>(node, ein, wants_gps, config_.mac, rng_.Fork()));
-  AddNodeChannels(node);
-  gps_phase_.push_back(DrawGpsPhase(wants_gps));
+  AddNodeState(node, wants_gps);
   subscribers_.back()->SetSloMonitor(&slo_);
   if (trace_ != nullptr) {
     subscribers_.back()->SetEventSink(trace_);
@@ -108,7 +106,7 @@ void Cell::SignOff(int node) {
   // The node's service history ends here: gaps spanning the off period are
   // not SLO violations.
   last_paging_check_.erase(node);
-  last_gps_delivery_.erase(node);
+  ForgetGpsDelivery(node);
 }
 
 void Cell::SetForwardModel(int node, std::unique_ptr<phy::SymbolErrorModel> model) {
@@ -131,12 +129,9 @@ void Cell::TransmitLateContention(int node) {
   if (!burst.has_value()) return;
   const Tick cycle_start = (sim_.now() / kCycleTicks) * kCycleTicks;
   const Interval rel = ReverseCycleLayout(bs_.current_format()).DataSlot(burst->slot);
-  phy::CodedBurst coded;
-  coded.on_air = {cycle_start + rel.begin, cycle_start + rel.end};
-  coded.sender = node;
-  EmitBurstTx(node, *burst, coded.on_air);
-  coded.codewords.push_back(data_code_.Encode(burst->info));
-  reverse_channel_.Transmit(std::move(coded));
+  const Interval on_air{cycle_start + rel.begin, cycle_start + rel.end};
+  EmitBurstTx(node, *burst, on_air);
+  TransmitBurst(reverse_channel_, node, on_air, data_code_, burst->info);
 }
 
 bool Cell::SendSubscriberMessage(int src_node, Ein dest_ein, int bytes) {
@@ -166,13 +161,9 @@ bool Cell::SendDownlinkMessage(int node, int bytes) {
 void Cell::ResetStats() {
   bs_.ResetCounters();
   for (auto& sub : subscribers_) sub->ResetStats();
-  metrics_ = CellMetrics{};
-  slo_.Reset();
-  // Gap trackers restart too: a gap whose left endpoint predates the
-  // measurement window would otherwise surface as a spurious first-cycle
-  // miss (with none of its history in an attached trace).
+  ResetSubstrateStats();
+  // As for GPS gaps, a paging gap must not start before the window.
   last_paging_check_.clear();
-  last_gps_delivery_.clear();
 }
 
 void Cell::StartCycle(std::int64_t n) {
@@ -288,9 +279,6 @@ void Cell::Fire(const sim::Event& event) {
 }
 
 void Cell::JournalCycle(std::int64_t n) {
-  obs::JournalRecord rec;
-  rec.cycle = n;
-
   // Slot grids: the schedules PlanCycle just fixed, plus the format and
   // control-field roles that define the cycle's geometry.
   obs::Digest64 grid;
@@ -299,7 +287,6 @@ void Cell::JournalCycle(std::int64_t n) {
   grid.MixSigned(bs_.cf2_listener());
   for (const UserId u : bs_.reverse_schedule()) grid.MixSigned(u);
   for (const UserId u : bs_.forward_schedule()) grid.MixSigned(u);
-  rec.slot_grid = grid.value();
 
   // Queues: registration and demand tables (std::map — deterministic key
   // order) plus every subscriber's state machine and uplink backlog.
@@ -317,42 +304,12 @@ void Cell::JournalCycle(std::int64_t n) {
     q.MixSigned(sub->user_id());
     q.MixSigned(sub->queued_packets());
   }
-  rec.queues = q.value();
 
   // Counters: the full base-station ledger, every subscriber's stats and
   // the substrate aggregates.
   obs::Digest64 c;
   const BsCounters& b = bs_.counters();
-  c.MixSigned(b.cycles);
-  c.MixSigned(b.data_packets_received);
-  c.MixSigned(b.contention_data_received);
-  c.MixSigned(b.reservation_packets_received);
-  c.MixSigned(b.registration_packets_received);
-  c.MixSigned(b.gps_packets_received);
-  c.MixSigned(b.gps_packets_failed);
-  c.MixSigned(b.collisions);
-  c.MixSigned(b.contention_slot_cycles);
-  c.MixSigned(b.idle_contention_slots);
-  c.MixSigned(b.idle_assigned_slots);
-  c.MixSigned(b.decode_failures);
-  c.MixSigned(b.duplicate_packets);
-  c.MixSigned(b.payload_bytes_received);
-  c.MixSigned(b.last_slot_data_packets);
-  c.MixSigned(b.registrations_approved);
-  c.MixSigned(b.registrations_rejected);
-  c.MixSigned(b.forward_packets_sent);
-  c.MixSigned(b.data_slots_offered);
-  c.MixSigned(b.data_slots_used);
-  c.MixSigned(b.downlink_dropped);
-  c.MixSigned(b.deregistrations_received);
-  c.MixSigned(b.forward_acks_received);
-  c.MixSigned(b.forward_retransmissions);
-  c.MixSigned(b.forward_arq_drops);
-  c.MixSigned(b.messages_forwarded_local);
-  c.MixSigned(b.messages_forwarded_backbone);
-  c.MixSigned(b.messages_buffered_for_paging);
-  c.MixSigned(b.forward_buffer_drops);
-  c.MixSigned(b.gps_timeouts);
+  for (const auto& field : kBsCounterFields) c.MixSigned(b.*field.member);
   for (const auto& sub : subscribers_) {
     const SubscriberStats& s = sub->stats();
     c.MixSigned(s.messages_enqueued);
@@ -371,15 +328,7 @@ void Cell::JournalCycle(std::int64_t n) {
   obs::Digest64 m;
   m.Mix(c.value());
   m.Mix(JournalHashMetrics());
-  rec.counters = m.value();
-
-  rec.slo = JournalHashSlo();
-  // The event component is the finished fingerprint of cycle n-1 (latched
-  // by SetCycle above); 0 in untraced runs, so traced and untraced journals
-  // are comparable only with each other.
-  rec.events = trace_ != nullptr ? trace_->last_cycle_fingerprint() : 0;
-
-  journal_->Append(rec);
+  AppendJournalRecord(n, grid.value(), q.value(), m.value());
 }
 
 void Cell::PerturbRngAt(std::int64_t cycle) {
@@ -488,13 +437,10 @@ void Cell::DeliverControlFields(const ControlFields& cf, bool second, Tick cycle
                                         : ReverseFormat::kFormat1);
     for (const PlannedBurst& b : bursts) {
       const Interval rel = b.is_gps_slot ? layout.GpsSlot(b.slot) : layout.DataSlot(b.slot);
-      phy::CodedBurst coded;
-      coded.on_air = {cycle_start + rel.begin, cycle_start + rel.end};
-      coded.sender = node;
-      EmitBurstTx(node, b, coded.on_air);
-      coded.codewords.push_back(b.is_gps_slot ? gps_code_.Encode(b.info)
-                                              : data_code_.Encode(b.info));
-      reverse_channel_.Transmit(std::move(coded));
+      const Interval on_air{cycle_start + rel.begin, cycle_start + rel.end};
+      EmitBurstTx(node, b, on_air);
+      TransmitBurst(reverse_channel_, node, on_air, b.is_gps_slot ? gps_code_ : data_code_,
+                    b.info);
     }
   }
 
@@ -505,7 +451,7 @@ void Cell::DeliverControlFields(const ControlFields& cf, bool second, Tick cycle
 
 void Cell::ResolveGpsSlot(int slot, Interval abs) {
   OSUMAC_PROFILE_ZONE("cell.slot.gps");
-  const phy::SlotReception& reception = ResolveReverseSlot(abs, gps_code_);
+  const phy::SlotReception& reception = ResolveReverseSlot(reverse_channel_, abs, gps_code_);
   EmitSlotResolved(slot, abs, static_cast<std::int64_t>(reception.outcome),
                    /*assigned=*/bs_.gps_manager().OwnerOf(slot) != kNoUser,
                    /*designated_contention=*/false, /*is_gps=*/true);
@@ -534,11 +480,7 @@ void Cell::ResolveGpsSlot(int slot, Interval abs) {
     case phy::SlotOutcome::kDecoded:
       if (reception.sender >= 0) {
         emit_gps_terminal(reception.sender, obs::kStageDelivered, 0);
-        const auto [it, first_fix] = last_gps_delivery_.emplace(reception.sender, abs.end);
-        if (!first_fix) {
-          slo_.Observe(obs::SloClass::kGpsDeliveryGap, ToSeconds(abs.end - it->second));
-          it->second = abs.end;
-        }
+        ObserveGpsDelivery(reception.sender, abs.end);
       }
       break;
     case phy::SlotOutcome::kDecodeFailure:
@@ -561,15 +503,7 @@ void Cell::ResolveGpsSlot(int slot, Interval abs) {
 
 void Cell::ResolveDataSlot(int slot, Interval abs, bool is_last_of_prev) {
   OSUMAC_PROFILE_ZONE("cell.slot.data");
-  const phy::SlotReception& reception = ResolveReverseSlot(abs, data_code_);
-  if (reception.outcome == phy::SlotOutcome::kCollision &&
-      GetLogLevel() >= LogLevel::kDebug) {
-    std::string who;
-    for (int c : reception.colliders) who += std::to_string(c) + " ";
-    LogAt(LogLevel::kDebug, sim_.now(), "cell",
-          "collision in data slot " + std::to_string(slot) +
-              (is_last_of_prev ? " (last of prev)" : "") + ", nodes: " + who);
-  }
+  const phy::SlotReception& reception = ResolveReverseSlot(reverse_channel_, abs, data_code_);
   // The deferred last slot was scheduled by the *previous* cycle: its
   // assignment is whoever must listen to CF2 now (kNoUser = it was open
   // contention); current-cycle slots read the live schedule.
@@ -658,14 +592,6 @@ void Cell::DeliverForwardSlot(int slot, Interval abs) {
   }
   if (dest == nullptr || !dest->ExpectsForwardSlot(slot) ||
       !dest->radio().CanReceive(abs)) {
-    if (GetLogLevel() >= LogLevel::kDebug) {
-      LogAt(LogLevel::kDebug, sim_.now(), "cell",
-            "fwd loss slot " + std::to_string(slot) + " dest uid " +
-                std::to_string(packet->dest) +
-                (dest == nullptr          ? " (no active sub)"
-                 : !dest->ExpectsForwardSlot(slot) ? " (not expected)"
-                                                   : " (radio busy)"));
-    }
     emit_loss(dest == nullptr ? obs::kLossNoActiveSubscriber
               : !dest->ExpectsForwardSlot(slot) ? obs::kLossNotExpected
                                                 : obs::kLossRadioBusy);

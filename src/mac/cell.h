@@ -196,8 +196,6 @@ class Cell final : public CellDriver, private CellSubstrate {
   /// Per-node tick of the last off-state paging check; erased whenever the
   /// node is seen active so checking delay only spans true inactive periods.
   std::map<int, Tick> last_paging_check_;
-  /// Per-node tick of the last decoded GPS report (inter-service gap).
-  std::map<int, Tick> last_gps_delivery_;
 
   // Declared last so the check hooks outlive nothing they reference.
   check::ScopedSimClock check_clock_;

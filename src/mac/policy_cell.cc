@@ -19,8 +19,7 @@ PolicyCell::PolicyCell(const CellConfig& config, std::unique_ptr<MacPolicy> poli
 int PolicyCell::AddNode(bool wants_gps) {
   const int node = static_cast<int>(nodes_.size());
   OSUMAC_CHECK(node < kMaxActiveUsers && "user-ID space exhausted");
-  AddNodeChannels(node);
-  gps_phase_.push_back(DrawGpsPhase(wants_gps));
+  AddNodeState(node, wants_gps);
   Node n;
   n.uid = static_cast<UserId>(node);
   n.gps = wants_gps;
@@ -37,7 +36,7 @@ void PolicyCell::SignOff(int node) {
   n.active = false;
   for (const Fragment& f : n.queue) open_messages_.erase(f.message_id);
   n.queue.clear();
-  last_gps_delivery_.erase(node);
+  ForgetGpsDelivery(node);
 }
 
 bool PolicyCell::SendUplinkMessage(int node, int bytes) {
@@ -68,12 +67,9 @@ bool PolicyCell::SendUplinkMessage(int node, int bytes) {
 
 void PolicyCell::ResetStats() {
   counters_ = PolicyCounters{};
-  metrics_ = CellMetrics{};
-  slo_.Reset();
+  ResetSubstrateStats();
   packet_delay_cycles_ = SampleSet{};
   message_delay_cycles_ = SampleSet{};
-  // Gap trackers restart with the measurement window, like the OSU driver.
-  last_gps_delivery_.clear();
 }
 
 Tick PolicyCell::FreshestFixAt(int node, Tick t) const {
@@ -187,9 +183,6 @@ void PolicyCell::Fire(const sim::Event& event) {
 }
 
 void PolicyCell::JournalCycle(std::int64_t n) {
-  obs::JournalRecord rec;
-  rec.cycle = n;
-
   // Slot grid: the plan the policy just fixed — per-carrier formats and
   // every planned slot with its owner and directed transmitters.
   obs::Digest64 grid;
@@ -204,7 +197,6 @@ void PolicyCell::JournalCycle(std::int64_t n) {
     grid.MixSigned(s.carrier);
     for (const int t : s.transmitters) grid.MixSigned(t);
   }
-  rec.slot_grid = grid.value();
 
   // Queues: per-node registration/backlog state plus the open-message and
   // in-flight-burst trackers.
@@ -217,30 +209,14 @@ void PolicyCell::JournalCycle(std::int64_t n) {
   }
   q.Mix(static_cast<std::uint64_t>(open_messages_.size()));
   q.Mix(static_cast<std::uint64_t>(tx_records_.size()));
-  rec.queues = q.value();
 
   // Counters: the driver ledger plus the substrate aggregates.
   obs::Digest64 c;
-  c.MixSigned(counters_.data_packets_received);
-  c.MixSigned(counters_.gps_packets_received);
-  c.MixSigned(counters_.request_packets_received);
-  c.MixSigned(counters_.collisions);
-  c.MixSigned(counters_.decode_failures);
-  c.MixSigned(counters_.idle_slots);
-  c.MixSigned(counters_.granted_slots);
-  c.MixSigned(counters_.contention_slots);
-  c.MixSigned(counters_.payload_bytes_received);
-  c.MixSigned(counters_.deadline_drops);
-  c.MixSigned(counters_.messages_completed);
+  for (const auto& field : kPolicyCounterFields) c.MixSigned(counters_.*field.member);
   c.Mix(static_cast<std::uint64_t>(packet_delay_cycles_.size()));
   c.Mix(static_cast<std::uint64_t>(message_delay_cycles_.size()));
   c.Mix(JournalHashMetrics());
-  rec.counters = c.value();
-
-  rec.slo = JournalHashSlo();
-  rec.events = trace_ != nullptr ? trace_->last_cycle_fingerprint() : 0;
-
-  journal_->Append(rec);
+  AppendJournalRecord(n, grid.value(), q.value(), c.value());
 }
 
 void PolicyCell::TransmitPlanned(std::int64_t n, Tick T) {
@@ -248,15 +224,14 @@ void PolicyCell::TransmitPlanned(std::int64_t n, Tick T) {
   std::vector<int> tx_cursor(nodes_.size(), 0);
   for (const PolicySlotPlan& s : plan_.slots) {
     const Interval abs = SlotInterval(plan_, s, T);
+    const fec::ReedSolomon& code = s.short_slot ? gps_code_ : data_code_;
     for (const int node : s.transmitters) {
       Node& nd = nodes_[static_cast<std::size_t>(node)];
       if (!nd.active) continue;
-      phy::CodedBurst coded;
-      coded.on_air = abs;
-      coded.sender = node;
       TxRecord rec;
       rec.node = node;
       rec.cycle = n;
+      std::vector<fec::GfElem> info;
       if (s.use == PolicySlotUse::kGpsReport) {
         const Tick fix = FreshestFixAt(node, abs.begin);
         if (fix < 0) continue;  // no fix yet: the slot stays silent
@@ -269,14 +244,14 @@ void PolicyCell::TransmitPlanned(std::int64_t n, Tick T) {
         report.ein = static_cast<Ein>(1000 + node);
         report.timestamp = static_cast<std::uint8_t>(n & 0xFF);
         if (s.short_slot) {
-          coded.codewords.push_back(gps_code_.Encode(SerializeGpsPacket(report)));
+          info = SerializeGpsPacket(report);
         } else {
           // A report granted a full data slot (RQMA) rides in a regular
           // packet; the driver's tag bookkeeping carries the semantics.
           DataPacket p;
           p.header.src = nd.uid;
           p.payload_bytes = 9;
-          coded.codewords.push_back(data_code_.Encode(SerializeDataPacket(p)));
+          info = SerializeDataPacket(p);
         }
       } else if (s.use == PolicySlotUse::kAccessRequest) {
         rec.request = true;
@@ -284,7 +259,7 @@ void PolicyCell::TransmitPlanned(std::int64_t n, Tick T) {
         req.src = nd.uid;
         req.slots_requested = static_cast<std::uint8_t>(
             std::min<std::size_t>(31, nd.queue.size()));
-        coded.codewords.push_back(data_code_.Encode(SerializeReservationPacket(req)));
+        info = SerializeReservationPacket(req);
       } else {
         const int idx = tx_cursor[static_cast<std::size_t>(node)]++;
         if (idx >= static_cast<int>(nd.queue.size())) continue;  // grant unused
@@ -296,11 +271,11 @@ void PolicyCell::TransmitPlanned(std::int64_t n, Tick T) {
         p.message_id = f.message_id;
         p.frag_count = f.frag_count;
         p.payload_bytes = f.payload_bytes;
-        coded.codewords.push_back(data_code_.Encode(SerializeDataPacket(p)));
+        info = SerializeDataPacket(p);
       }
-      coded.tag = next_tag_++;
-      tx_records_.emplace(coded.tag, rec);
-      Carrier(s.carrier).Transmit(std::move(coded));
+      const std::uint64_t tag = next_tag_++;
+      tx_records_.emplace(tag, rec);
+      TransmitBurst(Carrier(s.carrier), node, abs, code, info, tag);
     }
   }
 }
@@ -308,21 +283,12 @@ void PolicyCell::TransmitPlanned(std::int64_t n, Tick T) {
 void PolicyCell::ResolveSlot(const PolicySlotPlan& s, Interval abs) {
   OSUMAC_PROFILE_ZONE("policy.slot");
   const fec::ReedSolomon& code = s.short_slot ? gps_code_ : data_code_;
-  const phy::SlotReception* reception;
-  if (s.carrier == 0) {
-    reception = &ResolveReverseSlot(abs, code);
-  } else {
-    Carrier(s.carrier).ResolveSlotPerSenderInto(
-        abs, code,
-        [this](int sender) -> phy::SymbolErrorModel& { return ReverseModelFor(sender); },
-        rng_, channel_scratch_, slot_reception_, config_.erasure_side_information);
-    reception = &slot_reception_;
-  }
+  const phy::SlotReception& reception = ResolveReverseSlot(Carrier(s.carrier), abs, code);
 
   PolicySlotResult result;
-  result.sender = reception->sender;
-  result.colliders = reception->colliders;
-  switch (reception->outcome) {
+  result.sender = reception.sender;
+  result.colliders = reception.colliders;
+  switch (reception.outcome) {
     case phy::SlotOutcome::kIdle:
       result.outcome = PolicySlotResult::Outcome::kIdle;
       ++counters_.idle_slots;
@@ -334,11 +300,11 @@ void PolicyCell::ResolveSlot(const PolicySlotPlan& s, Interval abs) {
     case phy::SlotOutcome::kDecodeFailure:
       result.outcome = PolicySlotResult::Outcome::kDecodeFailure;
       ++counters_.decode_failures;
-      tx_records_.erase(reception->tag);
+      tx_records_.erase(reception.tag);
       break;
     case phy::SlotOutcome::kDecoded: {
       result.outcome = PolicySlotResult::Outcome::kDecoded;
-      const auto it = tx_records_.find(reception->tag);
+      const auto it = tx_records_.find(reception.tag);
       if (it != tx_records_.end()) {
         const TxRecord rec = it->second;
         tx_records_.erase(it);
@@ -346,12 +312,7 @@ void PolicyCell::ResolveSlot(const PolicySlotPlan& s, Interval abs) {
         if (rec.gps_report) {
           ++counters_.gps_packets_received;
           nd.last_delivered_fix = std::max(nd.last_delivered_fix, rec.fix_ready);
-          const auto [git, first_fix] = last_gps_delivery_.emplace(rec.node, abs.end);
-          if (!first_fix) {
-            slo_.Observe(obs::SloClass::kGpsDeliveryGap,
-                         ToSeconds(abs.end - git->second));
-            git->second = abs.end;
-          }
+          ObserveGpsDelivery(rec.node, abs.end);
         } else if (rec.request) {
           ++counters_.request_packets_received;
         } else {

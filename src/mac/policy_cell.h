@@ -18,6 +18,7 @@
 
 #include <cstdint>
 #include <deque>
+#include <iterator>
 #include <map>
 #include <memory>
 #include <string>
@@ -26,6 +27,7 @@
 #include "common/rng.h"
 #include "common/stats.h"
 #include "common/time.h"
+#include "mac/counter_field.h"
 #include "mac/mac_policy.h"
 #include "mac/substrate.h"
 
@@ -65,6 +67,25 @@ struct PolicyCounters {
   std::int64_t deadline_drops = 0;            ///< fragments dropped by policy
   std::int64_t messages_completed = 0;
 };
+
+/// Every PolicyCounters field, in declaration order (the journal hash folds
+/// them in this order).
+inline constexpr CounterField<PolicyCounters> kPolicyCounterFields[] = {
+    {"data_packets_received", &PolicyCounters::data_packets_received},
+    {"gps_packets_received", &PolicyCounters::gps_packets_received},
+    {"request_packets_received", &PolicyCounters::request_packets_received},
+    {"collisions", &PolicyCounters::collisions},
+    {"decode_failures", &PolicyCounters::decode_failures},
+    {"idle_slots", &PolicyCounters::idle_slots},
+    {"granted_slots", &PolicyCounters::granted_slots},
+    {"contention_slots", &PolicyCounters::contention_slots},
+    {"payload_bytes_received", &PolicyCounters::payload_bytes_received},
+    {"deadline_drops", &PolicyCounters::deadline_drops},
+    {"messages_completed", &PolicyCounters::messages_completed},
+};
+static_assert(std::size(kPolicyCounterFields) * sizeof(std::int64_t) ==
+                  sizeof(PolicyCounters),
+              "every PolicyCounters field needs a row in kPolicyCounterFields");
 
 class PolicyCell final : public CellDriver, private CellSubstrate {
  public:
@@ -205,7 +226,6 @@ class PolicyCell final : public CellDriver, private CellSubstrate {
     Tick enqueue = 0;
   };
   std::map<std::uint32_t, MessageTrack> open_messages_;
-  std::map<int, Tick> last_gps_delivery_;  ///< per node, decoded-report gap
 
   PolicyCounters counters_;
   SampleSet packet_delay_cycles_;

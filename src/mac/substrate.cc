@@ -1,5 +1,7 @@
 #include "mac/substrate.h"
 
+#include <utility>
+
 #include "common/check.h"
 #include "phy/phy_params.h"
 
@@ -24,7 +26,7 @@ CellSubstrate::CellSubstrate(const CellConfig& config)
       data_code_(fec::ReedSolomon::Osu6448()),
       gps_code_(fec::ReedSolomon::Osu329()) {}
 
-void CellSubstrate::AddNodeChannels(int node) {
+void CellSubstrate::AddNodeState(int node, bool wants_gps) {
   const auto channel_seed = [this, node](std::uint64_t direction) {
     return SplitMix64(config_.seed +
                       kSplitMix64Gamma * (100 + 2 * static_cast<std::uint64_t>(node) +
@@ -32,10 +34,7 @@ void CellSubstrate::AddNodeChannels(int node) {
   };
   forward_models_.push_back(config_.forward.Make(channel_seed(0)));
   reverse_models_.push_back(config_.reverse.Make(channel_seed(1)));
-}
-
-Tick CellSubstrate::DrawGpsPhase(bool wants_gps) {
-  return wants_gps ? rng_.UniformInt(0, kCycleTicks - 1) : 0;
+  gps_phase_.push_back(wants_gps ? rng_.UniformInt(0, kCycleTicks - 1) : 0);
 }
 
 void CellSubstrate::RunCyclesOn(int cycles) {
@@ -45,9 +44,20 @@ void CellSubstrate::RunCyclesOn(int cycles) {
   sim_.RunUntil(target_cycle_ * kCycleTicks - 1);
 }
 
+void CellSubstrate::TransmitBurst(phy::ReverseChannel& channel, int sender,
+                                  Interval on_air, const fec::ReedSolomon& code,
+                                  std::span<const fec::GfElem> info, std::uint64_t tag) {
+  phy::CodedBurst coded;
+  coded.on_air = on_air;
+  coded.sender = sender;
+  coded.tag = tag;
+  coded.codewords.push_back(code.Encode(info));
+  channel.Transmit(std::move(coded));
+}
+
 const phy::SlotReception& CellSubstrate::ResolveReverseSlot(
-    Interval abs, const fec::ReedSolomon& code) {
-  reverse_channel_.ResolveSlotPerSenderInto(
+    phy::ReverseChannel& channel, Interval abs, const fec::ReedSolomon& code) {
+  channel.ResolveSlotPerSenderInto(
       abs, code,
       [this](int sender) -> phy::SymbolErrorModel& { return ReverseModelFor(sender); },
       rng_, channel_scratch_, slot_reception_, config_.erasure_side_information);
@@ -57,6 +67,34 @@ const phy::SlotReception& CellSubstrate::ResolveReverseSlot(
 void CellSubstrate::RecordUplinkDelivery(UserId src, std::int64_t payload_bytes) {
   metrics_.unique_payload_bytes += payload_bytes;
   metrics_.per_user_bytes[src] += payload_bytes;
+}
+
+void CellSubstrate::ObserveGpsDelivery(int node, Tick at) {
+  const auto [it, first_fix] = last_gps_delivery_.emplace(node, at);
+  if (first_fix) return;
+  slo_.Observe(obs::SloClass::kGpsDeliveryGap, ToSeconds(at - it->second));
+  it->second = at;
+}
+
+void CellSubstrate::ResetSubstrateStats() {
+  metrics_ = CellMetrics{};
+  slo_.Reset();
+  last_gps_delivery_.clear();
+}
+
+void CellSubstrate::AppendJournalRecord(std::int64_t n, std::uint64_t slot_grid,
+                                        std::uint64_t queues, std::uint64_t counters) {
+  obs::JournalRecord rec;
+  rec.cycle = n;
+  rec.slot_grid = slot_grid;
+  rec.queues = queues;
+  rec.counters = counters;
+  rec.slo = JournalHashSlo();
+  // The event component is the finished fingerprint of cycle n-1 (latched
+  // by EventTrace::SetCycle at the cycle start); 0 in untraced runs, so
+  // traced and untraced journals are comparable only with each other.
+  rec.events = trace_ != nullptr ? trace_->last_cycle_fingerprint() : 0;
+  journal_->Append(rec);
 }
 
 std::uint64_t CellSubstrate::JournalHashSlo() const {

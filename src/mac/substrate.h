@@ -8,6 +8,11 @@
 // receive scratch, plus the always-on accounting (CellMetrics, SloMonitor)
 // and the event-trace attachment point.
 //
+// It also holds what both drivers would otherwise repeat: the one burst
+// transmit (TransmitBurst), reverse-slot resolution on any carrier
+// (ResolveReverseSlot), the GPS delivery-gap tracker and the journal-record
+// builder (AppendJournalRecord).
+//
 // Two drivers are built on it (by implementation inheritance, so the hot
 // paths read exactly as they did before the split):
 //
@@ -29,6 +34,7 @@
 #include <cstdint>
 #include <map>
 #include <memory>
+#include <span>
 #include <vector>
 
 #include "common/rng.h"
@@ -148,37 +154,55 @@ class CellSubstrate : private sim::EventTarget {
   /// The absolute interval of a slot with layout interval `rel` ending at `end`.
   static Interval EndingAt(Tick end, Interval rel) { return {end - rel.length(), end}; }
 
-  /// Appends the forward/reverse error models for node `node`.  Fast models
-  /// get per-node, per-direction seeds for their private SplitMix64
-  /// streams; the +100 offset keeps them clear of the exp::SeedStream
-  /// derivations (which use small multipliers of the same gamma).
-  void AddNodeChannels(int node);
-
-  /// Draws the node's fixed GPS report phase within a cycle.  Consumes one
-  /// Rng draw if and only if `wants_gps` (draw-order discipline: adding a
-  /// data-only node must not perturb the stream).
-  Tick DrawGpsPhase(bool wants_gps);
+  /// Appends node `node`'s forward/reverse error models and its fixed GPS
+  /// report phase within a cycle.  Fast models get per-node, per-direction
+  /// seeds for their private SplitMix64 streams; the +100 offset keeps them
+  /// clear of the exp::SeedStream derivations (which use small multipliers
+  /// of the same gamma).  The phase consumes one Rng draw if and only if
+  /// `wants_gps` (draw-order discipline: adding a data-only node must not
+  /// perturb the stream).
+  void AddNodeState(int node, bool wants_gps);
 
   /// Advances the cycle clock by `cycles` (>= 0) notification cycles,
   /// scheduling the cycle-0 start on the first call that runs any.
   void RunCyclesOn(int cycles);
 
-  /// Resolves one reverse slot at the base-station receiver through each
+  /// Puts one burst on `channel`: `info` RS-encoded with `code` as its only
+  /// codeword, sent by node `sender` over `on_air`.  The one reverse-link
+  /// transmit path of both drivers.
+  static void TransmitBurst(phy::ReverseChannel& channel, int sender, Interval on_air,
+                            const fec::ReedSolomon& code,
+                            std::span<const fec::GfElem> info, std::uint64_t tag = 0);
+
+  /// Resolves one reverse slot of `channel` (the substrate's reverse_channel_
+  /// or a driver's extra carrier) at the base-station receiver through each
   /// sender's uplink path, reusing the shared scratch (zero steady-state
   /// allocation).  The result stays valid until the next resolution.
-  const phy::SlotReception& ResolveReverseSlot(Interval abs,
+  const phy::SlotReception& ResolveReverseSlot(phy::ReverseChannel& channel, Interval abs,
                                                const fec::ReedSolomon& code);
+
+  /// Feeds the GPS inter-service gap: a report from `node` decoded at `at`
+  /// scores the time since that node's previous decoded report.
+  void ObserveGpsDelivery(int node, Tick at);
+  /// Ends `node`'s GPS service history at sign-off: a gap spanning the off
+  /// period is not an SLO violation.
+  void ForgetGpsDelivery(int node) { last_gps_delivery_.erase(node); }
+  /// Zeroes the substrate's statistics (CellMetrics, the SLO monitor) and
+  /// restarts the GPS gap tracker: a gap whose left endpoint predates the
+  /// measurement window would otherwise surface as a spurious first miss.
+  void ResetSubstrateStats();
 
   /// Credits a decoded, de-duplicated uplink payload to `src`: the shared
   /// accounting path behind utilization and Jain fairness (the per-user
   /// byte ledger every driver must feed).
   void RecordUplinkDelivery(UserId src, std::int64_t payload_bytes);
 
-  /// Journal hash of the SLO monitor (bucket counts, miss counters) — the
-  /// `slo` component shared by both drivers.  Allocation-free and
-  /// clock-free, like every journal hash hook (`journal-hook-discipline`
-  /// lint rule).
-  std::uint64_t JournalHashSlo() const;
+  /// Appends cycle `n`'s record to the attached journal from the driver's
+  /// own slot-grid, queue and counter hashes, filling the shared `slo` and
+  /// `events` components.  Allocation-free and clock-free, like every
+  /// journal hash hook (`journal-hook-discipline` lint rule).
+  void AppendJournalRecord(std::int64_t n, std::uint64_t slot_grid, std::uint64_t queues,
+                           std::uint64_t counters);
 
   /// Journal hash of the substrate's always-on aggregates (CellMetrics
   /// scalars plus the per-user byte ledger) — folded into the `counters`
@@ -224,6 +248,13 @@ class CellSubstrate : private sim::EventTarget {
   /// branch per cycle).  Thread-confined like the rest of the substrate.
   obs::CellJournal* journal_ = nullptr;
   obs::SloMonitor slo_;
+
+ private:
+  /// Journal hash of the SLO monitor (bucket counts, miss counters): the
+  /// `slo` component of every record.
+  std::uint64_t JournalHashSlo() const;
+
+  std::map<int, Tick> last_gps_delivery_;  ///< per node, last decoded GPS report
 };
 
 }  // namespace osumac::mac

@@ -223,6 +223,11 @@ TEST(SimulatorTest, MacDriverAgendaGolden) {
   EXPECT_EQ(rqma.executed, 620u);
   EXPECT_EQ(rqma.pending, 12u);
   EXPECT_EQ(rqma.chain, 0x9fc27f1e3cfe299eull);
+  // The only tenant with a second carrier: pins the carrier >= 1 slot path.
+  const AgendaTotals pca = RunTenant("pca");
+  EXPECT_EQ(pca.executed, 612u);
+  EXPECT_EQ(pca.pending, 11u);
+  EXPECT_EQ(pca.chain, 0xcb177d02e38eaa3dull);
 }
 
 TEST(SimulatorTest, ZeroCycleRunDoesNotBootstrapTwice) {

@@ -1,13 +1,88 @@
-// Tests for the per-cycle time-series tracer.
+// Tests for the metrics bridge: the counter-ledger tables, the registry
+// names they generate and the per-cycle time-series tracer.
+#include <array>
+#include <bit>
 #include <sstream>
+#include <string>
+#include <vector>
 
 #include <gtest/gtest.h>
 
+#include "metrics/cell_metrics.h"
 #include "metrics/tracer.h"
 #include "traffic/workload.h"
 
 namespace osumac::metrics {
 namespace {
+
+/// Writes i+1 through row i's member pointer into a zeroed ledger, then
+/// reads the ledger back as int64 words: word i must hold i+1.  That holds
+/// only if the table is complete, free of duplicates and in declaration
+/// order, the order the journal hash folds the fields in.
+template <typename Ledger, std::size_t N>
+void ExpectDeclarationOrder(const mac::CounterField<Ledger> (&table)[N]) {
+  Ledger ledger{};
+  for (std::size_t i = 0; i < N; ++i) {
+    ledger.*table[i].member = static_cast<std::int64_t>(i + 1);
+  }
+  const auto words = std::bit_cast<std::array<std::int64_t, N>>(ledger);
+  for (std::size_t i = 0; i < N; ++i) {
+    EXPECT_EQ(words[i], static_cast<std::int64_t>(i + 1)) << "row " << table[i].name;
+  }
+}
+
+TEST(CounterTableTest, BsCounterFieldsFollowDeclarationOrder) {
+  ExpectDeclarationOrder(mac::kBsCounterFields);
+}
+
+TEST(CounterTableTest, PolicyCounterFieldsFollowDeclarationOrder) {
+  ExpectDeclarationOrder(mac::kPolicyCounterFields);
+}
+
+/// Sorted registry names under `prefix` (docs/OBSERVABILITY.md: stable API).
+std::vector<std::string> NamesUnder(const obs::MetricsRegistry& registry,
+                                    const std::string& prefix) {
+  std::vector<std::string> names;
+  for (const auto& [name, value] : registry.Collect()) {
+    if (name.starts_with(prefix)) names.push_back(name);
+  }
+  return names;
+}
+
+TEST(CellMetricsTest, LedgerGaugeNamesGolden) {
+  // Recorded from the hand-written gauge lists the tables replaced.
+  obs::MetricsRegistry osu_registry;
+  const mac::Cell cell(mac::CellConfig{});
+  RegisterCellMetrics(osu_registry, cell);
+  EXPECT_EQ(NamesUnder(osu_registry, "bs."),
+            (std::vector<std::string>{
+                "bs.active_users", "bs.collisions", "bs.contention_data_received",
+                "bs.contention_slot_cycles", "bs.contention_slots", "bs.cycles",
+                "bs.data_packets_received", "bs.data_slots_offered", "bs.data_slots_used",
+                "bs.decode_failures", "bs.deregistrations_received", "bs.downlink_dropped",
+                "bs.duplicate_packets", "bs.format", "bs.forward_acks_received",
+                "bs.forward_arq_drops", "bs.forward_buffer_drops",
+                "bs.forward_packets_sent", "bs.forward_retransmissions",
+                "bs.gps_packets_failed", "bs.gps_packets_received", "bs.gps_timeouts",
+                "bs.gps_users", "bs.idle_assigned_slots", "bs.idle_contention_slots",
+                "bs.last_slot_data_packets", "bs.messages_buffered_for_paging",
+                "bs.messages_forwarded_backbone", "bs.messages_forwarded_local",
+                "bs.payload_bytes_received", "bs.registration_packets_received",
+                "bs.registrations_approved", "bs.registrations_rejected",
+                "bs.reservation_packets_received"}));
+
+  obs::MetricsRegistry policy_registry;
+  const mac::PolicyCell policy(mac::CellConfig{}, mac::MakeMacPolicy("rqma"), 1);
+  RegisterPolicyCellMetrics(policy_registry, policy);
+  EXPECT_EQ(NamesUnder(policy_registry, "mac.rqma.bs."),
+            (std::vector<std::string>{
+                "mac.rqma.bs.collisions", "mac.rqma.bs.contention_slots",
+                "mac.rqma.bs.data_packets_received", "mac.rqma.bs.deadline_drops",
+                "mac.rqma.bs.decode_failures", "mac.rqma.bs.gps_packets_received",
+                "mac.rqma.bs.granted_slots", "mac.rqma.bs.idle_slots",
+                "mac.rqma.bs.messages_completed", "mac.rqma.bs.payload_bytes_received",
+                "mac.rqma.bs.request_packets_received"}));
+}
 
 TEST(CycleTracerTest, CapturesPerCycleDeltas) {
   mac::CellConfig config;
