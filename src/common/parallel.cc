@@ -13,39 +13,7 @@ int ResolveParallelism(int jobs) {
 
 void ParallelForIndex(int count, int jobs,
                       const std::function<void(int)>& fn) {
-  if (count <= 0) return;
-  const int workers = std::min(ResolveParallelism(jobs), count);
-  if (workers <= 1) {
-    for (int i = 0; i < count; ++i) fn(i);
-    return;
-  }
-
-  std::atomic<int> next{0};
-  std::atomic<bool> stop{false};
-  Mutex mu;
-  std::exception_ptr first_error;  // guarded by mu; local, so no GUARDED_BY
-
-  auto worker = [&] {
-    while (!stop.load(std::memory_order_relaxed)) {
-      const int i = next.fetch_add(1, std::memory_order_relaxed);
-      if (i >= count) break;
-      try {
-        fn(i);
-      } catch (...) {
-        MutexLock lock(mu);
-        if (!first_error) first_error = std::current_exception();
-        stop.store(true, std::memory_order_relaxed);
-      }
-    }
-  };
-
-  std::vector<std::thread> threads;
-  threads.reserve(static_cast<std::size_t>(workers) - 1);
-  for (int t = 1; t < workers; ++t) threads.emplace_back(worker);
-  worker();  // the caller works its own share
-  for (auto& thread : threads) thread.join();
-
-  if (first_error) std::rethrow_exception(first_error);
+  TaskPool(std::min(ResolveParallelism(jobs), count)).Run(count, fn);
 }
 
 TaskPool::TaskPool(int threads) : threads_(std::max(1, threads)) {

@@ -5,20 +5,18 @@
 // thread identity), which is what makes every parallel construct in this
 // codebase bit-identical at any worker count:
 //
-//  * ParallelForIndex(count, jobs, fn): one-shot fan-out.  Spawns workers,
-//    runs fn over [0, count), joins.  This is the sweep engine's primitive
-//    (src/exp/runner.h re-exports it); per-call thread spawn cost is noise
-//    against whole-scenario work items.
-//
 //  * TaskPool: a persistent pool for callers that fan out *repeatedly* with
 //    a barrier between rounds — the parallel mac::Network runs one round
 //    per notification cycle, where respawning threads every cycle would
 //    dominate the cycle itself.  Workers park on a condition variable
 //    between rounds; Run() is a full barrier (every index completed before
-//    it returns).
+//    it returns).  It propagates the first worker exception to the caller
+//    and stops siblings from claiming further indices after a failure.
 //
-// Both propagate the first worker exception to the caller and stop
-// siblings from claiming further indices after a failure.
+//  * ParallelForIndex(count, jobs, fn): one-shot fan-out, a single round
+//    of a TaskPool sized to the work.  This is the sweep engine's
+//    primitive; per-call thread spawn cost is noise against
+//    whole-scenario work items.
 #pragma once
 
 #include <atomic>

@@ -62,35 +62,4 @@ double JainFairnessIndex(std::span<const double> allocations) {
   return (sum * sum) / (static_cast<double>(allocations.size()) * sum_sq);
 }
 
-Histogram::Histogram(double lo, double hi, std::size_t bins)
-    : lo_(lo), hi_(hi), counts_(bins, 0) {
-  OSUMAC_CHECK_GT(hi, lo);
-  OSUMAC_CHECK_GT(bins, 0u);
-}
-
-void Histogram::Add(double x) {
-  const double width = (hi_ - lo_) / static_cast<double>(counts_.size());
-  auto bin = static_cast<std::int64_t>(std::floor((x - lo_) / width));
-  bin = std::clamp<std::int64_t>(bin, 0, static_cast<std::int64_t>(counts_.size()) - 1);
-  ++counts_[static_cast<std::size_t>(bin)];
-  ++total_;
-}
-
-double Histogram::bin_lower(std::size_t i) const {
-  const double width = (hi_ - lo_) / static_cast<double>(counts_.size());
-  return lo_ + width * static_cast<double>(i);
-}
-
-double Histogram::CumulativeFractionAtOrBelow(double x) const {
-  if (total_ == 0) return 0.0;
-  const double width = (hi_ - lo_) / static_cast<double>(counts_.size());
-  std::int64_t cum = 0;
-  for (std::size_t i = 0; i < counts_.size(); ++i) {
-    const double upper = lo_ + width * static_cast<double>(i + 1);
-    if (upper - 1e-12 > x) break;
-    cum += counts_[i];
-  }
-  return static_cast<double>(cum) / static_cast<double>(total_);
-}
-
 }  // namespace osumac

@@ -1,6 +1,6 @@
 // Statistics helpers used by the metrics layer and the benchmark harnesses:
-// running moments, sample quantiles, Jain's fairness index (reference [11]
-// of the paper), and fixed-bin histograms.
+// running moments, sample quantiles and Jain's fairness index (reference [11]
+// of the paper).
 #pragma once
 
 #include <cstddef>
@@ -59,28 +59,5 @@ class SampleSet {
 /// Jain's fairness index: (sum u_i)^2 / (n * sum u_i^2).
 /// Equals 1 when all allocations are equal; 1/n in the most unfair case.
 double JainFairnessIndex(std::span<const double> allocations);
-
-/// Fixed-width-bin histogram over [lo, hi); out-of-range samples clamp to
-/// the boundary bins.
-class Histogram {
- public:
-  Histogram(double lo, double hi, std::size_t bins);
-
-  void Add(double x);
-
-  std::size_t bins() const { return counts_.size(); }
-  std::int64_t bin_count(std::size_t i) const { return counts_[i]; }
-  double bin_lower(std::size_t i) const;
-  std::int64_t total() const { return total_; }
-
-  /// Fraction of samples with value <= x (by bin upper edge).
-  double CumulativeFractionAtOrBelow(double x) const;
-
- private:
-  double lo_;
-  double hi_;
-  std::vector<std::int64_t> counts_;
-  std::int64_t total_ = 0;
-};
 
 }  // namespace osumac

@@ -296,8 +296,6 @@ RunResult RunScenario(const ScenarioSpec& spec, const RunHooks& hooks) {
   return ScenarioRun(spec).Execute(hooks);
 }
 
-int ResolveJobs(int jobs) { return ResolveParallelism(jobs); }
-
 std::optional<int> JobsFromArgs(int argc, char** argv, int fallback, std::string* error) {
   for (int i = 1; i < argc; ++i) {
     const char* arg = argv[i];
@@ -326,14 +324,14 @@ std::optional<int> JobsFromArgs(int argc, char** argv, int fallback, std::string
   return fallback;
 }
 
-SweepRunner::SweepRunner(int jobs) : jobs_(ResolveJobs(jobs)) {}
+SweepRunner::SweepRunner(int jobs) : jobs_(ResolveParallelism(jobs)) {}
 
 std::vector<RunResult> SweepRunner::Run(
     const std::vector<ScenarioSpec>& specs,
     const std::function<void(int, int)>& progress) const {
   // Result slots need no lock: workers write disjoint indices (each index
-  // is claimed exactly once), and the joins inside ParallelForIndex publish
-  // every slot to this thread before `results` is read.
+  // is claimed exactly once), and the barrier inside ParallelForIndex
+  // publishes every slot to this thread before `results` is read.
   std::vector<RunResult> results(specs.size());
   const int total = static_cast<int>(specs.size());
   // The progress callback is documented as serialized; the counter shares

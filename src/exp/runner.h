@@ -189,9 +189,6 @@ class SweepRunner {
   const int jobs_;
 };
 
-/// Worker count for `jobs` requested (0 → hardware concurrency, min 1).
-int ResolveJobs(int jobs);
-
 /// Scans argv for "--jobs N" / "--jobs=N" / "-j N" and returns N (or
 /// `fallback` when absent); the flag every figure bench supports.  N must
 /// be a whole non-negative integer (ParseInt): anything else, or a missing

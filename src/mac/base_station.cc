@@ -7,6 +7,15 @@
 namespace osumac::mac {
 
 namespace {
+/// Per-user downlink queue capacity in packets.
+constexpr int kDownlinkQueuePackets = 256;
+/// Cycles to wait for an ACK before retransmitting.  The ack itself needs a
+/// reverse slot (grant or contention), so the round trip is ~4 cycles; a
+/// smaller timeout causes spurious retransmission.
+constexpr std::uint64_t kArqTimeoutCycles = 6;
+/// Retransmissions per forward packet before it is dropped.
+constexpr int kArqMaxRetries = 4;
+
 constexpr std::uint64_t FragKey(std::uint32_t message_id, std::uint8_t frag) {
   return (static_cast<std::uint64_t>(message_id) << 8) | frag;
 }
@@ -34,12 +43,11 @@ ControlFields BaseStation::PlanCycle(std::uint16_t cycle) {
   // Downlink ARQ: retransmit forward packets whose ACK timed out.
   if (config_.downlink_arq) {
     for (auto it = unacked_forward_.begin(); it != unacked_forward_.end();) {
-      if (cycle_counter_ - it->second.sent_cycle <
-          static_cast<std::uint64_t>(config_.arq_timeout_cycles)) {
+      if (cycle_counter_ - it->second.sent_cycle < kArqTimeoutCycles) {
         ++it;
         continue;
       }
-      if (it->second.retries >= config_.arq_max_retries) {
+      if (it->second.retries >= kArqMaxRetries) {
         ++counters_.forward_arq_drops;
         if (sink_ != nullptr) {
           obs::Event e;
@@ -364,7 +372,7 @@ void BaseStation::ProcessUplinkInfo(int slot,
 
       // Implicit reservation: the header's more_slots field *replaces* the
       // user's demand (it reports the current queue length).
-      const int more = std::min<int>(d.header.more_slots, config_.max_slots_per_request);
+      const int more = std::min<int>(d.header.more_slots, kMaxSlotsPerRequest);
       if (more > 0) {
         demand_[uid] = more;
       } else {
@@ -413,7 +421,7 @@ void BaseStation::ProcessUplinkInfo(int slot,
       const ReservationPacket& r = *packet->reservation;
       if (!uid_to_ein_.contains(r.src)) return;
       ++counters_.reservation_packets_received;
-      const int want = std::min<int>(r.slots_requested, config_.max_slots_per_request);
+      const int want = std::min<int>(r.slots_requested, kMaxSlotsPerRequest);
       if (want > 0) demand_[r.src] = want;
       set_ack(r.src);
       if (sink_ != nullptr) {
@@ -454,7 +462,7 @@ void BaseStation::ProcessUplinkInfo(int slot,
               {uid, (static_cast<std::uint32_t>(e.message_id_low) << 8) | e.frag_index});
         }
       }
-      const int more = std::min<int>(a.header.more_slots, config_.max_slots_per_request);
+      const int more = std::min<int>(a.header.more_slots, kMaxSlotsPerRequest);
       if (more > 0) {
         demand_[uid] = more;
       } else {
@@ -553,7 +561,7 @@ bool BaseStation::EnqueueDownlink(UserId dest, std::uint32_t message_id, int byt
   if (!uid_to_ein_.contains(dest) || bytes <= 0) return false;
   auto& queue = downlink_[dest];
   const int frags = (bytes + kPacketPayloadBytes - 1) / kPacketPayloadBytes;
-  if (static_cast<int>(queue.size()) + frags > config_.downlink_queue_packets) {
+  if (static_cast<int>(queue.size()) + frags > kDownlinkQueuePackets) {
     ++counters_.downlink_dropped;
     return false;
   }

@@ -311,19 +311,8 @@ void Cell::JournalCycle(std::int64_t n) {
   const BsCounters& b = bs_.counters();
   for (const auto& field : kBsCounterFields) c.MixSigned(b.*field.member);
   for (const auto& sub : subscribers_) {
-    const SubscriberStats& s = sub->stats();
-    c.MixSigned(s.messages_enqueued);
-    c.MixSigned(s.messages_dropped);
-    c.MixSigned(s.packets_sent);
-    c.MixSigned(s.contention_data_sent);
-    c.MixSigned(s.reservation_packets_sent);
-    c.MixSigned(s.registration_attempts);
-    c.MixSigned(s.packets_delivered);
-    c.MixSigned(s.packets_retransmitted);
-    c.MixSigned(s.gps_reports_sent);
-    c.MixSigned(s.cf_missed);
-    c.MixSigned(s.forward_packets_received);
-    c.MixSigned(s.payload_bytes_delivered);
+    const SubscriberCounters& s = sub->stats();
+    for (const auto& field : kSubscriberCounterFields) c.MixSigned(s.*field.member);
   }
   obs::Digest64 m;
   m.Mix(c.value());

@@ -1,9 +1,16 @@
-// Tunable parameters and feature toggles of the OSU-MAC implementation.
+// Settings of the OSU-MAC implementation: capacities (GPS users, the
+// subscriber queue, the paging buffer), the contention-slot range,
+// registration attempts, GPS miss sign-off, the inactive listen period and
+// the feature toggles.
 //
 // Defaults reproduce the paper's design.  The toggles exist for the ablation
 // benches (Fig. 12 and the design-choice studies in DESIGN.md): disabling
 // the second control field, dynamic GPS-slot adjustment, or dynamic
-// contention-slot adjustment isolates each mechanism's contribution.
+// contention-slot adjustment isolates each mechanism's contribution;
+// downlink ARQ is an extension the paper leaves out.  Protocol numbers with
+// a single value (the backoff windows, the per-request slot cap, the ARQ
+// timer and the downlink queue size) are constants next to the code that
+// reads them.
 #pragma once
 
 #include <cstdint>
@@ -18,8 +25,6 @@ struct MacConfig {
   /// are dropped (the paper attributes utilization loss near rho = 1 to
   /// buffer overflow).
   int subscriber_queue_packets = 96;
-  /// Per-user downlink queue capacity in packets at the base station.
-  int downlink_queue_packets = 256;
 
   // --- contention ---------------------------------------------------------
   /// Minimum number of leading reverse data slots kept unassigned as
@@ -32,22 +37,8 @@ struct MacConfig {
   /// slot stayed idle (Section 3.5).
   bool dynamic_contention_slots = true;
 
-  /// Backoff window (in cycles) after a collided *reservation* packet:
-  /// retry after Uniform[1, this] cycles.
-  int reservation_backoff_cycles = 2;
-  /// Backoff window after a collided *data-in-contention* packet; the paper
-  /// requires this to be longer so reservations and registrations win.
-  int data_backoff_cycles = 6;
   /// Maximum registration attempts before the subscriber gives up.
   int max_registration_attempts = 64;
-
-  // --- policy -------------------------------------------------------------
-  /// If a subscriber has exactly this many packets queued (or fewer) and no
-  /// grant, it sends the data packet itself in a contention slot instead of
-  /// a reservation request (Section 3.1, option 3).
-  int direct_data_contention_threshold = 1;
-  /// Cap on the slot count a single reservation/piggyback may request.
-  int max_slots_per_request = 32;
 
   // --- feature toggles (ablations) ----------------------------------------
   /// Second set of control fields (Section 3.4).  When disabled, the last
@@ -66,12 +57,6 @@ struct MacConfig {
   /// forward packets.  Off by default to match the paper; the ablation
   /// bench quantifies the reverse-bandwidth cost.
   bool downlink_arq = false;
-  /// Cycles the base station waits for an ACK before retransmitting.  The
-  /// ack itself needs a reverse slot (grant or contention), so the round
-  /// trip is ~4 cycles; a smaller timeout causes spurious retransmission.
-  int arq_timeout_cycles = 6;
-  /// Retransmissions per forward packet before it is dropped.
-  int arq_max_retries = 4;
 
   // --- uplink message routing (Section 2.2: "the base station receives
   //     data packets from all mobile subscribers and forwards them to

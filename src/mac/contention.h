@@ -51,19 +51,24 @@ class ContentionController {
 };
 
 /// Mobile side: how many whole cycles to wait after a collision before the
-/// next attempt.  Registrations persist (0); reservations use the short
-/// window; data-in-contention uses the long window.
+/// next attempt.  Registrations persist (retry next cycle); reservations use
+/// the short window; data-in-contention uses the long window.
 struct BackoffPolicy {
+  /// Backoff window (in cycles) after a collided reservation request:
+  /// retry after Uniform[1, this] cycles.
+  static constexpr int kReservationBackoffCycles = 2;
+  /// Backoff window after a collided data-in-contention packet; the paper
+  /// requires this to be longer so reservations and registrations win.
+  static constexpr int kDataBackoffCycles = 6;
+
   /// Cycles to wait before retrying a collided reservation request.
-  static int ReservationBackoff(const MacConfig& config, Rng& rng) {
-    return static_cast<int>(rng.UniformInt(1, config.reservation_backoff_cycles));
+  static int ReservationBackoff(Rng& rng) {
+    return static_cast<int>(rng.UniformInt(1, kReservationBackoffCycles));
   }
   /// Cycles to wait before retrying a collided data-in-contention packet.
-  static int DataBackoff(const MacConfig& config, Rng& rng) {
-    return static_cast<int>(rng.UniformInt(1, config.data_backoff_cycles));
+  static int DataBackoff(Rng& rng) {
+    return static_cast<int>(rng.UniformInt(1, kDataBackoffCycles));
   }
-  /// Registrations persist: retry in the very next cycle.
-  static int RegistrationBackoff() { return 0; }
 };
 
 }  // namespace osumac::mac

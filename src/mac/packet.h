@@ -72,6 +72,9 @@ struct DataPacket {
   // matters to the MAC and the metrics.
 };
 
+/// Cap on the slot count a single reservation or piggyback may request.
+inline constexpr int kMaxSlotsPerRequest = 32;
+
 /// Explicit reservation request (sent in a contention slot).
 struct ReservationPacket {
   UserId src = kNoUser;

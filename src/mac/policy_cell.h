@@ -105,7 +105,6 @@ class PolicyCell final : public CellDriver, private CellSubstrate {
 
   int node_count() const { return static_cast<int>(nodes_.size()); }
   bool is_gps(int node) const { return nodes_[static_cast<std::size_t>(node)].gps; }
-  bool is_active(int node) const { return nodes_[static_cast<std::size_t>(node)].active; }
   UserId uid_of(int node) const { return nodes_[static_cast<std::size_t>(node)].uid; }
   int backlog_packets(int node) const {
     return static_cast<int>(nodes_[static_cast<std::size_t>(node)].queue.size());
@@ -153,10 +152,8 @@ class PolicyCell final : public CellDriver, private CellSubstrate {
   const SampleSet& packet_delay_cycles() const { return packet_delay_cycles_; }
   /// Completed-message delay samples, in cycles.
   const SampleSet& message_delay_cycles() const { return message_delay_cycles_; }
-  /// The plan currently on the air (valid between cycle start and end).
-  const PolicyCyclePlan& current_plan() const { return plan_; }
   /// Carriers provisioned so far (extra carriers appear on first use, so
-  /// this can trail current_plan().carriers() within a cycle).
+  /// this can trail the plan's carrier count within a cycle).
   int carrier_count() const { return 1 + static_cast<int>(extra_carriers_.size()); }
   /// Carrier `carrier`'s reverse channel (0 = the substrate's), for
   /// auditors that inspect pending bursts; carrier < carrier_count().

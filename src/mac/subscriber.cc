@@ -5,6 +5,13 @@
 
 namespace osumac::mac {
 
+namespace {
+/// With this many packets queued (or fewer) and no grant, a subscriber sends
+/// the data packet itself in a contention slot instead of a reservation
+/// request (Section 3.1, option 3).
+constexpr int kDirectDataContentionThreshold = 1;
+}  // namespace
+
 MobileSubscriber::MobileSubscriber(int node_index, Ein ein, bool wants_gps,
                                    const MacConfig& config, Rng rng)
     : node_index_(node_index), ein_(ein), wants_gps_(wants_gps), config_(config),
@@ -294,7 +301,7 @@ void MobileSubscriber::ProcessAcks(const ControlFields& cf, Tick /*cycle_start*/
           }
         } else {
           backoff_until_cycle_ = static_cast<std::uint32_t>(
-              cycle_counter_ + BackoffPolicy::ReservationBackoff(config_, rng_));
+              cycle_counter_ + BackoffPolicy::ReservationBackoff(rng_));
         }
         break;
       case PacketKind::kData:
@@ -331,7 +338,7 @@ void MobileSubscriber::ProcessAcks(const ControlFields& cf, Tick /*cycle_start*/
                         a.slot);
           queue_.push_front(*a.packet);
           backoff_until_cycle_ = static_cast<std::uint32_t>(
-              cycle_counter_ + BackoffPolicy::DataBackoff(config_, rng_));
+              cycle_counter_ + BackoffPolicy::DataBackoff(rng_));
         }
         break;
       case PacketKind::kRegistration:
@@ -644,7 +651,7 @@ std::optional<PlannedBurst> MobileSubscriber::TryContendData(const ControlFields
   PlannedBurst burst;
   burst.is_gps_slot = false;
   burst.slot = *slot;
-  if (static_cast<int>(queue_.size()) <= config_.direct_data_contention_threshold) {
+  if (static_cast<int>(queue_.size()) <= kDirectDataContentionThreshold) {
     // Send the data packet itself; piggyback whatever remains.
     PendingPacket pkt = queue_.front();
     queue_.pop_front();
@@ -662,7 +669,7 @@ std::optional<PlannedBurst> MobileSubscriber::TryContendData(const ControlFields
     }
   } else {
     const int want =
-        std::min<int>(static_cast<int>(queue_.size()), config_.max_slots_per_request);
+        std::min<int>(static_cast<int>(queue_.size()), kMaxSlotsPerRequest);
     attempt.kind = PacketKind::kReservation;
     attempt.requested = want;
     ReservationPacket res;

@@ -20,6 +20,7 @@
 
 #include <cstdint>
 #include <deque>
+#include <iterator>
 #include <map>
 #include <optional>
 #include <set>
@@ -33,6 +34,7 @@
 #include "mac/config.h"
 #include "mac/contention.h"
 #include "mac/control_fields.h"
+#include "mac/counter_field.h"
 #include "mac/cycle_layout.h"
 #include "mac/ids.h"
 #include "mac/packet.h"
@@ -47,8 +49,8 @@ struct PlannedBurst {
   std::vector<fec::GfElem> info;  ///< serialized information block
 };
 
-/// Subscriber-side counters and samples feeding the paper's figures.
-struct SubscriberStats {
+/// Subscriber-side counters feeding the paper's figures.
+struct SubscriberCounters {
   std::int64_t messages_enqueued = 0;
   std::int64_t messages_dropped = 0;     ///< uplink queue overflow
   std::int64_t packets_sent = 0;         ///< data packets (granted slots)
@@ -61,7 +63,30 @@ struct SubscriberStats {
   std::int64_t cf_missed = 0;            ///< control fields lost to channel
   std::int64_t forward_packets_received = 0;
   std::int64_t payload_bytes_delivered = 0;
+};
 
+/// Every SubscriberCounters field, in declaration order (the journal hash
+/// folds them in this order).
+inline constexpr CounterField<SubscriberCounters> kSubscriberCounterFields[] = {
+    {"messages_enqueued", &SubscriberCounters::messages_enqueued},
+    {"messages_dropped", &SubscriberCounters::messages_dropped},
+    {"packets_sent", &SubscriberCounters::packets_sent},
+    {"contention_data_sent", &SubscriberCounters::contention_data_sent},
+    {"reservation_packets_sent", &SubscriberCounters::reservation_packets_sent},
+    {"registration_attempts", &SubscriberCounters::registration_attempts},
+    {"packets_delivered", &SubscriberCounters::packets_delivered},
+    {"packets_retransmitted", &SubscriberCounters::packets_retransmitted},
+    {"gps_reports_sent", &SubscriberCounters::gps_reports_sent},
+    {"cf_missed", &SubscriberCounters::cf_missed},
+    {"forward_packets_received", &SubscriberCounters::forward_packets_received},
+    {"payload_bytes_delivered", &SubscriberCounters::payload_bytes_delivered},
+};
+static_assert(std::size(kSubscriberCounterFields) * sizeof(std::int64_t) ==
+                  sizeof(SubscriberCounters),
+              "every SubscriberCounters field needs a row in kSubscriberCounterFields");
+
+/// The counters plus the delay and latency samples.
+struct SubscriberStats : SubscriberCounters {
   SampleSet packet_delay_cycles;       ///< arrival -> decoded, in cycles
   SampleSet message_delay_cycles;      ///< arrival -> last fragment decoded
   SampleSet reservation_latency_cycles;  ///< first attempt -> acked

@@ -1,14 +1,11 @@
 #include "obs/metrics_registry.h"
 
+#include <cstdint>
 #include <iomanip>
 #include <limits>
+#include <utility>
 
 namespace osumac::obs {
-
-MetricsRegistry::Counter& MetricsRegistry::counter(const std::string& name) {
-  const MutexLock lock(mu_);
-  return counters_[name];
-}
 
 void MetricsRegistry::RegisterGauge(const std::string& name,
                                     std::function<double()> sample) {
@@ -16,35 +13,18 @@ void MetricsRegistry::RegisterGauge(const std::string& name,
   gauges_[name] = std::move(sample);
 }
 
-Histogram& MetricsRegistry::histogram(const std::string& name, double lo,
-                                      double hi, std::size_t bins) {
-  const MutexLock lock(mu_);
-  auto it = histograms_.find(name);
-  if (it == histograms_.end()) {
-    it = histograms_.emplace(name, HistogramEntry{lo, hi, Histogram(lo, hi, bins)})
-             .first;
-  }
-  return it->second.histogram;
-}
-
 bool MetricsRegistry::Contains(const std::string& name) const {
   const MutexLock lock(mu_);
-  return counters_.contains(name) || gauges_.contains(name) ||
-         histograms_.contains(name);
+  return gauges_.contains(name);
 }
 
 void MetricsRegistry::Reset() {
   const MutexLock lock(mu_);
-  counters_.clear();
   gauges_.clear();
-  histograms_.clear();
 }
 
 MetricsRegistry::Snapshot MetricsRegistry::CollectLocked() const {
   Snapshot snapshot;
-  for (const auto& [name, counter] : counters_) {
-    snapshot[name] = static_cast<double>(counter.value());
-  }
   for (const auto& [name, sample] : gauges_) snapshot[name] = sample();
   return snapshot;
 }
@@ -60,13 +40,6 @@ double MetricsRegistry::Delta(const Snapshot& now, const Snapshot& prev,
   if (n == now.end()) return 0.0;
   const auto p = prev.find(name);
   return p == prev.end() ? n->second : n->second - p->second;
-}
-
-MetricsRegistry::Snapshot MetricsRegistry::MergeSnapshots(const Snapshot& a,
-                                                          const Snapshot& b) {
-  Snapshot out = a;
-  for (const auto& [name, value] : b) out[name] += value;
-  return out;
 }
 
 double MetricsRegistry::Value(const Snapshot& snapshot, const std::string& name) {
@@ -106,18 +79,6 @@ void MetricsRegistry::WriteJson(std::ostream& out) const {
   for (const auto& [name, value] : CollectLocked()) {
     out << (first ? "" : ",") << "\n  \"" << name << "\": ";
     WriteNumber(out, value);
-    first = false;
-  }
-  for (const auto& [name, entry] : histograms_) {
-    out << (first ? "" : ",") << "\n  \"" << name << "\": {\"lo\": ";
-    WriteNumber(out, entry.lo);
-    out << ", \"hi\": ";
-    WriteNumber(out, entry.hi);
-    out << ", \"total\": " << entry.histogram.total() << ", \"counts\": [";
-    for (std::size_t i = 0; i < entry.histogram.bins(); ++i) {
-      out << (i == 0 ? "" : ",") << entry.histogram.bin_count(i);
-    }
-    out << "]}";
     first = false;
   }
   out << "\n}\n";

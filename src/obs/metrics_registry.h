@@ -1,94 +1,48 @@
-// Named-metric registry: counters, gauges and histograms that components
-// register into, replacing per-component ad-hoc counter structs as the way
-// metrics leave the system.
+// Named-metric registry of pull gauges: components register a callback per
+// value they already maintain (queue depths, BsCounters fields, sim clock),
+// so existing counter structs join the registry without being rewritten.
 //
-// Three metric flavours:
-//   Counter    — cumulative int64, owned by the registry, bumped by the
-//                component holding a reference.
-//   gauge      — a pull callback sampled at Collect() time; the natural fit
-//                for values a component already maintains (queue depths,
-//                BsCounters fields, sim clock).  Registering a gauge is how
-//                existing counter structs join the registry without being
-//                rewritten.
-//   Histogram  — fixed-bin distribution built on common/stats.h.
+// Collect() samples every gauge into a name -> value map; Delta() subtracts
+// two snapshots, which is the generic replacement for the hand-written
+// per-field delta tracking the CycleTracer used to carry.
 //
-// Collect() snapshots every counter and gauge into a name -> value map;
-// Delta() subtracts two snapshots, which is the generic replacement for the
-// hand-written per-field delta tracking the CycleTracer used to carry.
-//
-// Thread safety: the registry *structure* (the name -> metric maps) is
-// guarded by an internal mutex, so registration and Collect() may race from
-// different threads — e.g. a live exporter sampling while a run is still
-// wiring gauges up.  The Counter and Histogram objects handed out by
-// reference are NOT internally synchronized: each is owned by exactly one
-// component on one thread (the thread-confinement model of
-// docs/STATIC_ANALYSIS.md); a Collect() racing a Counter bump may observe
-// either side of the increment, which is acceptable for monotonic counters.
-// Gauge callbacks run under the registry mutex and must not call back in.
+// Thread safety: the name -> gauge map is guarded by an internal mutex, so
+// registration and Collect() may race from different threads — e.g. a live
+// exporter sampling while a run is still wiring gauges up.  Gauge callbacks
+// run under the registry mutex and must not call back in.
 #pragma once
 
-#include <cstdint>
 #include <functional>
 #include <map>
 #include <ostream>
 #include <string>
 
-#include "common/stats.h"
 #include "common/sync.h"
 
 namespace osumac::obs {
 
 class MetricsRegistry {
  public:
-  class Counter {
-   public:
-    void Increment() { ++value_; }
-    void Add(std::int64_t delta) { value_ += delta; }
-    std::int64_t value() const { return value_; }
-    void Reset() { value_ = 0; }
-
-   private:
-    std::int64_t value_ = 0;
-  };
-
   /// Name -> value at one Collect() instant.
   using Snapshot = std::map<std::string, double>;
-
-  /// Returns the counter registered under `name`, creating it on first use.
-  /// References stay valid for the registry's lifetime (node-based storage).
-  Counter& counter(const std::string& name) EXCLUDES(mu_);
 
   /// Registers (or replaces) a pull gauge sampled at every Collect().
   void RegisterGauge(const std::string& name, std::function<double()> sample)
       EXCLUDES(mu_);
 
-  /// Returns the histogram registered under `name`, creating it with the
-  /// given shape on first use (the shape of an existing histogram wins).
-  Histogram& histogram(const std::string& name, double lo, double hi,
-                       std::size_t bins) EXCLUDES(mu_);
-
   bool Contains(const std::string& name) const EXCLUDES(mu_);
 
-  /// Drops every registered metric, returning the registry to its freshly
-  /// constructed state.  Invalidates references previously handed out by
-  /// counter()/histogram() — for rebinding to a new source (CycleTracer),
-  /// not for concurrent use.
+  /// Drops every registered gauge, returning the registry to its freshly
+  /// constructed state — for rebinding to a new source (CycleTracer).
   void Reset() EXCLUDES(mu_);
 
-  /// Samples every counter and gauge.  Histograms are excluded (they are
-  /// exported in full by WriteJson instead of as one scalar).
+  /// Samples every gauge.
   Snapshot Collect() const EXCLUDES(mu_);
 
   /// now[name] - prev[name]; names absent from `prev` count as 0 (so the
   /// first delta after binding is the delta from zero).
   static double Delta(const Snapshot& now, const Snapshot& prev,
                       const std::string& name);
-  /// Key-union sum of two snapshots: shared names add, unique names carry
-  /// over.  Exact (hence merge-order-invariant) whenever the values are
-  /// integer-valued counters — the rollup path only ever merges those;
-  /// ratio-like gauges must be recomputed from merged counters instead of
-  /// summed (see docs/OBSERVABILITY.md "Rollup semantics").
-  static Snapshot MergeSnapshots(const Snapshot& a, const Snapshot& b);
   /// Value lookup with a 0 default, for optional metrics.
   static double Value(const Snapshot& snapshot, const std::string& name);
 
@@ -97,26 +51,18 @@ class MetricsRegistry {
   /// "name,value" rows sorted by name, with a header.
   void WriteCsv(std::ostream& out) const EXCLUDES(mu_);
 
-  /// One JSON object: scalar metrics plus histograms as {lo, hi, counts[]}.
+  /// One JSON object of "name": value pairs sorted by name.
   void WriteJson(std::ostream& out) const EXCLUDES(mu_);
 
  private:
-  struct HistogramEntry {
-    double lo = 0.0;
-    double hi = 1.0;
-    Histogram histogram{0.0, 1.0, 1};
-  };
-
   /// Collect() body for callers already holding mu_ (WriteCsv/WriteJson).
   Snapshot CollectLocked() const REQUIRES(mu_);
 
   mutable Mutex mu_;
-  // std::map, not unordered: Collect()/WriteCsv/WriteJson iterate these, and
+  // std::map, not unordered: Collect()/WriteCsv/WriteJson iterate it, and
   // iteration order reaches exported artifacts (deterministic by rule
   // ordered-iteration, tools/osumac_lint).
-  std::map<std::string, Counter> counters_ GUARDED_BY(mu_);
   std::map<std::string, std::function<double()>> gauges_ GUARDED_BY(mu_);
-  std::map<std::string, HistogramEntry> histograms_ GUARDED_BY(mu_);
 };
 
 }  // namespace osumac::obs

@@ -12,13 +12,6 @@ bool Lifecycle::Has(std::int64_t stage) const {
                      [stage](const LifecycleStageRecord& r) { return r.stage == stage; });
 }
 
-std::optional<Tick> Lifecycle::TickOf(std::int64_t stage) const {
-  for (const LifecycleStageRecord& r : stages) {
-    if (r.stage == stage) return r.tick;
-  }
-  return std::nullopt;
-}
-
 bool Lifecycle::HasBirth() const {
   return !stages.empty() && stages.front().stage == kStageGenerated;
 }
@@ -47,17 +40,6 @@ std::vector<Lifecycle> CollectLifecycles(const EventTrace& trace) {
     lc.stages.push_back({e.a0, e.tick, e.span, e.a2, e.slot});
   });
   return out;
-}
-
-std::optional<StageAttribution> SlowestTransition(const Lifecycle& lc) {
-  std::optional<StageAttribution> worst;
-  for (std::size_t i = 1; i < lc.stages.size(); ++i) {
-    const Tick d = lc.stages[i].tick - lc.stages[i - 1].tick;
-    if (!worst || d > worst->duration) {
-      worst = StageAttribution{lc.stages[i - 1].stage, lc.stages[i].stage, d};
-    }
-  }
-  return worst;
 }
 
 SpanBreakdown BreakDown(const std::vector<Lifecycle>& lifecycles) {

@@ -14,7 +14,6 @@
 
 #include <cstdint>
 #include <map>
-#include <optional>
 #include <ostream>
 #include <tuple>
 #include <vector>
@@ -43,8 +42,6 @@ struct Lifecycle {
   std::vector<LifecycleStageRecord> stages;
 
   bool Has(std::int64_t stage) const;
-  /// Tick of the first occurrence of `stage`, if recorded.
-  std::optional<Tick> TickOf(std::int64_t stage) const;
   /// True when the trace holds the packet's birth (ring buffers and
   /// attach-after-warmup can truncate the head of a life).
   bool HasBirth() const;
@@ -57,15 +54,6 @@ struct Lifecycle {
 /// Groups a trace's kLifecycle events by id, preserving per-id recording
 /// order.  Ids appear in order of their first event.
 std::vector<Lifecycle> CollectLifecycles(const EventTrace& trace);
-
-/// The slowest stage-to-stage hop of one lifecycle — the stage that "blew
-/// the budget" when a deadline is missed.
-struct StageAttribution {
-  std::int64_t from_stage = 0;
-  std::int64_t to_stage = 0;
-  Tick duration = 0;
-};
-std::optional<StageAttribution> SlowestTransition(const Lifecycle& lc);
 
 /// Per-stage-transition latency statistics over a set of lifecycles,
 /// split by lifecycle class.

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <limits>
-#include <ostream>
 
 namespace osumac::obs {
 
@@ -174,20 +173,6 @@ Timeline ReconstructTimeline(const EventTrace& trace) {
     out.reverse_total.Accumulate(cycle.reverse);
   }
   return out;
-}
-
-void WriteOccupancyCsv(std::ostream& out, const Timeline& timeline) {
-  out << "cycle,begin,end,format,fwd_control,fwd_data,fwd_idle,rev_gps,rev_data,"
-         "rev_contention,rev_collision,rev_corrupted,rev_idle,capacity_bytes,"
-         "payload_bytes,cf_overlap\n";
-  for (const TimelineCycle& c : timeline.cycles) {
-    out << c.cycle << ',' << c.span.begin << ',' << c.span.end << ',' << c.format
-        << ',' << c.forward.control << ',' << c.forward.data << ',' << c.forward.idle
-        << ',' << c.reverse.gps << ',' << c.reverse.data << ',' << c.reverse.contention
-        << ',' << c.reverse.collision << ',' << c.reverse.corrupted << ','
-        << c.reverse.idle << ',' << c.capacity_bytes << ',' << c.payload_bytes << ','
-        << c.cf_overlap << '\n';
-  }
 }
 
 }  // namespace osumac::obs

@@ -12,7 +12,6 @@
 
 #include <cstdint>
 #include <map>
-#include <ostream>
 #include <vector>
 
 #include "obs/event_trace.h"
@@ -94,8 +93,5 @@ struct Timeline {
 /// before the first cycle_start record are ignored (they belong to a cycle
 /// whose boundaries were not captured).
 Timeline ReconstructTimeline(const EventTrace& trace);
-
-/// Renders a per-cycle occupancy table (one line per cycle plus totals).
-void WriteOccupancyCsv(std::ostream& out, const Timeline& timeline);
 
 }  // namespace osumac::obs

@@ -46,7 +46,6 @@ class HalfDuplexRadio {
   void Forget(Tick now);
 
   std::size_t pending_tx() const { return tx_.size(); }
-  std::size_t pending_rx() const { return rx_.size(); }
 
   /// Commitment lists, for auditing (see analysis/protocol_auditor).
   const std::deque<Interval>& tx_commitments() const { return tx_; }

@@ -113,6 +113,18 @@ TEST_F(BaseStationTest, ReservationLeadsToGrantsAndAck) {
   EXPECT_TRUE(bs.demand().empty()) << "grant consumed the demand";
 }
 
+TEST_F(BaseStationTest, ReservationDemandCappedAt32Slots) {
+  BaseStation bs(config_);
+  bs.PlanCycle(next_cycle_++);
+  const UserId uid = Register(bs, 0x42);
+
+  ReservationPacket res;
+  res.src = uid;
+  res.slots_requested = 255;
+  bs.OnDataSlotResolved(1, Decoded(SerializeReservationPacket(res)));
+  EXPECT_EQ(bs.demand().at(uid), 32);
+}
+
 TEST_F(BaseStationTest, ContentionSlotsStayUnassigned) {
   BaseStation bs(config_);
   bs.PlanCycle(next_cycle_++);
@@ -308,6 +320,18 @@ TEST_F(BaseStationTest, DownlinkFragmentationAndSlotPackets) {
   }
   EXPECT_EQ(slots, 3);
   EXPECT_EQ(bytes, 100);
+}
+
+TEST_F(BaseStationTest, DownlinkQueueHolds256PacketsPerUser) {
+  BaseStation bs(config_);
+  bs.PlanCycle(next_cycle_++);
+  const UserId uid = Register(bs, 0x42);
+  for (std::uint32_t m = 0; m < 256; ++m) {
+    ASSERT_TRUE(bs.EnqueueDownlink(uid, m, kPacketPayloadBytes)) << "message " << m;
+  }
+  EXPECT_EQ(bs.counters().downlink_dropped, 0);
+  EXPECT_FALSE(bs.EnqueueDownlink(uid, 256, kPacketPayloadBytes));
+  EXPECT_EQ(bs.counters().downlink_dropped, 1);
 }
 
 TEST_F(BaseStationTest, DownlinkToUnknownUserFails) {

@@ -290,15 +290,6 @@ TEST(StatsTest, JainFairness) {
   EXPECT_DOUBLE_EQ(JainFairnessIndex({}), 1.0);
 }
 
-TEST(StatsTest, HistogramCumulative) {
-  Histogram h(0.0, 10.0, 10);
-  for (double x : {0.5, 1.5, 1.6, 2.5, 9.5, 100.0}) h.Add(x);  // 100 clamps
-  EXPECT_EQ(h.total(), 6);
-  EXPECT_EQ(h.bin_count(1), 2);
-  EXPECT_EQ(h.bin_count(9), 2);  // 9.5 and the clamped 100
-  EXPECT_NEAR(h.CumulativeFractionAtOrBelow(3.0), 4.0 / 6.0, 1e-12);
-}
-
 // --- rng -----------------------------------------------------------------------
 
 TEST(RngTest, SameSeedSameSequence) {

@@ -520,8 +520,8 @@ TEST(ParallelTest, ParallelMapPreservesOrder) {
 }
 
 TEST(ParallelTest, ResolveJobsDefaultsToHardware) {
-  EXPECT_GE(ResolveJobs(0), 1);
-  EXPECT_EQ(ResolveJobs(3), 3);
+  EXPECT_GE(ResolveParallelism(0), 1);
+  EXPECT_EQ(ResolveParallelism(3), 3);
 }
 
 TEST(ParallelTest, JobsFromArgsParsesBothForms) {

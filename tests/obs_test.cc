@@ -82,10 +82,9 @@ TEST(EventTraceTest, ClockAndCycleStampRecords) {
 
 TEST(MetricsRegistryTest, CountersGaugesAndDeltas) {
   MetricsRegistry registry;
-  MetricsRegistry::Counter& c = registry.counter("events.total");
-  c.Increment();
-  c.Add(4);
+  double events = 5.0;
   double queue_depth = 2.0;
+  registry.RegisterGauge("events.total", [&events] { return events; });
   registry.RegisterGauge("queue.depth", [&queue_depth] { return queue_depth; });
 
   const MetricsRegistry::Snapshot first = registry.Collect();
@@ -95,7 +94,7 @@ TEST(MetricsRegistryTest, CountersGaugesAndDeltas) {
   EXPECT_TRUE(registry.Contains("events.total"));
   EXPECT_FALSE(registry.Contains("missing"));
 
-  c.Add(10);
+  events += 10.0;
   queue_depth = 7.0;
   const MetricsRegistry::Snapshot second = registry.Collect();
   EXPECT_DOUBLE_EQ(MetricsRegistry::Delta(second, first, "events.total"), 10.0);
@@ -106,11 +105,8 @@ TEST(MetricsRegistryTest, CountersGaugesAndDeltas) {
 
 TEST(MetricsRegistryTest, CsvAndJsonExport) {
   MetricsRegistry registry;
-  registry.counter("b.count").Add(3);
+  registry.RegisterGauge("b.count", [] { return 3.0; });
   registry.RegisterGauge("a.gauge", [] { return 1.5; });
-  Histogram& h = registry.histogram("delay", 0.0, 10.0, 5);
-  h.Add(1.0);
-  h.Add(9.0);
 
   std::ostringstream csv;
   registry.WriteCsv(csv);
@@ -118,11 +114,7 @@ TEST(MetricsRegistryTest, CsvAndJsonExport) {
 
   std::ostringstream json;
   registry.WriteJson(json);
-  const std::string j = json.str();
-  EXPECT_NE(j.find("\"a.gauge\": 1.5"), std::string::npos) << j;
-  EXPECT_NE(j.find("\"b.count\": 3"), std::string::npos) << j;
-  EXPECT_NE(j.find("\"delay\""), std::string::npos) << j;
-  EXPECT_NE(j.find("\"counts\""), std::string::npos) << j;
+  EXPECT_EQ(json.str(), "{\n  \"a.gauge\": 1.5,\n  \"b.count\": 3\n}\n");
 }
 
 // --- cell-driven traces ------------------------------------------------------
@@ -284,16 +276,6 @@ TEST(TimelineTest, ReconstructsKnownCycleShape) {
   for (const auto& [node, gap] : timeline.min_tx_rx_gap) {
     EXPECT_GE(gap, phy::kHalfDuplexSwitchTicks) << "node " << node;
   }
-
-  std::ostringstream csv;
-  WriteOccupancyCsv(csv, timeline);
-  std::istringstream lines(csv.str());
-  std::string header;
-  ASSERT_TRUE(std::getline(lines, header));
-  EXPECT_EQ(header,
-            "cycle,begin,end,format,fwd_control,fwd_data,fwd_idle,rev_gps,"
-            "rev_data,rev_contention,rev_collision,rev_corrupted,rev_idle,"
-            "capacity_bytes,payload_bytes,cf_overlap");
 }
 
 TEST(TimelineTest, UtilizationMatchesCellMetrics) {

@@ -1,9 +1,9 @@
 // Tests for mergeable telemetry rollups: LogHistogram::Merge,
-// SloMonitor::Merge, MetricsRegistry::MergeSnapshots, and the network-level
-// SLO rollup.  The load-bearing property, pinned here: merging any
-// partition of one observation stream, in any order, reproduces the
-// single-monitor digest bit-for-bit — every field is integer counts or a
-// max of exact inputs, so nothing ever averages or drifts.
+// SloMonitor::Merge and the network-level SLO rollup.  The load-bearing
+// property, pinned here: merging any partition of one observation stream,
+// in any order, reproduces the single-monitor digest bit-for-bit — every
+// field is integer counts or a max of exact inputs, so nothing ever
+// averages or drifts.
 #include <algorithm>
 #include <cmath>
 #include <cstdint>
@@ -180,28 +180,6 @@ TEST(SloRollupTest, MergePreservesBreaches) {
   quiet.Merge(breached);
   EXPECT_TRUE(quiet.BudgetBreached());
   EXPECT_NE(quiet.BreachSummary(), "");
-}
-
-// --- MetricsRegistry snapshots ----------------------------------------------
-
-TEST(SnapshotMergeTest, CounterSnapshotsAddAndUnknownKeysAppear)
-{
-  MetricsRegistry a;
-  a.counter("tx").Add(10);
-  a.counter("rx").Add(3);
-  MetricsRegistry b;
-  b.counter("tx").Add(5);
-  b.counter("drops").Add(1);
-
-  const MetricsRegistry::Snapshot merged =
-      MetricsRegistry::MergeSnapshots(a.Collect(), b.Collect());
-  EXPECT_EQ(merged.at("tx"), 15.0);
-  EXPECT_EQ(merged.at("rx"), 3.0);
-  EXPECT_EQ(merged.at("drops"), 1.0);
-  // Integer-valued doubles add exactly; order can't matter.
-  const MetricsRegistry::Snapshot flipped =
-      MetricsRegistry::MergeSnapshots(b.Collect(), a.Collect());
-  EXPECT_EQ(merged, flipped);
 }
 
 // --- network rollup ----------------------------------------------------------

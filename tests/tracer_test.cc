@@ -33,6 +33,8 @@ void ExpectDeclarationOrder(const mac::CounterField<Ledger> (&table)[N]) {
 
 TEST(CounterTableTest, BsCounterFieldsFollowDeclarationOrder) {
   ExpectDeclarationOrder(mac::kBsCounterFields);
+  // Cell::JournalCycle folds every subscriber's ledger right after this one.
+  ExpectDeclarationOrder(mac::kSubscriberCounterFields);
 }
 
 TEST(CounterTableTest, PolicyCounterFieldsFollowDeclarationOrder) {

@@ -37,6 +37,7 @@
 #include <string>
 #include <vector>
 
+#include "common/parallel.h"
 #include "osumac/osumac.h"
 
 using namespace osumac;
@@ -376,7 +377,7 @@ int main(int argc, char** argv) {
       obs::ProvenanceLine("make_figures", 0,
                           "jobs=" + std::to_string(jobs) +
                               " points=" + std::to_string(specs.size()) +
-                              " cores=" + std::to_string(exp::ResolveJobs(0))));
+                              " cores=" + std::to_string(ResolveParallelism(0))));
 
   // Perf-trajectory history: append this run's per-phase wall-clocks to
   // bench/history.jsonl when running from a repo checkout.  The marker is

@@ -25,6 +25,7 @@
 #include <string>
 #include <variant>
 
+#include "common/parallel.h"
 #include "osumac/osumac.h"
 
 using namespace osumac;
@@ -489,7 +490,7 @@ int RunNetwork(const Options& opt, const exp::ScenarioSpec& model) {
   spec.warmup_cycles = model.warmup_cycles;
   spec.measure_cycles = model.measure_cycles;
   spec.seed = model.seed;
-  spec.threads = exp::ResolveJobs(opt.threads);
+  spec.threads = ResolveParallelism(opt.threads);
   spec.mac = model.mac;
 
   char config_text[256];
