@@ -5,6 +5,7 @@
 #include <limits>
 
 #include "obs/sinks.h"
+#include "obs/span.h"
 
 namespace osumac::obs {
 
@@ -104,7 +105,7 @@ bool FlightRecorder::Dump(const std::string& dir, std::string* error) const {
              << trace_->dropped() << " dropped by the ring\n";
   }
   manifest << "files: MANIFEST.txt";
-  if (trace_) manifest << " events.jsonl";
+  if (trace_) manifest << " events.jsonl lifecycles.txt";
   manifest << " metrics.csv";
   if (slo_) manifest << " slo_report.txt";
   if (!scenario_.empty()) manifest << " scenario.txt";
@@ -114,6 +115,9 @@ bool FlightRecorder::Dump(const std::string& dir, std::string* error) const {
     std::ofstream events;
     if (!open("events.jsonl", events)) return false;
     WriteJsonl(events, *trace_);
+    std::ofstream lifecycles;
+    if (!open("lifecycles.txt", lifecycles)) return false;
+    WriteLifecycleReport(lifecycles, *trace_);
   }
 
   std::ofstream metrics;

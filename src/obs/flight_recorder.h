@@ -17,6 +17,7 @@
 // A dump directory contains (see docs/OBSERVABILITY.md):
 //   MANIFEST.txt   provenance, trip reason + cycle, file inventory
 //   events.jsonl   the retained event window (obs JSONL schema)
+//   lifecycles.txt WriteLifecycleReport over that window
 //   metrics.csv    cycle,name,value rows for the retained snapshots
 //   slo_report.txt SloMonitor::WriteReport at dump time
 //   scenario.txt   the active ScenarioSpec's description

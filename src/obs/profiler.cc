@@ -1,6 +1,5 @@
 #include "obs/profiler.h"
 
-#include <iomanip>
 #include <vector>
 
 #include "common/check.h"
@@ -153,14 +152,12 @@ void CollectFrames(const ZoneNode& node, std::map<std::string, int>& index,
 /// DFS over the tree laying nodes on a synthetic timeline: each node opens
 /// at `cursor`, its children pack sequentially from there, and it closes
 /// at cursor + total_ns (>= the children's end, since child time is
-/// included in the parent's).  Shared by the speedscope and Chrome
-/// exports so both draw the same flame.
+/// included in the parent's).
 struct FlameEvent {
   enum class Kind { kOpen, kClose };
   Kind kind;
   int frame;
   std::int64_t at_ns;
-  std::int64_t dur_ns;  ///< node's inclusive time (on open events)
 };
 
 void LayoutFlame(const ZoneNode& node, std::int64_t cursor,
@@ -168,10 +165,9 @@ void LayoutFlame(const ZoneNode& node, std::int64_t cursor,
                  std::vector<FlameEvent>& events) {
   for (const auto& [name, child] : node.children) {
     const int frame = index.at(name);
-    events.push_back({FlameEvent::Kind::kOpen, frame, cursor, child->total_ns});
+    events.push_back({FlameEvent::Kind::kOpen, frame, cursor});
     LayoutFlame(*child, cursor, index, events);
-    events.push_back(
-        {FlameEvent::Kind::kClose, frame, cursor + child->total_ns, 0});
+    events.push_back({FlameEvent::Kind::kClose, frame, cursor + child->total_ns});
     cursor += child->total_ns;
   }
 }
@@ -182,21 +178,6 @@ void CollapsedLines(const ZoneNode& node, const std::string& prefix,
     const std::string path = prefix.empty() ? name : prefix + ";" + name;
     if (child->self_ns() > 0) out << path << ' ' << child->self_ns() << '\n';
     CollapsedLines(*child, path, out);
-  }
-}
-
-void ReportLines(const ZoneNode& node, int depth, double total_ms,
-                 std::ostream& out) {
-  for (const auto& [name, child] : node.children) {
-    const double incl_ms = static_cast<double>(child->total_ns) / 1e6;
-    const double self_ms = static_cast<double>(child->self_ns()) / 1e6;
-    out << "  " << std::setw(10) << child->count << "  " << std::setw(10)
-        << std::fixed << std::setprecision(3) << incl_ms << "  " << std::setw(10)
-        << self_ms << "  " << std::setw(5) << std::setprecision(1)
-        << (total_ms > 0 ? 100.0 * incl_ms / total_ms : 0.0) << "%  ";
-    for (int i = 0; i < depth; ++i) out << "  ";
-    out << name << '\n';
-    ReportLines(*child, depth + 1, total_ms, out);
   }
 }
 
@@ -235,44 +216,6 @@ void WriteSpeedscope(std::ostream& out, const Profiler& profiler,
 void WriteCollapsed(std::ostream& out, const Profiler& profiler) {
   OSUMAC_CHECK_EQ(profiler.open_depth(), 0);
   CollapsedLines(profiler.root(), "", out);
-}
-
-void WriteChromeTraceProfile(std::ostream& out, const Profiler& profiler,
-                             const std::string& provenance) {
-  OSUMAC_CHECK_EQ(profiler.open_depth(), 0);
-  std::map<std::string, int> index;
-  std::vector<std::string> names;
-  CollectFrames(profiler.root(), index, names);
-  std::vector<FlameEvent> events;
-  LayoutFlame(profiler.root(), 0, index, events);
-
-  out << "{\"otherData\": {\"provenance\": \"" << JsonEscape(provenance)
-      << "\"},\n \"traceEvents\": [\n";
-  bool first = true;
-  for (const FlameEvent& e : events) {
-    if (e.kind != FlameEvent::Kind::kOpen) continue;
-    // Chrome timestamps are microseconds; keep sub-us precision as decimals.
-    out << (first ? "" : ",\n") << "  {\"name\": \""
-        << JsonEscape(names[static_cast<std::size_t>(e.frame)])
-        << "\", \"ph\": \"X\", \"pid\": 0, \"tid\": 0, \"ts\": "
-        << static_cast<double>(e.at_ns) / 1e3
-        << ", \"dur\": " << static_cast<double>(e.dur_ns) / 1e3 << '}';
-    first = false;
-  }
-  out << "\n ]}\n";
-}
-
-void WriteProfileReport(std::ostream& out, const Profiler& profiler) {
-  OSUMAC_CHECK_EQ(profiler.open_depth(), 0);
-  if (profiler.empty()) {
-    out << "--- profile: no zones recorded ---\n";
-    return;
-  }
-  const double total_ms = static_cast<double>(profiler.total_ns()) / 1e6;
-  out << "--- profile (" << std::fixed << std::setprecision(3) << total_ms
-      << " ms in zones) ---\n"
-      << "       count     incl_ms     self_ms  share  zone\n";
-  ReportLines(profiler.root(), 0, total_ms, out);
 }
 
 }  // namespace osumac::obs

@@ -143,16 +143,6 @@ void WriteSpeedscope(std::ostream& out, const Profiler& profiler,
 /// flamegraph tool.
 void WriteCollapsed(std::ostream& out, const Profiler& profiler);
 
-/// Chrome trace-event JSON: one complete ("ph":"X") event per node on a
-/// synthetic timeline (same DFS layout as the speedscope export), loadable
-/// in chrome://tracing and Perfetto alongside the event trace.
-void WriteChromeTraceProfile(std::ostream& out, const Profiler& profiler,
-                             const std::string& provenance);
-
-/// Human-readable table: one line per path, depth-indented, with count,
-/// inclusive/self milliseconds, and the share of the profiled total.
-void WriteProfileReport(std::ostream& out, const Profiler& profiler);
-
 // --- the zone macro --------------------------------------------------------
 
 /// RAII scoped zone body.  Reads the thread-local active profiler once at

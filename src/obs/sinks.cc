@@ -239,18 +239,4 @@ void WriteJsonl(std::ostream& out, const EventTrace& trace) {
   });
 }
 
-void WriteTimeline(std::ostream& out, const EventTrace& trace) {
-  trace.ForEach([&out](const Event& e) {
-    out << "[t=" << std::setw(9) << e.tick << " c=" << std::setw(5) << e.cycle
-        << "] " << std::setw(8) << ChannelName(e.channel) << ' ' << DisplayName(e);
-    if (e.node >= 0) out << " node=" << e.node;
-    if (e.uid >= 0) out << " uid=" << e.uid;
-    if (!e.span.empty()) out << " air=[" << e.span.begin << ',' << e.span.end << ')';
-    out << '\n';
-  });
-  if (trace.dropped() > 0) {
-    out << "(ring wrapped: " << trace.dropped() << " older events dropped)\n";
-  }
-}
-
 }  // namespace osumac::obs

@@ -1,8 +1,8 @@
 // Trace export sinks: Chrome trace-event JSON (loads in Perfetto /
-// chrome://tracing), JSONL (one event per line, exact integer ticks), and a
-// human-readable chronological timeline.
+// chrome://tracing; what osumac_sim --trace writes) and JSONL (one event
+// per line, exact integer ticks; the flight recorder's events.jsonl).
 //
-// All three consume a recorded EventTrace; none mutate it.  See
+// Both consume a recorded EventTrace; neither mutates it.  See
 // docs/OBSERVABILITY.md for the schemas and a Perfetto walkthrough.
 #pragma once
 
@@ -35,8 +35,5 @@ void WriteChromeTrace(std::ostream& out, const EventTrace& trace,
 
 /// One JSON object per line, all times in exact integer ticks.
 void WriteJsonl(std::ostream& out, const EventTrace& trace);
-
-/// Human-readable chronological listing (one event per line).
-void WriteTimeline(std::ostream& out, const EventTrace& trace);
 
 }  // namespace osumac::obs

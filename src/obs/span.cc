@@ -2,8 +2,11 @@
 
 #include <algorithm>
 #include <iomanip>
+#include <sstream>
+#include <string>
 
 #include "obs/sinks.h"
+#include "obs/slo.h"
 
 namespace osumac::obs {
 
@@ -70,6 +73,76 @@ void SpanBreakdown::Write(std::ostream& out) const {
         << std::right << " n=" << std::setw(7) << stats.count() << "  mean="
         << stats.mean() << "s  max=" << stats.max() << "s\n";
   }
+}
+
+namespace {
+
+/// Seconds at the report's 0.1 ms resolution.
+std::string Seconds(Tick t) {
+  std::ostringstream s;
+  s << std::fixed << std::setprecision(4) << ToSeconds(t) << 's';
+  return s.str();
+}
+
+/// "dropped[collision]@slot3": the stage, its drop code, its slot.
+std::string StageLabel(const LifecycleStageRecord& r) {
+  std::string label = LifecycleStageName(r.stage);
+  if (r.stage == kStageDropped) {
+    label += std::string("[") + LifecycleDropCodeName(r.detail) + "]";
+  }
+  if (r.slot >= 0) label += "@slot" + std::to_string(r.slot);
+  return label;
+}
+
+}  // namespace
+
+void WriteLifecycleReport(std::ostream& out, const EventTrace& trace) {
+  // Formatted apart from `out` so the caller's stream state never leaks in.
+  std::ostringstream report;
+  const std::vector<Lifecycle> lifecycles = CollectLifecycles(trace);
+  BreakDown(lifecycles).Write(report);
+
+  std::map<std::int32_t, std::vector<Tick>> arrivals;  // node -> delivery ends
+  for (const Lifecycle& lc : lifecycles) {
+    const LifecycleStageRecord& last = lc.stages.back();
+    if (lc.cls == kClassGps && last.stage == kStageDelivered) {
+      arrivals[lc.node].push_back(last.span.end);
+    }
+    if (last.stage != kStageDropped) continue;
+    report << "dropped " << LifecycleClassName(lc.cls) << " lifecycle 0x"
+           << std::hex << lc.id << std::dec << " node " << lc.node << ": "
+           << StageLabel(lc.stages.front()) << " t=" << Seconds(lc.stages.front().tick);
+    for (std::size_t i = 1; i < lc.stages.size(); ++i) {
+      report << " -> " << StageLabel(lc.stages[i]) << " (+"
+             << Seconds(lc.stages[i].tick - lc.stages[i - 1].tick) << ')';
+    }
+    report << '\n';
+  }
+
+  const double budget = SloBudgetSeconds(SloClass::kGpsDeliveryGap);
+  for (auto& [node, ends] : arrivals) {
+    std::sort(ends.begin(), ends.end());
+    for (std::size_t i = 1; i < ends.size(); ++i) {
+      if (ToSeconds(ends[i] - ends[i - 1]) <= budget) continue;
+      report << "BLOWN BUDGET: node " << node << " inter-delivery gap "
+             << Seconds(ends[i] - ends[i - 1]) << " > " << budget
+             << "s (delivered at " << Seconds(ends[i - 1]) << ", next at "
+             << Seconds(ends[i]) << ")\n";
+    }
+  }
+  for (const Lifecycle& lc : lifecycles) {
+    const LifecycleStageRecord& last = lc.stages.back();
+    if (lc.cls != kClassGps || last.stage != kStageDropped ||
+        !lc.Has(kStageSlotTx)) {
+      continue;
+    }
+    report << "BLOWN BUDGET: node " << lc.node
+           << " lost its report after slot_tx, so the gap around it spans "
+              "two cycles: "
+           << StageLabel(lc.stages[lc.stages.size() - 2]) << " -> "
+           << StageLabel(last) << " at t=" << Seconds(last.tick) << '\n';
+  }
+  out << report.str();
 }
 
 }  // namespace osumac::obs

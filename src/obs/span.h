@@ -6,7 +6,8 @@
 // sub-stages and a terminal dropped stage.  This header turns a recorded
 // EventTrace back into per-packet `Lifecycle` objects and reduces them into
 // per-stage-transition latency breakdowns — the "where did the time go?"
-// answer for any packet that missed its deadline.
+// answer for any packet that missed its deadline.  WriteLifecycleReport is
+// that answer in prose: the flight recorder's lifecycles.txt.
 //
 // Lifecycle ids (Event::a1) are constructed by DataLifecycleId /
 // GpsLifecycleId in event.h; id 0 means "untraced" and is never emitted.
@@ -68,5 +69,13 @@ struct SpanBreakdown {
   void Write(std::ostream& out) const;
 };
 SpanBreakdown BreakDown(const std::vector<Lifecycle>& lifecycles);
+
+/// The post-mortem of a trace window: the SpanBreakdown summary, one line
+/// per dropped lifecycle with its stage chain, and one `BLOWN BUDGET` line
+/// per GPS inter-delivery gap above the kGpsDeliveryGap budget and per GPS
+/// report dropped after its slot TX (losing one report makes the gap
+/// around it at least two cycles long, whether or not both ends of that
+/// gap are in the window).
+void WriteLifecycleReport(std::ostream& out, const EventTrace& trace);
 
 }  // namespace osumac::obs

@@ -4,11 +4,13 @@
 Hostile flags and scenario files must exit 1 quickly with a message naming
 the flag or scenario key (never a CHECK abort), and three journal
 signatures pin the single-OSU, single-policy and network run paths.
-make_figures' --jobs parse is held to the same rule, and the lossy-channel
+make_figures' arguments are held to the same rule, and the lossy-channel
 sweep (scenarios/lossy_sweep.scn) must reproduce tests/lossy_sweep.expected
 byte for byte at any --jobs value, so any change to an RS decode outcome
 fails here.  make_figures' figure CSVs keep their columns, and the counter
 columns appended to them agree with the same run's BENCH_sweeps.json.
+CI's trace, flight and injected-divergence steps run here too, through
+tools/check_trace.py and tools/osumac_diff.py.
 
 Run via ctest, or directly:
   python3 tests/cli_test.py build/tools/osumac_sim build/tools/make_figures
@@ -18,6 +20,7 @@ from __future__ import annotations
 import csv
 import json
 import re
+import shutil
 import subprocess
 import sys
 import tempfile
@@ -34,6 +37,11 @@ def run(*args: str, cwd: str | None = None, program: str | None = None,
         timeout: float = 60) -> subprocess.CompletedProcess:
     return subprocess.run([program or SIM, *args], cwd=cwd, capture_output=True,
                           text=True, timeout=timeout)
+
+
+def tool(name: str, *args: str, cwd: str) -> subprocess.CompletedProcess:
+    """Runs tools/<name> (a Python checker) on files in `cwd`."""
+    return run(str(REPO / "tools" / name), *args, cwd=cwd, program=sys.executable)
 
 
 class HostileInputTest(unittest.TestCase):
@@ -103,6 +111,14 @@ class HostileInputTest(unittest.TestCase):
             ]:
                 with self.subTest(args=args):
                     self.expect_rejected([tmp, *args], named, program=FIGURES)
+
+    def test_make_figures_rejects_unknown_arguments(self):
+        # Each used to run the whole sweep into ./results or out/.
+        for args in (["--help"], ["out", "--jbos", "2"], ["out", "more"]):
+            with self.subTest(args=args), tempfile.TemporaryDirectory() as tmp:
+                self.expect_rejected(args, "usage: make_figures", cwd=tmp,
+                                     program=FIGURES)
+                self.assertEqual(list(Path(tmp).iterdir()), [])
 
     def test_negative_cycle_counts(self):
         self.expect_rejected(["--warmup", "-5"], "--warmup -5")
@@ -174,6 +190,63 @@ class RunTest(unittest.TestCase):
                     found = re.search(r"signature ([0-9a-f]{16})", proc.stdout)
                     self.assertIsNotNone(found, proc.stdout)
                     self.assertEqual(found.group(1), signature)
+
+
+class ObservabilityStepTest(unittest.TestCase):
+    """CI's trace, flight and injected-divergence steps, command for
+    command: osumac_sim's artifacts must pass the repo's own checkers."""
+
+    def expect_exit(self, proc: subprocess.CompletedProcess, code: int):
+        self.assertEqual(proc.returncode, code, proc.stdout + proc.stderr)
+
+    def test_trace_smoke(self):
+        with tempfile.TemporaryDirectory() as tmp:
+            self.expect_exit(run("--cycles", "50", "--trace", "out.json",
+                                 "--metrics", "metrics.csv", "--audit", cwd=tmp), 0)
+            self.expect_exit(tool("check_trace.py", "out.json", cwd=tmp), 0)
+
+    def test_flight_smoke_names_the_blown_gps_gap(self):
+        with tempfile.TemporaryDirectory() as tmp:
+            self.expect_exit(run("--cycles", "200", "--warmup", "10", "--gps", "4",
+                                 "--channel", "ge", "--seed", "7",
+                                 "--flight-dir", "flight_dump", cwd=tmp), 0)
+            check = tool("check_trace.py", "--flight", "flight_dump", cwd=tmp)
+            self.expect_exit(check, 0)
+            self.assertIn("BLOWN BUDGET: node 10 inter-delivery gap 7.9688s",
+                          check.stdout)
+
+    def test_injected_divergence_is_localized(self):
+        common = ["--rho", "0.8", "--cycles", "60", "--channel", "uniform",
+                  "--ser", "0.001"]
+        with tempfile.TemporaryDirectory() as tmp:
+            self.expect_exit(run(*common, "--journal", "ref.jsonl", cwd=tmp), 0)
+            self.expect_exit(run(*common, "--journal", "live.jsonl",
+                                 "--journal-expect", "ref.jsonl", "--fault-cycle", "90",
+                                 "--flight-dir", "flight_divergence", cwd=tmp), 3)
+            diff = ["ref.jsonl", "live.jsonl", "--flight", "flight_divergence",
+                    "--expect-divergence-at", "102", "--expect-cell", "0"]
+            self.expect_exit(tool("osumac_diff.py", *diff, cwd=tmp), 0)
+            self.expect_exit(tool("check_trace.py", "--flight", "flight_divergence",
+                                  cwd=tmp), 0)
+
+            # A malformed dump is malformed input (exit 2), not a traceback.
+            dump = Path(tmp) / "flight_divergence"
+            manifest = (dump / "MANIFEST.txt").read_text()
+            self.assertRegex(manifest, r"\ncycle: \d+\n")
+            for name, text in [
+                ("MANIFEST.txt", re.sub(r"\ncycle: (\d+)\n", r"\ncycle: \g<1>x\n",
+                                        manifest)),
+                ("events.jsonl", (dump / "events.jsonl").read_text() + "{bad\n"),
+            ]:
+                with self.subTest(malformed=name):
+                    shutil.rmtree(Path(tmp) / "broken", ignore_errors=True)
+                    shutil.copytree(dump, Path(tmp) / "broken")
+                    (Path(tmp) / "broken" / name).write_text(text)
+                    diff[3] = "broken"
+                    proc = tool("osumac_diff.py", *diff, cwd=tmp)
+                    self.expect_exit(proc, 2)
+                    self.assertNotIn("Traceback", proc.stderr)
+                    self.assertIn(name, proc.stderr)
 
 
 class FigureCsvTest(unittest.TestCase):

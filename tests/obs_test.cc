@@ -237,10 +237,6 @@ TEST(ChromeTraceTest, OutputIsWellFormedJson) {
     ++count;
   }
   EXPECT_EQ(count, t.trace.size());
-
-  std::ostringstream timeline;
-  WriteTimeline(timeline, t.trace);
-  EXPECT_NE(timeline.str().find("cycle_start"), std::string::npos);
 }
 
 TEST(TimelineTest, ReconstructsKnownCycleShape) {

@@ -410,8 +410,8 @@ TEST(SpanTest, FlightRecorderDumpsOnGilbertElliottBreach) {
   EXPECT_TRUE(observer.dumped()) << observer.dump_error();
   EXPECT_NE(recorder.trip_reason().find("slo:"), std::string::npos)
       << recorder.trip_reason();
-  for (const char* name :
-       {"MANIFEST.txt", "events.jsonl", "slo_report.txt", "scenario.txt"}) {
+  for (const char* name : {"MANIFEST.txt", "events.jsonl", "lifecycles.txt",
+                           "slo_report.txt", "scenario.txt"}) {
     EXPECT_TRUE(std::filesystem::exists(dir / name)) << name;
   }
   std::ifstream manifest(dir / "MANIFEST.txt");
@@ -431,6 +431,12 @@ TEST(SpanTest, FlightRecorderDumpsOnGilbertElliottBreach) {
     }
   }
   EXPECT_TRUE(saw_dropped_lifecycle);
+  // lifecycles.txt tells that story: the breach is a blown GPS budget.
+  std::ifstream lifecycles(dir / "lifecycles.txt");
+  std::stringstream report;
+  report << lifecycles.rdbuf();
+  EXPECT_NE(report.str().find("\nBLOWN BUDGET: node "), std::string::npos)
+      << report.str();
   std::filesystem::remove_all(dir);
 }
 

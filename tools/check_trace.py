@@ -20,12 +20,15 @@ Chrome-trace mode (CI runs this on the trace-smoke artifact) checks:
     wrapped trace reconstructs only a suffix of the run;
   - the provenance line is present, so the artifact says what produced it.
 
-Flight mode replays DIR/events.jsonl (the obs JSONL schema), applies the
-same per-lifecycle structural rules, then reconstructs every packet
-lifecycle stage by stage.  For GPS lifecycles it recomputes the
-inter-delivery gap per node against the paper's 4 s budget and, for each
-blown gap, names the dropped report(s) inside it and the stage transition
-that failed — the post-mortem the dump exists for.
+Flight mode checks a FlightRecorder dump:
+  - a `journal divergence:` trip named in the MANIFEST cites a known
+    component and the MANIFEST's own trip cycle;
+  - DIR/events.jsonl (the obs JSONL schema) obeys the same per-lifecycle
+    structural rules;
+  - DIR/lifecycles.txt, the dump's post-mortem (obs::WriteLifecycleReport:
+    dropped lifecycles' stage chains and blown GPS budgets), is present,
+    and a `gps_delivery_gap` trip is explained by at least one
+    `BLOWN BUDGET` line in it.  Its BLOWN BUDGET lines are echoed.
 
 Exit status 0 on success, 1 with a diagnostic on the first failure.
 """
@@ -36,17 +39,6 @@ import os
 import re
 import sys
 
-GPS_BUDGET_S = 4.0
-TICKS_PER_SECOND = 48000
-
-STAGE_NAMES = {
-    0: "generated", 1: "queued", 2: "reservation_tx", 3: "grant_rx",
-    4: "slot_tx", 5: "delivered", 6: "acked", 7: "retry", 8: "erasure",
-    9: "dropped",
-}
-DROP_CODES = {0: "superseded", 1: "decode_failure", 2: "collision",
-              3: "power_off"}
-CLASS_NAMES = {0: "data", 1: "gps"}
 STAGE_DROPPED = 9
 STAGE_DELIVERED = 5
 STAGE_ACKED = 6
@@ -157,8 +149,8 @@ def check_chrome_trace(path: str) -> int:
             # The emitter derives the phase from the stage; both must agree.
             expect = "b" if stage == 0 else ("e" if terminal(stage, cls) else "n")
             if ph != expect:
-                fail(f"event {i}: stage {STAGE_NAMES.get(stage, stage)} "
-                     f"emitted as ph={ph!r}, expected {expect!r}")
+                fail(f"event {i}: stage {stage} emitted as ph={ph!r}, "
+                     f"expected {expect!r}")
             tracker.observe(span_id, ph == "b", ph == "e", ts, f"event {i}")
             async_events += 1
         else:
@@ -199,32 +191,6 @@ def load_jsonl(path: str) -> list:
     except OSError as e:
         fail(f"{path}: {e}")
     return events
-
-
-def describe_stage(ev: dict) -> str:
-    stage = need(ev, "a0", "lifecycle chain")
-    name = STAGE_NAMES.get(stage, f"stage{stage}")
-    if stage == STAGE_DROPPED:
-        detail = need(ev, "a2", "dropped lifecycle event")
-        name += f"[{DROP_CODES.get(detail, detail)}]"
-    if ev.get("slot", -1) >= 0:
-        name += f"@slot{ev['slot']}"
-    return name
-
-
-def chain_str(chain: list) -> str:
-    parts = []
-    prev_tick = None
-    for ev in chain:
-        stage = describe_stage(ev)
-        tick = need(ev, "tick", "lifecycle chain")
-        if prev_tick is None:
-            parts.append(f"{stage} t={tick / TICKS_PER_SECOND:.4f}s")
-        else:
-            dt = (tick - prev_tick) / TICKS_PER_SECOND
-            parts.append(f"{stage} (+{dt:.4f}s)")
-        prev_tick = tick
-    return " -> ".join(parts)
 
 
 #: Component names a journal-divergence trip reason may cite — the
@@ -275,9 +241,8 @@ def check_flight_dump(dump_dir: str) -> int:
     if not events:
         fail("events.jsonl is empty")
 
-    # Structural pass + lifecycle reconstruction.
+    # Structural pass over the lifecycle events.
     tracker = SpanTracker()
-    lifecycles: dict = {}  # id -> list of events in emission order
     for i, ev in enumerate(events):
         if not isinstance(ev, dict) or ev.get("kind") != "lifecycle":
             continue
@@ -287,8 +252,7 @@ def check_flight_dump(dump_dir: str) -> int:
         cls = need(ev, "a3", where)
         tracker.observe(span_id, stage == 0, terminal(stage, cls),
                         need(ev, "tick", where), where)
-        lifecycles.setdefault(span_id, []).append(ev)
-    if not lifecycles:
+    if not tracker.states:
         fail("no lifecycle events in the dump window")
     complete, truncated, opened = tracker.summary()
 
@@ -296,63 +260,23 @@ def check_flight_dump(dump_dir: str) -> int:
     print(f"  trip: {trip_reason}")
     if trip_reason.startswith("journal divergence:"):
         check_journal_trip(trip_reason, manifest_cycle)
-    print(f"  lifecycles: {len(lifecycles)} "
+    print(f"  lifecycles: {len(tracker.states)} "
           f"({complete} complete / {truncated} truncated-head / {opened} open)")
 
-    # Dropped lifecycles: the packets that never made it, with the stage
-    # transition that killed them.
-    dropped = [(sid, chain) for sid, chain in lifecycles.items()
-               if chain[-1]["a0"] == STAGE_DROPPED]
-    for sid, chain in dropped:
-        cls = CLASS_NAMES.get(chain[-1]["a3"], "?")
-        node = need(chain[-1], "node", f"dropped lifecycle 0x{sid:x}")
-        print(f"  dropped {cls} lifecycle 0x{sid:x} node {node}: "
-              f"{chain_str(chain)}")
-
-    # GPS budget analysis.  Two complementary reconstructions:
-    #  (a) gaps between consecutive delivered lifecycles visible in the
-    #      window (both endpoints traced);
-    #  (b) every GPS report that burned its slot and was dropped.  The GPS
-    #      cadence is one report per 3.984 s cycle — 99.6 % of the 4 s
-    #      budget — so losing any single report forces the surrounding
-    #      inter-delivery gap to >= 2 cycles = 7.97 s: a guaranteed miss
-    #      even when one gap endpoint predates the trace window.
-    deliveries: dict = {}  # node -> [(tick, id)]
-    for sid, chain in lifecycles.items():
-        last = chain[-1]
-        if last["a3"] == CLASS_GPS and last["a0"] == STAGE_DELIVERED:
-            where = f"delivered GPS lifecycle 0x{sid:x}"
-            deliveries.setdefault(need(last, "node", where), []).append(
-                (need(last, "end", where), sid))
-    blown = 0
-    for node, arrivals in sorted(deliveries.items()):
-        arrivals.sort()
-        for (t0, _), (t1, sid1) in zip(arrivals, arrivals[1:]):
-            gap_s = (t1 - t0) / TICKS_PER_SECOND
-            if gap_s <= GPS_BUDGET_S:
-                continue
-            blown += 1
-            print(f"  BLOWN BUDGET: node {node} inter-delivery gap "
-                  f"{gap_s:.4f}s > {GPS_BUDGET_S}s "
-                  f"(delivered at {t0 / TICKS_PER_SECOND:.4f}s, next at "
-                  f"{t1 / TICKS_PER_SECOND:.4f}s)")
-    for sid, chain in dropped:
-        last = chain[-1]
-        if last["a3"] != CLASS_GPS:
-            continue
-        if not any(ev["a0"] == 4 for ev in chain):  # never reached slot_tx
-            continue
-        blown += 1
-        transition = " -> ".join(describe_stage(ev) for ev in chain[-2:])
-        print(f"  BLOWN BUDGET: node {need(last, 'node', 'dropped GPS lifecycle')} lost the report in its "
-              f"slot — the surrounding inter-delivery gap is >= 7.97s > "
-              f"{GPS_BUDGET_S}s; stage that blew the budget: {transition} "
-              f"at t={last['tick'] / TICKS_PER_SECOND:.4f}s")
-    if "gps_delivery_gap" in trip_reason and blown == 0:
-        fail("trip reason names a gps_delivery_gap miss but no blown gap "
-             "is reconstructable from the dump window")
+    report_path = os.path.join(dump_dir, "lifecycles.txt")
+    try:
+        with open(report_path, encoding="utf-8") as f:
+            blown = [line.rstrip("\n") for line in f
+                     if line.startswith("BLOWN BUDGET")]
+    except OSError as e:
+        fail(f"{report_path}: {e}")
+    for line in blown:
+        print(f"  {line}")
+    if "gps_delivery_gap" in trip_reason and not blown:
+        fail("trip reason names a gps_delivery_gap miss but lifecycles.txt "
+             "has no BLOWN BUDGET line")
     print(f"check_trace: OK: flight dump validated "
-          f"({len(events)} events, {blown} blown GPS gap(s) explained)")
+          f"({len(events)} events, {len(blown)} blown GPS budget(s) explained)")
     return 0
 
 

@@ -57,8 +57,6 @@ std::ofstream Open(const std::filesystem::path& dir, const std::string& name) {
 
 int main(int argc, char** argv) {
   std::printf("%s\n", osumac::obs::ProvenanceLine("make_figures", 0).c_str());
-  const std::filesystem::path dir =
-      argc > 1 && argv[1][0] != '-' ? argv[1] : "results";
   std::string jobs_error;
   const std::optional<int> jobs_flag = exp::JobsFromArgs(argc, argv, 1, &jobs_error);
   if (!jobs_flag.has_value()) {
@@ -66,11 +64,29 @@ int main(int argc, char** argv) {
     return 1;
   }
   const int jobs = *jobs_flag;
+  std::filesystem::path dir = "results";
+  bool have_dir = false;
   bool mac_matrix = false;
   bool no_journal = false;
   for (int i = 1; i < argc; ++i) {
-    if (std::string(argv[i]) == "--mac-matrix") mac_matrix = true;
-    if (std::string(argv[i]) == "--no-journal") no_journal = true;
+    const std::string arg = argv[i];
+    if (arg == "--mac-matrix") {
+      mac_matrix = true;
+    } else if (arg == "--no-journal") {
+      no_journal = true;
+    } else if (arg == "--jobs" || arg == "-j") {
+      ++i;  // skip the value; JobsFromArgs has checked it
+    } else if (!have_dir && !arg.empty() && arg[0] != '-') {
+      dir = arg;
+      have_dir = true;
+    } else if (arg.rfind("--jobs=", 0) != 0) {
+      std::fprintf(stderr,
+                   "make_figures: unexpected argument '%s'\n"
+                   "usage: make_figures [DIR] [--jobs N | -j N] [--mac-matrix] "
+                   "[--no-journal]\n",
+                   arg.c_str());
+      return 1;
+    }
   }
   std::filesystem::create_directories(dir);
   obs::WallTimerRegistry wall;

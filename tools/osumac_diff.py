@@ -164,7 +164,10 @@ def cross_reference_flight(flight_dir: Path, cycle: int) -> None:
         if line.startswith("reason: "):
             reason = line[len("reason: "):].strip()
         elif line.startswith("cycle: "):
-            trip_cycle = int(line[len("cycle: "):].strip())
+            try:
+                trip_cycle = int(line[len("cycle: "):].strip())
+            except ValueError:
+                fail(f"{manifest}: malformed cycle line: {line.strip()!r}")
     print(f"  flight dump: {flight_dir}")
     print(f"    trip: {reason} (cycle {trip_cycle})")
     if trip_cycle is not None and trip_cycle != cycle:
@@ -174,10 +177,13 @@ def cross_reference_flight(flight_dir: Path, cycle: int) -> None:
     if not events_path.is_file():
         return
     window, lifecycles = [], set()
-    for line in events_path.read_text().splitlines():
+    for lineno, line in enumerate(events_path.read_text().splitlines(), 1):
         if not line.strip():
             continue
-        ev = json.loads(line)
+        try:
+            ev = json.loads(line)
+        except json.JSONDecodeError as e:
+            fail(f"{events_path}:{lineno}: {e}")
         if abs(ev.get("cycle", -10**9) - cycle) <= 1:
             window.append(ev)
             if ev.get("kind") == "lifecycle":

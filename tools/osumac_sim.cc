@@ -47,7 +47,6 @@ struct Options {
   bool audit = false;
   bool slo = false;
   std::string trace_file;
-  std::string trace_format = "chrome";
   std::string metrics_file;
   std::string flight_dir;
   int flight_cycles = 64;
@@ -62,7 +61,6 @@ struct Options {
   int cells = 0;  ///< 0 = not network mode
   int threads = 1;
   std::string profile_file;
-  std::string profile_format = "speedscope";
 };
 
 /// A model flag: sets scenario key `key` to `prefix` + the flag's value (a
@@ -123,9 +121,7 @@ constexpr Flag kFlags[] = {
     {"--audit", nullptr, &Options::audit, kSingle,
      "protocol-invariant auditor; exit 2 on a violation"},
     {"--trace", "FILE", &Options::trace_file, kOsu,
-     "write the measured cycles' event trace to FILE"},
-    {"--trace-format", "chrome|jsonl|timeline", &Options::trace_format, kOsu,
-     "trace file format (default chrome)", {&Options::trace_file}},
+     "write the measured cycles' event trace to FILE\n(Chrome trace JSON)"},
     {"--metrics", "FILE", &Options::metrics_file, kLive,
      "dump the metrics registry (.json for JSON, else CSV)"},
     {"--slo", nullptr, &Options::slo, kLive, "print the QoS/SLO report after the run"},
@@ -152,9 +148,7 @@ constexpr Flag kFlags[] = {
     {"--threads", "N", Int{&Options::threads, 0}, kNetwork,
      "lockstep workers (0 = all cores, default 1; results\nare bit-identical at any N)"},
     {"--profile", "FILE", &Options::profile_file, kLive,
-     "self-profile the run into FILE"},
-    {"--profile-format", "speedscope|collapsed|chrome|report", &Options::profile_format,
-     kLive, "profile file format (default speedscope)", {&Options::profile_file}},
+     "self-profile the run into FILE (speedscope JSON)"},
     {"--scenario", "FILE", &Options::scenario_file, kSweep,
      "sweep mode: run every scenario in FILE"},
     {"--jobs", "N", Int{&Options::jobs, 0}, kSweep,
@@ -383,27 +377,17 @@ int RunSweep(const Options& opt) {
   return 0;
 }
 
-/// Writes the recorded zone tree to opt.profile_file in the selected
-/// format.  Returns false (with a message) when the file cannot be opened.
-bool WriteProfileFile(const Options& opt, const obs::Profiler& profiler,
-                      const std::string& provenance) {
+/// Writes the recorded zone tree to opt.profile_file as speedscope JSON.
+/// Returns false (with a message) when the file cannot be opened.
+bool WriteProfileFile(const Options& opt, const obs::Profiler& profiler) {
   std::ofstream out(opt.profile_file);
   if (!out) {
     std::fprintf(stderr, "cannot open profile file '%s'\n",
                  opt.profile_file.c_str());
     return false;
   }
-  if (opt.profile_format == "speedscope") {
-    obs::WriteSpeedscope(out, profiler, "osumac_sim");
-  } else if (opt.profile_format == "collapsed") {
-    obs::WriteCollapsed(out, profiler);
-  } else if (opt.profile_format == "chrome") {
-    obs::WriteChromeTraceProfile(out, profiler, provenance);
-  } else {
-    obs::WriteProfileReport(out, profiler);
-  }
-  std::printf("profile                -> %s (%s)\n", opt.profile_file.c_str(),
-              opt.profile_format.c_str());
+  obs::WriteSpeedscope(out, profiler, "osumac_sim");
+  std::printf("profile                -> %s (speedscope)\n", opt.profile_file.c_str());
   if (profiler.empty()) {
     std::printf("profile                (empty: built with -DOSUMAC_PROFILER=OFF?)\n");
   }
@@ -561,8 +545,7 @@ int RunNetwork(const Options& opt, const exp::ScenarioSpec& model) {
                 opt.journal_file.c_str(), journal.cells().size(),
                 journal.every(), obs::JournalHex(journal.Signature()).c_str());
   }
-  if (!opt.profile_file.empty() &&
-      !WriteProfileFile(opt, profiler, provenance)) {
+  if (!opt.profile_file.empty() && !WriteProfileFile(opt, profiler)) {
     return 1;
   }
   return 0;
@@ -701,16 +684,9 @@ int RunSingle(const Options& opt, exp::ScenarioSpec spec) {
       std::fprintf(stderr, "cannot open trace file '%s'\n", opt.trace_file.c_str());
       return 1;
     }
-    if (opt.trace_format == "chrome") {
-      obs::WriteChromeTrace(out, *trace, provenance);
-    } else if (opt.trace_format == "jsonl") {
-      obs::WriteJsonl(out, *trace);
-    } else {
-      obs::WriteTimeline(out, *trace);
-    }
-    std::printf("trace                  %8lld events -> %s (%s)\n",
-                static_cast<long long>(trace->size()), opt.trace_file.c_str(),
-                opt.trace_format.c_str());
+    obs::WriteChromeTrace(out, *trace, provenance);
+    std::printf("trace                  %8lld events -> %s (chrome)\n",
+                static_cast<long long>(trace->size()), opt.trace_file.c_str());
     if (trace->dropped() > 0) {
       std::printf("trace dropped          %8lld (ring wrapped; timeline partial)\n",
                   static_cast<long long>(trace->dropped()));
@@ -770,8 +746,7 @@ int RunSingle(const Options& opt, exp::ScenarioSpec spec) {
     if (!WriteMetricsFile(opt.metrics_file, registry, scope)) return 1;
   }
   if (opt.slo) (policy != nullptr ? policy->slo() : cell->slo()).WriteReport(std::cout);
-  if (!opt.profile_file.empty() &&
-      !WriteProfileFile(opt, profiler, provenance)) {
+  if (!opt.profile_file.empty() && !WriteProfileFile(opt, profiler)) {
     return 1;
   }
   if (flight) {

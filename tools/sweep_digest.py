@@ -16,13 +16,7 @@ only the sorted *set of phase names*.  That makes the digest a structural
 fingerprint — a dropped or renamed bench phase changes it and fails CI,
 while a faster machine does not.
 
-Run-journal JSONL files (obs::WriteJournalJsonl; one JSON object per line,
-schema "osumac-journal-v1") digest every record line canonically but drop
-the provenance field from the header line — it embeds the git version and
-the generating phase, which may legitimately differ between two otherwise
-identical runs.  The per-cycle digest chains themselves are covered in
-full, so CI can require `osumac_sim --cells N --threads 1` and
-`--threads 8` to journal bit-identically.
+Run journals are compared by tools/osumac_diff.py, not here.
 
 Prints `<sha256>  <path>` per file (shasum-compatible layout).  With
 --check A B, exits 1 and prints a diff summary if the two digests differ.
@@ -41,31 +35,7 @@ def is_perf_doc(data) -> bool:
     return isinstance(data, dict) and isinstance(data.get("phases"), list)
 
 
-def is_journal_path(path: Path) -> bool:
-    """A run-journal JSONL (obs::WriteJournalJsonl): one object per line."""
-    return path.suffix == ".jsonl"
-
-
-def journal_lines(path: Path) -> list[str]:
-    """Canonical per-line JSON of a journal, provenance dropped."""
-    lines = []
-    for n, raw in enumerate(path.read_text().splitlines(), start=1):
-        if not raw.strip():
-            continue
-        try:
-            obj = json.loads(raw)
-        except json.JSONDecodeError as e:
-            raise SystemExit(f"{path}:{n}: not JSONL: {e}")
-        if isinstance(obj, dict):
-            obj.pop("provenance", None)
-        lines.append(json.dumps(obj, sort_keys=True, separators=(",", ":")))
-    return lines
-
-
 def canonical_digest(path: Path) -> str:
-    if is_journal_path(path):
-        canonical = "\n".join(journal_lines(path))
-        return hashlib.sha256(canonical.encode()).hexdigest()
     data = json.loads(path.read_text())
     if is_perf_doc(data):
         canonical = json.dumps(sorted(phase_names(path)), separators=(",", ":"))
@@ -103,18 +73,6 @@ def main(argv: list[str] | None = None) -> int:
             return 2
         a, b = args.files
         if digests[a] != digests[b]:
-            if is_journal_path(a) and is_journal_path(b):
-                lines_a, lines_b = journal_lines(a), journal_lines(b)
-                print(f"\njournal digests differ: {a} vs {b}", file=sys.stderr)
-                if len(lines_a) != len(lines_b):
-                    print(f"  record counts differ: {len(lines_a)} vs "
-                          f"{len(lines_b)}", file=sys.stderr)
-                for i, (la, lb) in enumerate(zip(lines_a, lines_b), start=1):
-                    if la != lb:
-                        print(f"  first divergent record (line {i}):\n"
-                              f"    A: {la}\n    B: {lb}", file=sys.stderr)
-                        break
-                return 1
             if is_perf_doc(json.loads(a.read_text())):
                 set_a, set_b = set(phase_names(a)), set(phase_names(b))
                 print(f"\nbench phase sets differ: {a} vs {b}",
