@@ -4,6 +4,8 @@
 // are reproducible; there is no global RNG state.
 #pragma once
 
+#include <array>
+#include <cstddef>
 #include <cstdint>
 #include <random>
 
@@ -13,12 +15,29 @@ namespace osumac {
 inline constexpr std::uint64_t kSplitMix64Gamma = 0x9E3779B97F4A7C15ULL;
 
 /// One SplitMix64 output step (Steele, Lea & Flood, OOPSLA'14).
-inline std::uint64_t SplitMix64(std::uint64_t x) {
+constexpr std::uint64_t SplitMix64(std::uint64_t x) {
   x += kSplitMix64Gamma;
   x = (x ^ (x >> 30)) * 0xBF58476D1CE4E5B9ULL;
   x = (x ^ (x >> 27)) * 0x94D049BB133111EBULL;
   return x ^ (x >> 31);
 }
+
+/// The weight of row `index` in a keyed-sum digest, sum_i v_i * DigestKey(i)
+/// (mod 2^64).  Such a sum costs one add per updated row, merges by
+/// addition and ignores summation order.  Keys are odd, hence invertible
+/// mod 2^64, so any change to one row's value changes the sum with
+/// certainty; moving a count between two rows changes it iff their keys
+/// differ (they do for every index range the simulator uses; the tests pin
+/// it).  Used by obs::LogHistogram and the journal's counter-ledger fold.
+constexpr std::uint64_t DigestKey(std::uint64_t index) { return SplitMix64(index) | 1; }
+
+/// DigestKey(0) .. DigestKey(N - 1), computed at compile time.
+template <std::size_t N>
+inline constexpr std::array<std::uint64_t, N> kDigestKeys = [] {
+  std::array<std::uint64_t, N> keys{};
+  for (std::size_t i = 0; i < N; ++i) keys[i] = DigestKey(i);
+  return keys;
+}();
 
 /// Sequential SplitMix64 generator: the k-th draw is SplitMix64(seed + k*gamma).
 /// Used by the channel error models, which own their stream so the channel

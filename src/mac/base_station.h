@@ -80,8 +80,8 @@ struct BsCounters {
   std::int64_t gps_timeouts = 0;                 ///< buses signed off as gone
 };
 
-/// Every BsCounters field, in declaration order (the journal hash folds
-/// them in this order).
+/// Every BsCounters field, in declaration order (row i is keyed by
+/// DigestKey(i) in the journal's ledger fold, KeyedLedgerSum).
 inline constexpr CounterField<BsCounters> kBsCounterFields[] = {
     {"cycles", &BsCounters::cycles},
     {"data_packets_received", &BsCounters::data_packets_received},

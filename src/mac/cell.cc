@@ -1,5 +1,7 @@
 #include "mac/cell.h"
 
+#include <iterator>
+
 #include "common/check.h"
 #include "mac/packet.h"
 #include "obs/profiler.h"
@@ -305,17 +307,18 @@ void Cell::JournalCycle(std::int64_t n) {
     q.MixSigned(sub->queued_packets());
   }
 
-  // Counters: the full base-station ledger, every subscriber's stats and
-  // the substrate aggregates.
-  obs::Digest64 c;
-  const BsCounters& b = bs_.counters();
-  for (const auto& field : kBsCounterFields) c.MixSigned(b.*field.member);
+  // Counters: the full base-station ledger and every subscriber's stats as
+  // one keyed sum, then the substrate aggregates.  Subscriber k's fold
+  // weighs DigestKey(row count of the base-station ledger + k), an index
+  // no subscriber row uses, so its rows' keys stay distinct from every
+  // other row's (tests/tracer_test.cc checks the first 64 subscribers).
+  std::uint64_t ledgers = KeyedLedgerSum(kBsCounterFields, bs_.counters());
+  std::uint64_t k = std::size(kBsCounterFields);
   for (const auto& sub : subscribers_) {
-    const SubscriberCounters& s = sub->stats();
-    for (const auto& field : kSubscriberCounterFields) c.MixSigned(s.*field.member);
+    ledgers += DigestKey(k++) * KeyedLedgerSum(kSubscriberCounterFields, sub->stats());
   }
   obs::Digest64 m;
-  m.Mix(c.value());
+  m.Mix(ledgers);
   m.Mix(JournalHashMetrics());
   AppendJournalRecord(n, grid.value(), q.value(), m.value());
 }

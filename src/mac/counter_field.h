@@ -8,7 +8,11 @@
 // refuses a struct field that has none.
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
+#include <type_traits>
+
+#include "common/rng.h"
 
 namespace osumac::mac {
 
@@ -17,5 +21,21 @@ struct CounterField {
   const char* name;  ///< stable API: gauge "bs.<name>", sweep-record key
   std::int64_t Ledger::* member;
 };
+
+/// The journal's ledger fold: sum over the table's rows of value *
+/// DigestKey(row), mod 2^64.  The products are independent, so the fold
+/// pipelines instead of running one dependent mix chain, and +1 in any
+/// single row changes it with certainty (the keys are odd).  A cell that
+/// folds several ledgers of one type into one sum weighs each ledger's
+/// fold by its own odd DigestKey, which keeps every row's key odd.
+template <typename Ledger, std::size_t N>
+std::uint64_t KeyedLedgerSum(const CounterField<Ledger> (&fields)[N],
+                             const std::type_identity_t<Ledger>& ledger) {
+  std::uint64_t sum = 0;
+  for (std::size_t i = 0; i < N; ++i) {
+    sum += static_cast<std::uint64_t>(ledger.*fields[i].member) * kDigestKeys<N>[i];
+  }
+  return sum;
+}
 
 }  // namespace osumac::mac

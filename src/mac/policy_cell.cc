@@ -212,7 +212,7 @@ void PolicyCell::JournalCycle(std::int64_t n) {
 
   // Counters: the driver ledger plus the substrate aggregates.
   obs::Digest64 c;
-  for (const auto& field : kPolicyCounterFields) c.MixSigned(counters_.*field.member);
+  c.Mix(KeyedLedgerSum(kPolicyCounterFields, counters_));
   c.Mix(static_cast<std::uint64_t>(packet_delay_cycles_.size()));
   c.Mix(static_cast<std::uint64_t>(message_delay_cycles_.size()));
   c.Mix(JournalHashMetrics());

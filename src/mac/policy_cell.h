@@ -68,8 +68,8 @@ struct PolicyCounters {
   std::int64_t messages_completed = 0;
 };
 
-/// Every PolicyCounters field, in declaration order (the journal hash folds
-/// them in this order).
+/// Every PolicyCounters field, in declaration order (row i is keyed by
+/// DigestKey(i) in the journal's ledger fold, KeyedLedgerSum).
 inline constexpr CounterField<PolicyCounters> kPolicyCounterFields[] = {
     {"data_packets_received", &PolicyCounters::data_packets_received},
     {"gps_packets_received", &PolicyCounters::gps_packets_received},

@@ -65,8 +65,8 @@ struct SubscriberCounters {
   std::int64_t payload_bytes_delivered = 0;
 };
 
-/// Every SubscriberCounters field, in declaration order (the journal hash
-/// folds them in this order).
+/// Every SubscriberCounters field, in declaration order (row i is keyed by
+/// DigestKey(i) in the journal's ledger fold, KeyedLedgerSum).
 inline constexpr CounterField<SubscriberCounters> kSubscriberCounterFields[] = {
     {"messages_enqueued", &SubscriberCounters::messages_enqueued},
     {"messages_dropped", &SubscriberCounters::messages_dropped},

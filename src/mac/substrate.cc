@@ -106,7 +106,7 @@ std::uint64_t CellSubstrate::JournalHashSlo() const {
     const obs::LogHistogram& h = slo_.histogram(cls);
     d.MixSigned(h.count());
     d.MixDouble(h.max_seen());
-    for (std::size_t i = 0; i < h.buckets(); ++i) d.MixSigned(h.bucket_count(i));
+    d.Mix(h.bucket_digest());
   }
   return d.value();
 }

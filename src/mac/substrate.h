@@ -250,8 +250,9 @@ class CellSubstrate : private sim::EventTarget {
   obs::SloMonitor slo_;
 
  private:
-  /// Journal hash of the SLO monitor (bucket counts, miss counters): the
-  /// `slo` component of every record.
+  /// Journal hash of the SLO monitor (per class: miss and near-miss
+  /// counters, count, max and the histogram's running bucket digest): the
+  /// `slo` component of every record, 20 mix steps whatever the bucket count.
   std::uint64_t JournalHashSlo() const;
 
   std::map<int, Tick> last_gps_delivery_;  ///< per node, last decoded GPS report

@@ -161,6 +161,19 @@ bool FindHexField(const std::string& line, const char* key,
   return true;
 }
 
+/// Finds `"key": "<text without quotes>"` in a JSONL line.
+bool FindStringField(const std::string& line, const char* key,
+                     std::string* out) {
+  const std::string needle = std::string("\"") + key + "\": \"";
+  const auto pos = line.find(needle);
+  if (pos == std::string::npos) return false;
+  const auto start = pos + needle.size();
+  const auto end = line.find('"', start);
+  if (end == std::string::npos) return false;
+  *out = line.substr(start, end - start);
+  return true;
+}
+
 bool FindIntField(const std::string& line, const char* key,
                   std::int64_t* out) {
   const std::string needle = std::string("\"") + key + "\": ";
@@ -187,7 +200,7 @@ bool WriteJournalJsonl(const RunJournal& journal, const std::string& path,
                        const std::string& provenance) {
   std::ofstream out(path);
   if (!out) return false;
-  out << "{\"schema\": \"osumac-journal-v1\", \"every\": " << journal.every()
+  out << "{\"schema\": \"" << kJournalSchema << "\", \"every\": " << journal.every()
       << ", \"cells\": " << journal.cells().size() << ", \"signature\": \""
       << JournalHex(journal.Signature()) << "\"";
   if (!provenance.empty()) {
@@ -224,6 +237,7 @@ bool WriteJournalJsonl(const RunJournal& journal, const std::string& path,
 bool LoadJournalJsonl(const std::string& path, LoadedJournal* out) {
   std::ifstream in(path);
   if (!in) return false;
+  out->schema.clear();
   out->every = 1;
   out->signature = 0;
   out->cell_ids.clear();
@@ -234,7 +248,11 @@ bool LoadJournalJsonl(const std::string& path, LoadedJournal* out) {
     if (line.empty()) continue;
     std::int64_t cell = -1;
     if (!FindIntField(line, "cell", &cell)) {
-      // Header line (or a foreign record we tolerate).
+      // The header line: a journal of another schema is refused outright.
+      if (!FindStringField(line, "schema", &out->schema) ||
+          out->schema != kJournalSchema) {
+        return false;
+      }
       std::int64_t every = 0;
       if (FindIntField(line, "every", &every) && every >= 1) {
         out->every = static_cast<int>(every);
@@ -263,7 +281,7 @@ bool LoadJournalJsonl(const std::string& path, LoadedJournal* out) {
     }
     out->cell_records[idx].push_back(r);
   }
-  return saw_header || !out->cell_ids.empty();
+  return saw_header;
 }
 
 }  // namespace osumac::obs

@@ -8,6 +8,16 @@
 // cross-run diff (tools/osumac_diff.py) can name not just the first cycle
 // where two runs part ways but *which component* moved first.
 //
+// Schema osumac-journal-v2 (kJournalSchema) keeps the record cheap where
+// the state is wide.  The SLO histograms and the counter ledgers enter as
+// keyed sums, sum_i v_i * DigestKey(i) mod 2^64 (common/rng.h): each
+// LogHistogram keeps its bucket sum up to date at one add per sample, and
+// the ledger fold is a run of independent multiply-adds.  A change to any
+// one bucket or ledger row moves its sum with certainty (the keys are odd),
+// and so does moving a sample between two buckets; only coordinated
+// changes to several rows can cancel, with chance about 2^-64 for unrelated
+// changes.  Everything else is mixed through the Digest64 chain.
+//
 // Thread confinement mirrors the PR 7 rollups: one CellJournal per cell,
 // written only by the thread driving that cell, merged order-invariantly
 // into a run signature afterwards (Signature() is a commutative fold, so a
@@ -164,6 +174,11 @@ class RunJournal {
   std::vector<std::unique_ptr<CellJournal>> cells_;
 };
 
+/// The header schema of the journal JSONL.  v2 hashes the SLO histograms
+/// and counter ledgers as keyed sums (common/rng.h DigestKey), so its
+/// digests are not comparable with v1's.
+inline constexpr char kJournalSchema[] = "osumac-journal-v2";
+
 /// Formats a digest the way every journal surface spells it (JSONL, sweep
 /// JSON, trip reasons, osumac_diff): zero-padded lowercase hex.
 std::string JournalHex(std::uint64_t digest);
@@ -177,9 +192,13 @@ bool WriteJournalJsonl(const RunJournal& journal, const std::string& path,
 /// Parses a journal JSONL file written by WriteJournalJsonl back into
 /// per-cell record vectors (header signature, if present, is returned via
 /// `signature`).  Tolerates unknown keys.  Returns false on malformed
-/// input.  Used by osumac_sim --journal-expect and tests; the Python diff
-/// tool has its own reader.
+/// input and on a file whose header schema is not kJournalSchema (`schema`
+/// then holds what the header said, "" if it had none): digests of another
+/// schema would read as a divergence at the first record.  Used by
+/// osumac_sim --journal-expect and tests; the Python diff tool has its own
+/// reader.
 struct LoadedJournal {
+  std::string schema;
   int every = 1;
   std::uint64_t signature = 0;
   std::vector<int> cell_ids;

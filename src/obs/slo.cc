@@ -4,6 +4,7 @@
 #include <iomanip>
 #include <sstream>
 
+#include "common/rng.h"
 #include "obs/metrics_registry.h"
 
 namespace osumac::obs {
@@ -37,7 +38,9 @@ int LogHistogram::IndexFor(double value) const {
 }
 
 void LogHistogram::Add(double value) {
-  ++counts_[static_cast<std::size_t>(IndexFor(value))];
+  const auto i = static_cast<std::size_t>(IndexFor(value));
+  ++counts_[i];
+  bucket_digest_ += DigestKey(i);
   ++count_;
   if (value > max_) max_ = value;
 }
@@ -48,6 +51,7 @@ void LogHistogram::Merge(const LogHistogram& other) {
   OSUMAC_CHECK_EQ(counts_.size(), other.counts_.size());
   for (std::size_t i = 0; i < counts_.size(); ++i) counts_[i] += other.counts_[i];
   count_ += other.count_;
+  bucket_digest_ += other.bucket_digest_;
   if (other.max_ > max_) max_ = other.max_;
 }
 

@@ -56,6 +56,10 @@ class LogHistogram {
   double hi() const { return hi_; }
   std::size_t buckets() const { return counts_.size(); }
   std::int64_t bucket_count(std::size_t i) const { return counts_[i]; }
+  /// Running keyed sum of the bucket counts, sum_i bucket_count(i) *
+  /// DigestKey(i) (common/rng.h): a pure function of the counts, kept at
+  /// one add per Add so a journal record hashes a histogram in O(1).
+  std::uint64_t bucket_digest() const { return bucket_digest_; }
 
   /// Upper edge of the bucket holding the q-quantile (q in [0, 1]).
   /// Returns 0 when empty.
@@ -74,6 +78,7 @@ class LogHistogram {
   std::vector<std::int64_t> counts_;
   std::int64_t count_ = 0;
   double max_ = 0.0;
+  std::uint64_t bucket_digest_ = 0;
 };
 
 /// The monitored delay classes.

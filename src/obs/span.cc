@@ -1,6 +1,7 @@
 #include "obs/span.h"
 
 #include <algorithm>
+#include <cstring>
 #include <iomanip>
 #include <sstream>
 #include <string>
@@ -66,12 +67,25 @@ SpanBreakdown BreakDown(const std::vector<Lifecycle>& lifecycles) {
 void SpanBreakdown::Write(std::ostream& out) const {
   out << "lifecycles: " << complete << " complete, " << truncated_head
       << " head-truncated, " << open << " open\n";
+  // The class and both stage columns are padded to their longest name, so
+  // every row's "->" and "n=" line up.
+  std::size_t cls_width = 0;
+  std::size_t stage_width = 0;
   for (const auto& [key, stats] : transitions) {
     const auto& [cls, from, to] = key;
-    out << "  " << LifecycleClassName(cls) << ' ' << LifecycleStageName(from)
-        << " -> " << std::setw(14) << std::left << LifecycleStageName(to)
-        << std::right << " n=" << std::setw(7) << stats.count() << "  mean="
-        << stats.mean() << "s  max=" << stats.max() << "s\n";
+    cls_width = std::max(cls_width, std::strlen(LifecycleClassName(cls)));
+    stage_width = std::max({stage_width, std::strlen(LifecycleStageName(from)),
+                            std::strlen(LifecycleStageName(to))});
+  }
+  const auto cls_w = static_cast<int>(cls_width);
+  const auto stage_w = static_cast<int>(stage_width);
+  for (const auto& [key, stats] : transitions) {
+    const auto& [cls, from, to] = key;
+    out << "  " << std::left << std::setw(cls_w) << LifecycleClassName(cls) << ' '
+        << std::setw(stage_w) << LifecycleStageName(from) << " -> "
+        << std::setw(stage_w) << LifecycleStageName(to) << std::right
+        << " n=" << std::setw(7) << stats.count() << "  mean=" << stats.mean()
+        << "s  max=" << stats.max() << "s\n";
   }
 }
 

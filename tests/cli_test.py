@@ -175,12 +175,13 @@ class RunTest(unittest.TestCase):
 
     def test_journal_signatures(self):
         # Recorded before the flags became scenario keys: the three run
-        # paths must journal exactly as they did.
+        # paths must journal exactly as they did.  Re-recorded once for the
+        # osumac-journal-v2 digests, which hash the same state differently.
         golden = [
             (["--rho", "0.8", "--cycles", "60", "--channel", "uniform", "--ser", "0.001"],
-             "00c03d2b114d397b"),
-            (["--mac", "rqma", "--cycles", "60"], "940293df7d804035"),
-            (["--cells", "2", "--cycles", "30"], "bcc6fd265273d7bf"),
+             "d28634d53437eb42"),
+            (["--mac", "rqma", "--cycles", "60"], "a8d5a64b58cb507e"),
+            (["--cells", "2", "--cycles", "30"], "ef903e630202d305"),
         ]
         with tempfile.TemporaryDirectory() as tmp:
             for args, signature in golden:
@@ -247,6 +248,36 @@ class ObservabilityStepTest(unittest.TestCase):
                     self.expect_exit(proc, 2)
                     self.assertNotIn("Traceback", proc.stderr)
                     self.assertIn(name, proc.stderr)
+
+
+    def test_foreign_journal_schema_is_refused(self):
+        # A journal of another schema hashes state differently: comparing
+        # against it would report a divergence at its first record.
+        common = ["--rho", "0.8", "--cycles", "20"]
+        with tempfile.TemporaryDirectory() as tmp:
+            self.expect_exit(run(*common, "--journal", "ref.jsonl", cwd=tmp), 0)
+            ref = (Path(tmp) / "ref.jsonl").read_text()
+            self.assertIn('"schema": "osumac-journal-v2"', ref.splitlines()[0])
+            (Path(tmp) / "old.jsonl").write_text(
+                ref.replace("osumac-journal-v2", "osumac-journal-v1", 1))
+
+            proc = run(*common, "--journal-expect", "old.jsonl", cwd=tmp)
+            self.expect_exit(proc, 1)
+            self.assertIn("osumac-journal-v1", proc.stderr)
+            self.assertIn("osumac-journal-v2", proc.stderr)
+
+            proc = tool("osumac_diff.py", "ref.jsonl", "old.jsonl", cwd=tmp)
+            self.expect_exit(proc, 2)
+            self.assertNotIn("Traceback", proc.stderr)
+            self.assertIn("schemas differ", proc.stderr)
+
+    def test_sweep_digest_refuses_a_journal(self):
+        with tempfile.TemporaryDirectory() as tmp:
+            (Path(tmp) / "two.jsonl").write_text('{"a": 1}\n{"b": 2}\n')
+            proc = tool("sweep_digest.py", "two.jsonl", cwd=tmp)
+            self.expect_exit(proc, 2)
+            self.assertNotIn("Traceback", proc.stderr)
+            self.assertIn("two.jsonl: not one JSON document", proc.stderr)
 
 
 class FigureCsvTest(unittest.TestCase):

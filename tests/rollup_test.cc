@@ -100,6 +100,67 @@ TEST(LogHistogramMergeTest, EmptyMergeIsIdentity) {
   EXPECT_EQ(merged.Quantile(0.5), a.Quantile(0.5));
 }
 
+/// The definition bucket_digest() keeps incrementally, recomputed from the
+/// bucket counts.
+std::uint64_t RecomputedDigest(const LogHistogram& h) {
+  std::uint64_t sum = 0;
+  for (std::size_t i = 0; i < h.buckets(); ++i) {
+    sum += static_cast<std::uint64_t>(h.bucket_count(i)) * DigestKey(i);
+  }
+  return sum;
+}
+
+/// The SloMonitor shape: 1e-4 s .. 1e5 s at 20 buckets per decade.
+LogHistogram SloShaped() { return LogHistogram(1e-4, 1e5, 20); }
+
+/// A value landing in the middle of bucket `i` of `h`.
+double MidBucket(const LogHistogram& h, std::size_t i) {
+  return h.lo() * std::pow(10.0, (static_cast<double>(i) + 0.5) / 20.0);
+}
+
+TEST(LogHistogramDigestTest, RunningDigestIsTheKeyedSumOfTheBuckets) {
+  LogHistogram a = SloShaped();
+  LogHistogram b = SloShaped();
+  ASSERT_EQ(a.buckets(), 180u);
+  EXPECT_EQ(a.bucket_digest(), 0u);
+  Rng rng(7);
+  for (int i = 0; i < 2000; ++i) {
+    // Log-uniform over [1e-5, 1e6): both clamped edge buckets included.
+    (rng.Bernoulli(0.5) ? a : b).Add(std::pow(10.0, rng.UniformReal(-5.0, 6.0)));
+    if (i % 97 == 0) {
+      EXPECT_EQ(a.bucket_digest(), RecomputedDigest(a));
+    }
+  }
+  EXPECT_EQ(a.bucket_digest(), RecomputedDigest(a));
+  EXPECT_EQ(b.bucket_digest(), RecomputedDigest(b));
+  LogHistogram ab = a;
+  ab.Merge(b);
+  LogHistogram ba = b;
+  ba.Merge(a);
+  EXPECT_EQ(ab.bucket_digest(), RecomputedDigest(ab));
+  EXPECT_EQ(ab.bucket_digest(), ba.bucket_digest());
+}
+
+TEST(LogHistogramDigestTest, EveryExtraOrMovedSampleChangesTheDigest) {
+  LogHistogram base = SloShaped();
+  Rng rng(11);
+  for (int i = 0; i < 500; ++i) base.Add(std::pow(10.0, rng.UniformReal(-4.0, 5.0)));
+  // One extra sample in bucket i, for every i.  base + sample in i versus
+  // base + sample in j is one sample moved between buckets i and j, so
+  // pairwise-distinct digests cover every move as well.
+  std::vector<std::uint64_t> digests;
+  for (std::size_t i = 0; i < base.buckets(); ++i) {
+    LogHistogram plus = base;
+    plus.Add(MidBucket(base, i));
+    ASSERT_EQ(plus.bucket_count(i), base.bucket_count(i) + 1) << "bucket " << i;
+    EXPECT_NE(plus.bucket_digest(), base.bucket_digest()) << "bucket " << i;
+    digests.push_back(plus.bucket_digest());
+  }
+  std::sort(digests.begin(), digests.end());
+  EXPECT_EQ(std::adjacent_find(digests.begin(), digests.end()), digests.end())
+      << "two buckets share a key: moving a sample between them goes unseen";
+}
+
 #if GTEST_HAS_DEATH_TEST
 TEST(LogHistogramMergeDeathTest, MismatchedShapesRefuseToMerge) {
   LogHistogram a(1e-3, 1e2, 10);

@@ -215,19 +215,21 @@ AgendaTotals RunTenant(const std::string& mac) {
 TEST(SimulatorTest, MacDriverAgendaGolden) {
   // Recorded with the closure-queue engine: no event may be merged, dropped
   // or reordered (the chain head covers every journaled cycle's state).
+  // The chain heads were re-recorded for the osumac-journal-v2 digests
+  // (keyed-sum SLO buckets and ledger fold); the event counts were not.
   const AgendaTotals osu = RunTenant("osu");
   EXPECT_EQ(osu.executed, 3515u);
   EXPECT_EQ(osu.pending, 22u);
-  EXPECT_EQ(osu.chain, 0xd3376411f2822585ull);
+  EXPECT_EQ(osu.chain, 0x3b4ef08b097fd1c0ull);
   const AgendaTotals rqma = RunTenant("rqma");
   EXPECT_EQ(rqma.executed, 620u);
   EXPECT_EQ(rqma.pending, 12u);
-  EXPECT_EQ(rqma.chain, 0x9fc27f1e3cfe299eull);
+  EXPECT_EQ(rqma.chain, 0x630b1f8dbc544f31ull);
   // The only tenant with a second carrier: pins the carrier >= 1 slot path.
   const AgendaTotals pca = RunTenant("pca");
   EXPECT_EQ(pca.executed, 612u);
   EXPECT_EQ(pca.pending, 11u);
-  EXPECT_EQ(pca.chain, 0xcb177d02e38eaa3dull);
+  EXPECT_EQ(pca.chain, 0x4a662ccfda478a17ull);
 }
 
 TEST(SimulatorTest, ZeroCycleRunDoesNotBootstrapTwice) {

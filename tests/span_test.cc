@@ -9,6 +9,7 @@
 #include <fstream>
 #include <map>
 #include <optional>
+#include <set>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -380,6 +381,42 @@ TEST(SpanTest, SweepSloSummariesIdenticalAcrossJobs) {
     EXPECT_GT(serial[i].slo[static_cast<int>(obs::SloClass::kGpsAccess)].count,
               0);
   }
+}
+
+TEST(SpanTest, BreakdownColumnsLineUpAcrossClassesAndStages) {
+  // Every transition row's "->" and "n=" start in the same column, whatever
+  // its class ("gps" / "data") and stage names ("queued" / "grant_rx").
+  TracedCell t(4, 2);
+  for (int c = 0; c < 10; ++c) {
+    for (int n : t.data_nodes) t.cell.SendUplinkMessage(n, 120 + 11 * n);
+    t.cell.RunCycles(1);
+  }
+  t.cell.RunCycles(30);
+  std::ostringstream report;
+  obs::WriteLifecycleReport(report, t.trace);
+  std::istringstream rows(report.str());
+  std::set<std::string> classes;
+  std::set<std::string> from_stages;
+  std::size_t arrow_col = std::string::npos;
+  std::size_t count_col = std::string::npos;
+  std::string line;
+  while (std::getline(rows, line)) {
+    if (!line.starts_with("  ")) continue;  // a transition row
+    std::istringstream fields(line);
+    std::string cls, from;
+    fields >> cls >> from;
+    classes.insert(cls);
+    from_stages.insert(from);
+    if (arrow_col == std::string::npos) {
+      arrow_col = line.find(" -> ");
+      count_col = line.find(" n=");
+    }
+    EXPECT_EQ(line.find(" -> "), arrow_col) << line;
+    EXPECT_EQ(line.find(" n="), count_col) << line;
+  }
+  EXPECT_EQ(classes, (std::set<std::string>{"data", "gps"})) << report.str();
+  EXPECT_TRUE(from_stages.contains("queued")) << report.str();
+  EXPECT_TRUE(from_stages.contains("grant_rx")) << report.str();
 }
 
 TEST(SpanTest, FlightRecorderDumpsOnGilbertElliottBreach) {

@@ -2,6 +2,7 @@
 // names they generate and the per-cycle time-series tracer.
 #include <array>
 #include <bit>
+#include <set>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -18,7 +19,7 @@ namespace {
 /// Writes i+1 through row i's member pointer into a zeroed ledger, then
 /// reads the ledger back as int64 words: word i must hold i+1.  That holds
 /// only if the table is complete, free of duplicates and in declaration
-/// order, the order the journal hash folds the fields in.
+/// order, the order whose row positions key the journal's ledger fold.
 template <typename Ledger, std::size_t N>
 void ExpectDeclarationOrder(const mac::CounterField<Ledger> (&table)[N]) {
   Ledger ledger{};
@@ -39,6 +40,45 @@ TEST(CounterTableTest, BsCounterFieldsFollowDeclarationOrder) {
 
 TEST(CounterTableTest, PolicyCounterFieldsFollowDeclarationOrder) {
   ExpectDeclarationOrder(mac::kPolicyCounterFields);
+}
+
+/// +1 in any single row changes the keyed ledger fold, and the rows give
+/// pairwise-distinct folds.
+template <typename Ledger, std::size_t N>
+void ExpectEveryRowMovesTheFold(const mac::CounterField<Ledger> (&table)[N]) {
+  Ledger base{};
+  for (std::size_t i = 0; i < N; ++i) {
+    base.*table[i].member = static_cast<std::int64_t>(1000 + 37 * i);
+  }
+  const std::uint64_t base_fold = mac::KeyedLedgerSum(table, base);
+  std::set<std::uint64_t> folds;
+  for (std::size_t i = 0; i < N; ++i) {
+    Ledger bumped = base;
+    ++(bumped.*table[i].member);
+    const std::uint64_t fold = mac::KeyedLedgerSum(table, bumped);
+    EXPECT_NE(fold, base_fold) << "row " << table[i].name;
+    folds.insert(fold);
+  }
+  EXPECT_EQ(folds.size(), N) << "two rows share a key";
+}
+
+TEST(CounterTableTest, EveryLedgerRowMovesTheKeyedFold) {
+  ExpectEveryRowMovesTheFold(mac::kBsCounterFields);
+  ExpectEveryRowMovesTheFold(mac::kSubscriberCounterFields);
+  ExpectEveryRowMovesTheFold(mac::kPolicyCounterFields);
+  // Cell::JournalCycle sums the base-station fold and subscriber k's fold
+  // weighed by DigestKey(kBsRows + k): every row of the base station and of
+  // the first 64 subscribers keeps an odd key of its own.
+  constexpr std::size_t kBsRows = std::size(mac::kBsCounterFields);
+  constexpr std::size_t kSubRows = std::size(mac::kSubscriberCounterFields);
+  std::set<std::uint64_t> keys(kDigestKeys<kBsRows>.begin(), kDigestKeys<kBsRows>.end());
+  for (std::uint64_t k = 0; k < 64; ++k) {
+    for (const std::uint64_t key : kDigestKeys<kSubRows>) {
+      keys.insert(DigestKey(kBsRows + k) * key);
+    }
+  }
+  EXPECT_EQ(keys.size(), kBsRows + 64 * kSubRows);
+  for (const std::uint64_t key : keys) EXPECT_EQ(key & 1, 1u);
 }
 
 /// Sorted registry names under `prefix` (docs/OBSERVABILITY.md: stable API).

@@ -226,6 +226,12 @@ def main(argv: list[str] | None = None) -> int:
     ja = load_journal(args.journal_a)
     jb = load_journal(args.journal_b)
 
+    sa = ja["header"].get("schema")
+    sb = jb["header"].get("schema")
+    if sa != sb:
+        fail(f"journal schemas differ: {args.journal_a} is {sa}, "
+             f"{args.journal_b} is {sb}; digests of different schemas "
+             f"cannot be compared")
     ea = ja["header"].get("every", 1)
     eb = jb["header"].get("every", 1)
     if ea != eb:

@@ -648,8 +648,16 @@ int RunSingle(const Options& opt, exp::ScenarioSpec spec) {
   if (expecting) {
     obs::LoadedJournal expect;
     if (!obs::LoadJournalJsonl(opt.journal_expect_file, &expect)) {
-      std::fprintf(stderr, "cannot read reference journal '%s'\n",
-                   opt.journal_expect_file.c_str());
+      if (!expect.schema.empty() && expect.schema != obs::kJournalSchema) {
+        std::fprintf(stderr,
+                     "reference journal '%s' has schema %s, this build writes %s; "
+                     "re-record it\n",
+                     opt.journal_expect_file.c_str(), expect.schema.c_str(),
+                     obs::kJournalSchema);
+      } else {
+        std::fprintf(stderr, "cannot read reference journal '%s'\n",
+                     opt.journal_expect_file.c_str());
+      }
       return 1;
     }
     std::vector<obs::JournalRecord> reference;

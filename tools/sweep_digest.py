@@ -20,6 +20,8 @@ Run journals are compared by tools/osumac_diff.py, not here.
 
 Prints `<sha256>  <path>` per file (shasum-compatible layout).  With
 --check A B, exits 1 and prints a diff summary if the two digests differ.
+A file that is not one JSON document (a JSONL journal, a truncated file)
+exits 2 naming it.
 """
 from __future__ import annotations
 
@@ -35,8 +37,20 @@ def is_perf_doc(data) -> bool:
     return isinstance(data, dict) and isinstance(data.get("phases"), list)
 
 
+def load_doc(path: Path):
+    """The file's one JSON document; exits 2 naming the file otherwise (a
+    run journal is JSONL, one document per line, and is refused here)."""
+    try:
+        return json.loads(path.read_text())
+    except OSError as e:
+        print(f"{path}: {e.strerror}", file=sys.stderr)
+    except (json.JSONDecodeError, UnicodeDecodeError) as e:
+        print(f"{path}: not one JSON document ({e})", file=sys.stderr)
+    sys.exit(2)
+
+
 def canonical_digest(path: Path) -> str:
-    data = json.loads(path.read_text())
+    data = load_doc(path)
     if is_perf_doc(data):
         canonical = json.dumps(sorted(phase_names(path)), separators=(",", ":"))
         return hashlib.sha256(canonical.encode()).hexdigest()
@@ -46,12 +60,12 @@ def canonical_digest(path: Path) -> str:
 
 
 def point_names(path: Path) -> list[str]:
-    data = json.loads(path.read_text())
+    data = load_doc(path)
     return [p.get("name", "?") for p in data.get("points", [])]
 
 
 def phase_names(path: Path) -> list[str]:
-    data = json.loads(path.read_text())
+    data = load_doc(path)
     return [p.get("name", "?") for p in data.get("phases", [])
             if isinstance(p, dict)]
 
@@ -73,7 +87,7 @@ def main(argv: list[str] | None = None) -> int:
             return 2
         a, b = args.files
         if digests[a] != digests[b]:
-            if is_perf_doc(json.loads(a.read_text())):
+            if is_perf_doc(load_doc(a)):
                 set_a, set_b = set(phase_names(a)), set(phase_names(b))
                 print(f"\nbench phase sets differ: {a} vs {b}",
                       file=sys.stderr)
