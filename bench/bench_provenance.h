@@ -6,6 +6,7 @@
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
+#include <cstring>
 #include <optional>
 #include <string>
 
@@ -20,8 +21,9 @@ inline void PrintProvenance(const char* tool, std::uint64_t seed = 0,
   std::printf("%s\n", obs::ProvenanceLine(tool, seed, config).c_str());
 }
 
-/// The bench's --jobs value (default 1).  A malformed value is a usage
-/// error: prints what is wrong and exits with status 1.
+/// The bench's --jobs value (default 1), its only argument.  A malformed
+/// value or any other argument is a usage error: prints what is wrong and
+/// exits with status 1 before anything runs.
 inline int JobsFlag(int argc, char** argv) {
   std::string error;
   const std::optional<int> jobs = exp::JobsFromArgs(argc, argv, 1, &error);
@@ -29,19 +31,18 @@ inline int JobsFlag(int argc, char** argv) {
     std::fprintf(stderr, "error: %s\n", error.c_str());
     std::exit(1);
   }
+  for (int i = 1; i < argc; ++i) {
+    const std::string arg = argv[i];
+    if (arg == "--jobs" || arg == "-j") {
+      ++i;  // skip the value; JobsFromArgs has checked it
+    } else if (arg.rfind("--jobs=", 0) != 0) {
+      const char* slash = std::strrchr(argv[0], '/');
+      std::fprintf(stderr, "error: unexpected argument '%s'\nusage: %s [--jobs N | -j N]\n",
+                   arg.c_str(), slash != nullptr ? slash + 1 : argv[0]);
+      std::exit(1);
+    }
+  }
   return *jobs;
 }
 
 }  // namespace osumac::bench
-
-/// Drop-in replacement for BENCHMARK_MAIN() that prints the provenance
-/// header before running google-benchmark.
-#define OSUMAC_BENCHMARK_MAIN(tool)                                     \
-  int main(int argc, char** argv) {                                     \
-    ::osumac::bench::PrintProvenance(tool);                             \
-    ::benchmark::Initialize(&argc, argv);                               \
-    if (::benchmark::ReportUnrecognizedArguments(argc, argv)) return 1; \
-    ::benchmark::RunSpecifiedBenchmarks();                              \
-    ::benchmark::Shutdown();                                            \
-    return 0;                                                           \
-  }

@@ -228,9 +228,6 @@ std::string ResultSignature(const RunResult& result) {
   for (const double latency : result.churn_registration_latency) {
     sig += "|churn=" + FullPrecision(latency);
   }
-  for (const auto& [name, value] : result.registry) {
-    sig += "|" + name + "=" + FullPrecision(value);
-  }
   for (const obs::SloClassSummary& s : result.slo) {
     sig += "|slo." + s.name + "=" + std::to_string(s.count) + "/" +
            std::to_string(s.misses) + "/" + std::to_string(s.near_misses) +

@@ -5,6 +5,18 @@
 #include "obs/profiler.h"
 
 namespace osumac::exp {
+namespace {
+
+// Mobility and chatter of a measured window: every kWalkPeriodCycles each
+// active mobile hands off with kHandoffProb, and kMessagesPerStep random
+// subscriber pairs exchange a message of kMessageBytesLo..Hi bytes.
+constexpr double kHandoffProb = 0.05;
+constexpr int kWalkPeriodCycles = 3;
+constexpr int kMessagesPerStep = 2;
+constexpr int kMessageBytesLo = 40;
+constexpr int kMessageBytesHi = 300;
+
+}  // namespace
 
 mac::CellConfig NetworkScenarioSpec::BuildCellConfig() const {
   mac::CellConfig config;
@@ -22,8 +34,6 @@ NetworkScenarioRun::NetworkScenarioRun(const NetworkScenarioSpec& spec)
   OSUMAC_CHECK_GE(spec_.threads, 1);
   OSUMAC_CHECK_GE(spec_.data_users_per_cell, 0);
   OSUMAC_CHECK_GE(spec_.gps_users_per_cell, 0);
-  OSUMAC_CHECK_GT(spec_.walk_period_cycles, 0);
-  OSUMAC_CHECK_LE(spec_.message_bytes_lo, spec_.message_bytes_hi);
 }
 
 void NetworkScenarioRun::BuildPopulation() {
@@ -52,10 +62,8 @@ void NetworkScenarioRun::Measure() {
   const int subscribers = network_->subscriber_count();
   int remaining = spec_.measure_cycles;
   while (remaining > 0) {
-    if (spec_.handoff_prob > 0.0) {
-      network_->RandomWalk(spec_.handoff_prob, rng_);
-    }
-    for (int k = 0; k < spec_.messages_per_step && subscribers > 1; ++k) {
+    network_->RandomWalk(kHandoffProb, rng_);
+    for (int k = 0; k < kMessagesPerStep && subscribers > 1; ++k) {
       const int a = static_cast<int>(rng_.UniformInt(0, subscribers - 1));
       const int b = static_cast<int>(rng_.UniformInt(0, subscribers - 1));
       if (a == b) continue;
@@ -64,12 +72,10 @@ void NetworkScenarioRun::Measure() {
         continue;
       }
       const int bytes = static_cast<int>(
-          rng_.UniformInt(spec_.message_bytes_lo, spec_.message_bytes_hi));
+          rng_.UniformInt(kMessageBytesLo, kMessageBytesHi));
       if (network_->SendMessage(a, b, bytes)) ++messages_attempted_;
     }
-    const int step = remaining < spec_.walk_period_cycles
-                         ? remaining
-                         : spec_.walk_period_cycles;
+    const int step = remaining < kWalkPeriodCycles ? remaining : kWalkPeriodCycles;
     network_->RunCycles(step);
     remaining -= step;
   }

@@ -37,16 +37,6 @@ struct NetworkScenarioSpec {
   int warmup_cycles = 10;
   int measure_cycles = 60;
 
-  // --- mobility / chatter --------------------------------------------------
-  /// Per-active-mobile handoff probability at each walk step.
-  double handoff_prob = 0.05;
-  /// Measured cycles between mobility/chatter steps.
-  int walk_period_cycles = 3;
-  /// Random subscriber-to-subscriber messages attempted per step.
-  int messages_per_step = 2;
-  int message_bytes_lo = 40;
-  int message_bytes_hi = 300;
-
   // --- cell template / determinism ----------------------------------------
   mac::MacConfig mac;
   std::uint64_t seed = 2001;
@@ -76,7 +66,7 @@ class NetworkScenarioRun {
   /// measured window starts clean.
   void Warmup();
   /// Runs the measured cycles, interleaving random-walk mobility steps and
-  /// cross-cell chatter every `walk_period_cycles`.
+  /// cross-cell chatter every few cycles (network_run.cc's constants).
   void Measure();
   /// Assembles the RunResult: network counters plus the merged
   /// (order-invariant) SLO rollup across all cells.

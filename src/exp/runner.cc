@@ -12,7 +12,6 @@
 #include "exp/seed.h"
 #include "mac/cycle_layout.h"
 #include "mac/mac_policy.h"
-#include "metrics/cell_metrics.h"
 #include "obs/profiler.h"
 
 namespace osumac::exp {
@@ -184,7 +183,7 @@ void ScenarioRun::StageChurn() {
   const ChurnSpec& churn = spec_.churn;
   Rng churn_rng(DeriveSeed(spec_.seed, SeedStream::kChurn));
   for (int i = 0; i < churn.arrivals; ++i) {
-    const int node = cell.AddNode(churn.gps);
+    const int node = cell.AddNode(/*wants_gps=*/false);
     churn_nodes_.push_back(node);
     if (churn.gap_hi_cycles > 0) {
       cell.RunCycles(static_cast<int>(
@@ -263,15 +262,6 @@ RunResult ScenarioRun::Finish() {
     }
   }
 
-  if (spec_.collect_registry) {
-    obs::MetricsRegistry registry;
-    if (osu_ != nullptr) {
-      metrics::RegisterCellMetrics(registry, *osu_);
-    } else {
-      metrics::RegisterPolicyCellMetrics(registry, *policy_);
-    }
-    result.registry = registry.Collect();
-  }
   result.journal = journal_;
   return result;
 }
@@ -297,6 +287,7 @@ RunResult RunScenario(const ScenarioSpec& spec, const RunHooks& hooks) {
 }
 
 std::optional<int> JobsFromArgs(int argc, char** argv, int fallback, std::string* error) {
+  std::optional<int> found;
   for (int i = 1; i < argc; ++i) {
     const char* arg = argv[i];
     const char* value = nullptr;
@@ -307,9 +298,13 @@ std::optional<int> JobsFromArgs(int argc, char** argv, int fallback, std::string
         if (error != nullptr) *error = std::string(arg) + " needs a value";
         return std::nullopt;
       }
-      value = argv[i + 1];
+      value = argv[++i];
     } else {
       continue;
+    }
+    if (found.has_value()) {
+      if (error != nullptr) *error = "--jobs given more than once";
+      return std::nullopt;
     }
     int jobs = 0;
     if (!ParseInt(value, &jobs) || jobs < 0) {
@@ -319,9 +314,9 @@ std::optional<int> JobsFromArgs(int argc, char** argv, int fallback, std::string
       }
       return std::nullopt;
     }
-    return jobs;
+    found = jobs;
   }
-  return fallback;
+  return found.value_or(fallback);
 }
 
 SweepRunner::SweepRunner(int jobs) : jobs_(ResolveParallelism(jobs)) {}

@@ -19,17 +19,14 @@
 
 #include "exp/scenario.h"
 #include "mac/policy_cell.h"
-#include "metrics/cell_metrics.h"
 #include "metrics/experiment.h"
-#include "obs/metrics_registry.h"
 #include "obs/run_journal.h"
 #include "obs/slo.h"
 
 namespace osumac::exp {
 
 /// Everything one run produces: the paper's figure metrics, the raw
-/// base-station counters, cell-level aggregates, churn measurements and
-/// (optionally) a metrics-registry snapshot.
+/// base-station counters, cell-level aggregates and churn measurements.
 struct RunResult {
   std::string name;
   std::uint64_t seed = 0;
@@ -55,9 +52,6 @@ struct RunResult {
   /// Per-arrival registration latency in cycles, in arrival order.
   std::vector<double> churn_registration_latency;
   int churn_registered = 0;
-
-  /// Full registry snapshot (empty unless spec.collect_registry).
-  obs::MetricsRegistry::Snapshot registry;
 
   /// Per-class QoS summary from the cell's always-on SloMonitor (access
   /// delay, checking delay, inter-service gap vs the paper's budgets),
@@ -191,8 +185,9 @@ class SweepRunner {
 
 /// Scans argv for "--jobs N" / "--jobs=N" / "-j N" and returns N (or
 /// `fallback` when absent); the flag every figure bench supports.  N must
-/// be a whole non-negative integer (ParseInt): anything else, or a missing
-/// value, returns nullopt with `error` (if non-null) naming --jobs.
+/// be a whole non-negative integer (ParseInt): anything else, a missing
+/// value or a second --jobs returns nullopt with `error` (if non-null)
+/// naming --jobs.
 std::optional<int> JobsFromArgs(int argc, char** argv, int fallback = 0,
                                 std::string* error = nullptr);
 

@@ -43,7 +43,6 @@ struct WorkloadSpec {
 /// latencies are collected into RunResult::churn_registration_latency.
 struct ChurnSpec {
   int arrivals = 0;
-  bool gps = false;
   int gap_lo_cycles = 0;
   int gap_hi_cycles = 0;
   /// After its gap, wait up to this many extra cycles for the newcomer to
@@ -98,8 +97,6 @@ struct ScenarioSpec {
 
   // --- determinism / output ------------------------------------------------
   std::uint64_t seed = 2001;
-  /// Also collect a full metrics-registry snapshot into the result.
-  bool collect_registry = false;
   /// Journal every N-th measured cycle into RunResult::journal (obs/
   /// run_journal.h); 0 — the default — disables journaling entirely.
   /// Recording consumes no randomness and reads no clocks, so it never

@@ -140,7 +140,6 @@ bool ApplyScenarioKey(ScenarioSpec& spec, const std::string& key,
   if (key == "warmup_cycles") return set_int(&spec.warmup_cycles);
   if (key == "measure_cycles") return set_int(&spec.measure_cycles);
   if (key == "reset_stats") return set_bool(&spec.reset_stats_after_warmup);
-  if (key == "collect_registry") return set_bool(&spec.collect_registry);
   if (key == "erasure_side_information") {
     return set_bool(&spec.erasure_side_information);
   }
@@ -202,7 +201,6 @@ bool ApplyScenarioKey(ScenarioSpec& spec, const std::string& key,
     return set_int(&spec.mac.max_contention_slots);
   }
   if (key == "churn.arrivals") return set_int(&spec.churn.arrivals);
-  if (key == "churn.gps") return set_bool(&spec.churn.gps);
   if (key == "churn.gap_lo_cycles") return set_int(&spec.churn.gap_lo_cycles);
   if (key == "churn.gap_hi_cycles") return set_int(&spec.churn.gap_hi_cycles);
   if (key == "churn.max_extra_wait_cycles") {

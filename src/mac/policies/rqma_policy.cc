@@ -1,10 +1,16 @@
 #include "mac/policies/rqma_policy.h"
 
 #include <algorithm>
+#include <cstdint>
 #include <cstdio>
 
 namespace osumac::mac {
 namespace {
+
+constexpr int kRequestSlots = 4;         ///< slotted-ALOHA request slots
+constexpr int kBacklogSlots = 8;         ///< most sessions open at once
+constexpr std::int64_t kDeadlineFrames = 8;  ///< relative deadline, cycles
+constexpr double kRequestRetryProb = 0.5;
 
 bool HasDemand(const PolicyNodeView& v) {
   return v.backlog_packets > 0 || (v.gps && v.gps_report_pending);
@@ -17,8 +23,7 @@ std::string RqmaPolicy::DescribeLayout() const {
   std::snprintf(buf, sizeof(buf),
                 "format-2 single carrier: %d slotted-ALOHA request slots, "
                 "remainder EDF-granted to <=%d sessions (deadline %lld cycles)",
-                params_.request_slots, params_.backlog_slots,
-                static_cast<long long>(params_.deadline_frames));
+                kRequestSlots, kBacklogSlots, static_cast<long long>(kDeadlineFrames));
   return buf;
 }
 
@@ -35,7 +40,7 @@ PolicyCyclePlan RqmaPolicy::PlanCycle(std::int64_t cycle,
   PolicyCyclePlan plan;
   plan.carrier_formats = {ReverseFormat::kFormat2};
   const int data_slots = ReverseCycleLayout(ReverseFormat::kFormat2).data_slot_count();
-  const int request_slots = std::min(params_.request_slots, data_slots - 1);
+  const int request_slots = std::min(kRequestSlots, data_slots - 1);
 
   // Sessions whose demand is gone release their backlog slot.  GPS
   // sessions always have a fresh report pending, so they persist — RQMA's
@@ -53,7 +58,7 @@ PolicyCyclePlan RqmaPolicy::PlanCycle(std::int64_t cycle,
   // Real-time loss: packets older than the relative deadline are dropped
   // before scheduling (baseline: frame - arrival_frame > deadline_frames).
   const Tick drop_boundary =
-      (cycle - params_.deadline_frames) * kCycleTicks - 1;
+      (cycle - kDeadlineFrames) * kCycleTicks - 1;
   if (drop_boundary >= 0) {
     for (const PolicyNodeView& v : nodes) {
       if (v.head_enqueue_tick >= 0 && v.head_enqueue_tick <= drop_boundary) {
@@ -66,7 +71,7 @@ PolicyCyclePlan RqmaPolicy::PlanCycle(std::int64_t cycle,
   std::vector<std::vector<int>> req_tx(static_cast<std::size_t>(request_slots));
   for (const PolicyNodeView& v : nodes) {
     if (sessions_.count(v.node) != 0 || !HasDemand(v)) continue;
-    if (!rng.Bernoulli(params_.request_retry_prob)) continue;
+    if (!rng.Bernoulli(kRequestRetryProb)) continue;
     req_tx[static_cast<std::size_t>(rng.UniformInt(0, request_slots - 1))]
         .push_back(v.node);
   }
@@ -128,7 +133,7 @@ void RqmaPolicy::ResolveSlot(const PolicySlotPlan& plan,
   if (result.outcome != PolicySlotResult::Outcome::kDecoded || result.sender < 0) {
     return;
   }
-  if (static_cast<int>(sessions_.size()) >= params_.backlog_slots) return;
+  if (static_cast<int>(sessions_.size()) >= kBacklogSlots) return;
   sessions_.insert(result.sender);
 }
 

@@ -4,16 +4,18 @@
 //
 // Mapping onto the single-carrier format-2 grid (9 data slots, no GPS
 // short slots — RQMA has no dedicated position-report ranging):
-//   * the first `request_slots` data slots are open slotted-ALOHA request
-//     slots (owner kNoUser): sessionless stations with demand transmit a
-//     reservation with probability `request_retry_prob`;
-//   * the remaining data slots are granted to established sessions:
-//     GPS-capable sessions first get one report slot each (a report rides
-//     in a full data slot — RQMA has no short-slot ranging, which is what
-//     the comparative figure's gps_delivery_gap column shows), then
-//     earliest-deadline-first over the queued backlog.
-//   * packets older than `deadline_frames` cycles are dropped before
-//     planning (real-time loss, PolicyDrop).
+//   * the first 4 data slots are open slotted-ALOHA request slots (owner
+//     kNoUser): sessionless stations with demand transmit a reservation
+//     with probability 1/2;
+//   * the remaining data slots are granted to at most 8 established
+//     sessions: GPS-capable sessions first get one report slot each (a
+//     report rides in a full data slot — RQMA has no short-slot ranging,
+//     which is what the comparative figure's gps_delivery_gap column
+//     shows), then earliest-deadline-first over the queued backlog.
+//   * packets older than 8 cycles are dropped before planning (real-time
+//     loss, PolicyDrop).
+// These are the defaults of the closed-form model's baselines::Rqma::Params
+// (rqma_policy.cc's constants).
 //
 // The paper's critique of RQMA (station-computed deadlines, cheatable,
 // no bounded GPS access) is visible directly in the sweep output.
@@ -23,18 +25,12 @@
 #include <string>
 #include <vector>
 
-// Parameter struct reuse from the closed-form baseline model; see the
-// waiver ledger entry for the policy-layer-boundary rule.
-#include "baselines/rqma.h"  // lint: allow-policy-layer-boundary
 #include "mac/mac_policy.h"
 
 namespace osumac::mac {
 
 class RqmaPolicy final : public MacPolicy {
  public:
-  RqmaPolicy() : params_(baselines::Rqma::Params{}) {}
-  explicit RqmaPolicy(const baselines::Rqma::Params& params) : params_(params) {}
-
   std::string name() const override { return "rqma"; }
   std::string DescribeLayout() const override;
 
@@ -49,7 +45,6 @@ class RqmaPolicy final : public MacPolicy {
   int open_sessions() const { return static_cast<int>(sessions_.size()); }
 
  private:
-  baselines::Rqma::Params params_;
   std::set<int> sessions_;  ///< nodes with an established session
 };
 

@@ -40,7 +40,7 @@ void FlightRecorder::OnCycle(std::int64_t cycle) {
   // registry never calls back into the recorder.
   ring_.emplace_back(cycle, registry_ ? registry_->Collect()
                                       : MetricsRegistry::Snapshot{});
-  while (ring_.size() > config_.max_cycles) ring_.pop_front();
+  while (ring_.size() > kMaxCycles) ring_.pop_front();
 }
 
 void FlightRecorder::Trip(const std::string& reason, std::int64_t cycle) {

@@ -5,8 +5,8 @@
 // The recorder itself is passive plumbing — it never decides *when* to
 // trip.  Trigger policy lives with whoever can see failures:
 // analysis::FlightRecorderObserver watches the ProtocolAuditor and
-// SloMonitor each cycle, and osumac_sim trips on --flight-dump-on-exit.
-// That split keeps obs free of mac/analysis dependencies.
+// SloMonitor each cycle.  That split keeps obs free of mac/analysis
+// dependencies.
 //
 // Thread safety: all state is guarded by an internal mutex, so a recorder
 // may be tripped from a thread other than the one feeding OnCycle (the
@@ -37,12 +37,8 @@ namespace osumac::obs {
 
 class FlightRecorder {
  public:
-  struct Config {
-    std::size_t max_cycles = 64;  ///< metrics snapshots retained
-  };
-
-  FlightRecorder() = default;
-  explicit FlightRecorder(Config config) : config_(config) {}
+  /// Metrics snapshots retained.
+  static constexpr std::size_t kMaxCycles = 64;
 
   // All attachments are optional; absent sources simply produce no file.
   void AttachTrace(const EventTrace* trace) EXCLUDES(mu_);
@@ -69,7 +65,6 @@ class FlightRecorder {
   bool Dump(const std::string& dir, std::string* error) const EXCLUDES(mu_);
 
  private:
-  const Config config_;
   mutable Mutex mu_;
   const EventTrace* trace_ GUARDED_BY(mu_) = nullptr;
   const MetricsRegistry* registry_ GUARDED_BY(mu_) = nullptr;

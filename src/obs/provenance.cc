@@ -2,9 +2,8 @@
 
 #include <sstream>
 
-#ifndef OSUMAC_GIT_DESCRIBE
-#define OSUMAC_GIT_DESCRIBE "unknown"
-#endif
+#include "build_version.h"  // OSUMAC_GIT_DESCRIBE, generated at build time
+
 #ifndef OSUMAC_BUILD_TYPE
 #define OSUMAC_BUILD_TYPE "unknown"
 #endif

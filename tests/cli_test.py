@@ -4,16 +4,17 @@
 Hostile flags and scenario files must exit 1 quickly with a message naming
 the flag or scenario key (never a CHECK abort), and three journal
 signatures pin the single-OSU, single-policy and network run paths.
-make_figures' arguments are held to the same rule, and the lossy-channel
-sweep (scenarios/lossy_sweep.scn) must reproduce tests/lossy_sweep.expected
-byte for byte at any --jobs value, so any change to an RS decode outcome
-fails here.  make_figures' figure CSVs keep their columns, and the counter
+make_figures' and the print-only benches' arguments are held to the same
+rule, and the lossy-channel sweep (scenarios/lossy_sweep.scn) must
+reproduce tests/lossy_sweep.expected byte for byte at any --jobs value, so
+any change to an RS decode outcome fails here.  make_figures' figure CSVs keep their columns, and the counter
 columns appended to them agree with the same run's BENCH_sweeps.json.
 CI's trace, flight and injected-divergence steps run here too, through
 tools/check_trace.py and tools/osumac_diff.py.
 
 Run via ctest, or directly:
-  python3 tests/cli_test.py build/tools/osumac_sim build/tools/make_figures
+  python3 tests/cli_test.py build/tools/osumac_sim build/tools/make_figures \
+      build/bench/bench_ablation_arq
 """
 from __future__ import annotations
 
@@ -31,6 +32,7 @@ from pathlib import Path
 REPO = Path(__file__).resolve().parents[1]
 SIM = None  # set from argv in main
 FIGURES = None
+BENCH = None  # a print-only bench that takes only --jobs
 
 
 def run(*args: str, cwd: str | None = None, program: str | None = None,
@@ -67,6 +69,9 @@ class HostileInputTest(unittest.TestCase):
             (["--ser", "0.02x", "--channel", "uniform"], "--ser 0.02x"),
             (["--rho"], "--rho needs a value"),
             (["--bogus"], "unknown option --bogus"),
+            (["--flight-dir", "d", "--flight-cycles", "8"], "unknown option --flight-cycles"),
+            (["--flight-dir", "d", "--flight-dump-on-exit"],
+             "unknown option --flight-dump-on-exit"),
         ]:
             with self.subTest(args=args):
                 self.expect_rejected(args, named)
@@ -108,6 +113,7 @@ class HostileInputTest(unittest.TestCase):
                 (["--jobs=2x"], "--jobs 2x"),
                 (["--jobs=-1"], "--jobs -1"),
                 (["--jobs"], "--jobs needs a value"),
+                (["--jobs", "2", "-j", "4"], "--jobs given more than once"),
             ]:
                 with self.subTest(args=args):
                     self.expect_rejected([tmp, *args], named, program=FIGURES)
@@ -119,6 +125,18 @@ class HostileInputTest(unittest.TestCase):
                 self.expect_rejected(args, "usage: make_figures", cwd=tmp,
                                      program=FIGURES)
                 self.assertEqual(list(Path(tmp).iterdir()), [])
+
+    def test_print_only_bench_takes_only_jobs(self):
+        # `--jbos 2` used to run the whole ablation serially.
+        for args, named in [
+            (["--jbos", "2"], "usage: bench_ablation_arq [--jobs N | -j N]"),
+            (["extra"], "unexpected argument 'extra'"),
+            (["--jobs", "2", "--verbose"], "unexpected argument '--verbose'"),
+            (["--jobs", "x"], "--jobs x"),
+            (["--jobs", "1", "--jobs", "x"], "--jobs given more than once"),
+        ]:
+            with self.subTest(args=args):
+                self.expect_rejected(args, named, program=BENCH)
 
     def test_negative_cycle_counts(self):
         self.expect_rejected(["--warmup", "-5"], "--warmup -5")
@@ -367,8 +385,9 @@ class FigureCsvTest(unittest.TestCase):
 
 
 if __name__ == "__main__":
-    if len(sys.argv) < 3:
-        sys.exit("usage: cli_test.py PATH/TO/osumac_sim PATH/TO/make_figures [unittest args]")
-    SIM = sys.argv.pop(1)
-    FIGURES = sys.argv.pop(1)
+    if len(sys.argv) < 4:
+        sys.exit("usage: cli_test.py PATH/TO/osumac_sim PATH/TO/make_figures "
+                 "PATH/TO/bench_ablation_arq [unittest args]")
+    # Absolute, because many tests run the binaries from a temporary cwd.
+    SIM, FIGURES, BENCH = (str(Path(sys.argv.pop(1)).resolve()) for _ in range(3))
     unittest.main()

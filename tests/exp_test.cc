@@ -61,13 +61,6 @@ std::vector<ScenarioSpec> DiverseSpecs() {
   storm.churn.arrivals = 4;
   specs.push_back(storm);
 
-  ScenarioSpec registry = LoadPoint(0.5);
-  registry.name = "with_registry";
-  registry.warmup_cycles = 10;
-  registry.measure_cycles = 60;
-  registry.collect_registry = true;
-  specs.push_back(registry);
-
   ScenarioSpec fading = LoadPoint(0.6);
   fading.name = "ge_erasures";
   fading.warmup_cycles = 10;
@@ -243,19 +236,6 @@ TEST(ScenarioRunTest, ChurnTrickleWithSignOffKeepsCellSmall) {
   EXPECT_EQ(r.churn_registered, 0);
 }
 
-TEST(ScenarioRunTest, RegistrySnapshotOnRequest) {
-  ScenarioSpec spec = LoadPoint(0.5);
-  spec.warmup_cycles = 5;
-  spec.measure_cycles = 30;
-  spec.collect_registry = true;
-  const RunResult r = RunScenario(spec);
-  EXPECT_FALSE(r.registry.empty());
-  EXPECT_TRUE(r.registry.count("bs.data_packets_received"));
-  // Without the flag the snapshot stays empty (cheap by default).
-  spec.collect_registry = false;
-  EXPECT_TRUE(RunScenario(spec).registry.empty());
-}
-
 TEST(ScenarioRunTest, HooksFireInPhaseOrder) {
   ScenarioSpec spec = LoadPoint(0.5);
   spec.warmup_cycles = 5;
@@ -360,11 +340,14 @@ TEST(ScenarioIoTest, RejectsOutOfRangeChannelProbabilities) {
 }
 
 TEST(ScenarioIoTest, RejectsUnknownKeysWithLineNumbers) {
-  std::istringstream in("[a]\nrho = 0.5\nbogus_knob = 3\n");
-  std::string error;
-  EXPECT_TRUE(ParseScenarios(in, &error).empty());
-  EXPECT_NE(error.find("line 3"), std::string::npos) << error;
-  EXPECT_NE(error.find("bogus_knob"), std::string::npos) << error;
+  // Retired keys (collect_registry, churn.gps) are as unknown as a typo.
+  for (const char* line : {"bogus_knob = 3", "collect_registry = true", "churn.gps = true"}) {
+    std::istringstream in(std::string("[a]\nrho = 0.5\n") + line + "\n");
+    std::string error;
+    EXPECT_TRUE(ParseScenarios(in, &error).empty()) << line;
+    const std::string key(line, std::string(line).find(' '));
+    EXPECT_NE(error.find("line 3: unknown key '" + key + "'"), std::string::npos) << error;
+  }
 }
 
 TEST(ScenarioIoTest, RejectsMalformedValues) {
@@ -553,6 +536,12 @@ TEST(ParallelTest, JobsFromArgsRejectsMalformedValues) {
   const char* missing[] = {"bench", "--jobs"};
   EXPECT_FALSE(JobsFromArgs(2, const_cast<char**>(missing), 1, &error).has_value());
   EXPECT_EQ(error, "--jobs needs a value");
+  // A second --jobs used to be ignored, its value unchecked.
+  for (const char* second : {"x", "4"}) {
+    const char* twice[] = {"bench", "--jobs", "2", "-j", second};
+    EXPECT_FALSE(JobsFromArgs(5, const_cast<char**>(twice), 1, &error).has_value());
+    EXPECT_EQ(error, "--jobs given more than once");
+  }
 }
 
 }  // namespace

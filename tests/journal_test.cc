@@ -184,7 +184,7 @@ TEST(JournalTest, DivergenceTripDumpsFlightManifestNamingTheCycle) {
   reference.Run(80);
 
   JournaledRun live(31);
-  obs::FlightRecorder recorder(obs::FlightRecorder::Config{16});
+  obs::FlightRecorder recorder;
   recorder.AttachTrace(&live.trace);
   recorder.AttachSlo(&live.cell->slo());
   recorder.SetScenario("journal_test divergence scenario");

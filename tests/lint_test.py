@@ -151,6 +151,11 @@ class RawStdoutTest(RuleTestCase):
         self.repo.write("src/obs/a.cc", "std::cout << x;\n")
         self.assert_findings(raw_stdout.RULE, 0)
 
+    def test_metrics_not_exempt(self):
+        # src/metrics lost its table printer; it reports like any library.
+        self.repo.write("src/metrics/experiment.cc", "printf(\"%d\", x);\n")
+        self.assert_findings(raw_stdout.RULE, 1)
+
 
 class RawLatencyTest(RuleTestCase):
     def test_trigger(self):

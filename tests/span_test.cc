@@ -429,7 +429,7 @@ TEST(SpanTest, FlightRecorderDumpsOnGilbertElliottBreach) {
 
   analysis::ProtocolAuditor auditor;
   t.cell.AddObserver(&auditor);
-  obs::FlightRecorder recorder(obs::FlightRecorder::Config{16});
+  obs::FlightRecorder recorder;
   recorder.AttachTrace(&t.trace);
   recorder.AttachSlo(&t.cell.slo());
   recorder.SetScenario("span_test GE breach scenario");
@@ -445,6 +445,8 @@ TEST(SpanTest, FlightRecorderDumpsOnGilbertElliottBreach) {
 
   ASSERT_TRUE(recorder.tripped()) << "GE channel never breached a budget";
   EXPECT_TRUE(observer.dumped()) << observer.dump_error();
+  EXPECT_GT(recorder.snapshots(), 0u);
+  EXPECT_LE(recorder.snapshots(), obs::FlightRecorder::kMaxCycles);
   EXPECT_NE(recorder.trip_reason().find("slo:"), std::string::npos)
       << recorder.trip_reason();
   for (const char* name : {"MANIFEST.txt", "events.jsonl", "lifecycles.txt",

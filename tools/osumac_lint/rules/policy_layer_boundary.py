@@ -11,9 +11,7 @@ mac/mac_policy.h, mac/policy_cell.*, and the OSU driver mac/cell.*, which
 drives the BaseStation directly) must not include concrete tenants
 (mac/policies/); the single documented exemption is the factory in
 mac/mac_policy.cc, where name -> tenant resolution has to live so no other
-substrate file ever names a policy.  Port adapters that wrap a baseline protocol's parameter
-block (RqmaPolicy over baselines::Rqma::Params) carry an inline waiver
-recorded in the ledger."""
+substrate file ever names a policy."""
 from __future__ import annotations
 
 import re

@@ -49,8 +49,6 @@ struct Options {
   std::string trace_file;
   std::string metrics_file;
   std::string flight_dir;
-  int flight_cycles = 64;
-  bool flight_dump_on_exit = false;
   std::string journal_file;
   int journal_every = 1;
   std::string journal_expect_file;
@@ -128,10 +126,6 @@ constexpr Flag kFlags[] = {
     {"--flight-dir", "DIR", &Options::flight_dir, kOsu,
      "arm the flight recorder: dump the retained window to\n"
      "DIR on an audit violation or SLO budget miss"},
-    {"--flight-cycles", "N", Int{&Options::flight_cycles, 1}, kOsu,
-     "metrics snapshots the recorder retains (default 64)", {&Options::flight_dir}},
-    {"--flight-dump-on-exit", nullptr, &Options::flight_dump_on_exit, kOsu,
-     "also dump at run end if nothing tripped", {&Options::flight_dir}},
     {"--journal", "FILE", &Options::journal_file, kLive,
      "write the per-cycle digest journal to FILE (JSONL;\n"
      "diff runs with tools/osumac_diff.py)"},
@@ -623,8 +617,7 @@ int RunSingle(const Options& opt, exp::ScenarioSpec spec) {
     cell->AttachTrace(&*trace);
   }
 
-  obs::FlightRecorder recorder(
-      obs::FlightRecorder::Config{static_cast<std::size_t>(opt.flight_cycles)});
+  obs::FlightRecorder recorder;
   obs::MetricsRegistry flight_registry;
   analysis::FlightRecorderObserver flight_observer(&recorder, &auditor);
   if (flight) {
@@ -758,9 +751,6 @@ int RunSingle(const Options& opt, exp::ScenarioSpec spec) {
     return 1;
   }
   if (flight) {
-    if (!recorder.tripped() && opt.flight_dump_on_exit) {
-      recorder.Trip("exit: --flight-dump-on-exit", cell->current_cycle());
-    }
     if (recorder.tripped() && !flight_observer.dumped()) {
       std::string err;
       if (!recorder.Dump(opt.flight_dir, &err)) {
