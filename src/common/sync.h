@@ -32,7 +32,6 @@ class CAPABILITY("mutex") Mutex {
 
   void Lock() ACQUIRE() { impl_.lock(); }
   void Unlock() RELEASE() { impl_.unlock(); }
-  bool TryLock() TRY_ACQUIRE(true) { return impl_.try_lock(); }
 
   // BasicLockable spellings so CondVar (std::condition_variable_any) can
   // release/reacquire the capability inside Wait.  Annotated like their
@@ -62,7 +61,6 @@ class CondVar {
     impl_.wait(mutex, std::move(done));
   }
 
-  void NotifyOne() { impl_.notify_one(); }
   void NotifyAll() { impl_.notify_all(); }
 
  private:

@@ -61,10 +61,6 @@
 #define RELEASE(...) \
   OSUMAC_THREAD_ANNOTATION(release_capability(__VA_ARGS__))
 
-/// The function acquires the capability iff it returns `b`.
-#define TRY_ACQUIRE(b, ...) \
-  OSUMAC_THREAD_ANNOTATION(try_acquire_capability(b, __VA_ARGS__))
-
 /// The function may only be called while NOT holding the listed capabilities
 /// (it acquires them internally; calling with them held would deadlock).
 #define EXCLUDES(...) OSUMAC_THREAD_ANNOTATION(locks_excluded(__VA_ARGS__))

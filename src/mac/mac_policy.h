@@ -115,9 +115,6 @@ class MacPolicy {
   /// metric prefixes, figure series labels.
   virtual std::string name() const = 0;
 
-  /// One-line human description of the cycle layout the policy plans.
-  virtual std::string DescribeLayout() const = 0;
-
   /// A node joined the cell (driver-assigned `uid`) / left it.
   virtual void OnRegistration(int node, UserId uid, bool wants_gps) = 0;
   virtual void OnSignOff(int node, UserId uid) = 0;

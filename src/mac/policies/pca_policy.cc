@@ -4,11 +4,6 @@
 
 namespace osumac::mac {
 
-std::string PcaPolicy::DescribeLayout() const {
-  return "two carriers: carrier 0 dynamic-format GPS TDMA prefix + shared "
-         "round-robin data, carrier 1 format-2 round-robin data";
-}
-
 void PcaPolicy::OnRegistration(int node, UserId /*uid*/, bool wants_gps) {
   if (wants_gps) gps_order_.push_back(node);
 }

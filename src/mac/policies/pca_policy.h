@@ -24,7 +24,6 @@ namespace osumac::mac {
 class PcaPolicy final : public MacPolicy {
  public:
   std::string name() const override { return "pca"; }
-  std::string DescribeLayout() const override;
 
   void OnRegistration(int node, UserId uid, bool wants_gps) override;
   void OnSignOff(int node, UserId uid) override;

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cstdint>
-#include <cstdio>
 
 namespace osumac::mac {
 namespace {
@@ -17,15 +16,6 @@ bool HasDemand(const PolicyNodeView& v) {
 }
 
 }  // namespace
-
-std::string RqmaPolicy::DescribeLayout() const {
-  char buf[160];
-  std::snprintf(buf, sizeof(buf),
-                "format-2 single carrier: %d slotted-ALOHA request slots, "
-                "remainder EDF-granted to <=%d sessions (deadline %lld cycles)",
-                kRequestSlots, kBacklogSlots, static_cast<long long>(kDeadlineFrames));
-  return buf;
-}
 
 void RqmaPolicy::OnRegistration(int /*node*/, UserId /*uid*/, bool /*wants_gps*/) {
   // Sessions are established in-band through request slots, not at

@@ -32,7 +32,6 @@ namespace osumac::mac {
 class RqmaPolicy final : public MacPolicy {
  public:
   std::string name() const override { return "rqma"; }
-  std::string DescribeLayout() const override;
 
   void OnRegistration(int node, UserId uid, bool wants_gps) override;
   void OnSignOff(int node, UserId uid) override;

@@ -50,14 +50,12 @@ class Stopwatch {
  public:
   Stopwatch() : start_(std::chrono::steady_clock::now()) {}
 
-  /// Seconds since construction (or the last Restart()).
+  /// Seconds since construction.
   double Seconds() const {
     return std::chrono::duration<double>(std::chrono::steady_clock::now() -
                                          start_)
         .count();
   }
-
-  void Restart() { start_ = std::chrono::steady_clock::now(); }
 
  private:
   std::chrono::steady_clock::time_point start_;

@@ -4,17 +4,19 @@
 Hostile flags and scenario files must exit 1 quickly with a message naming
 the flag or scenario key (never a CHECK abort), and three journal
 signatures pin the single-OSU, single-policy and network run paths.
-make_figures' and the print-only benches' arguments are held to the same
+make_figures' and bench_baselines' arguments are held to the same
 rule, and the lossy-channel sweep (scenarios/lossy_sweep.scn) must
 reproduce tests/lossy_sweep.expected byte for byte at any --jobs value, so
-any change to an RS decode outcome fails here.  make_figures' figure CSVs keep their columns, and the counter
-columns appended to them agree with the same run's BENCH_sweeps.json.
+any change to an RS decode outcome fails here.  make_figures' figure and
+table CSVs keep their columns and row counts, every column that is one
+point's field agrees with the same run's BENCH_sweeps.json, and the quiet
+cell meets the paper's Section 2.1 registration targets.
 CI's trace, flight and injected-divergence steps run here too, through
 tools/check_trace.py and tools/osumac_diff.py.
 
 Run via ctest, or directly:
   python3 tests/cli_test.py build/tools/osumac_sim build/tools/make_figures \
-      build/bench/bench_ablation_arq
+      build/bench/bench_baselines
 """
 from __future__ import annotations
 
@@ -127,9 +129,9 @@ class HostileInputTest(unittest.TestCase):
                 self.assertEqual(list(Path(tmp).iterdir()), [])
 
     def test_print_only_bench_takes_only_jobs(self):
-        # `--jbos 2` used to run the whole ablation serially.
+        # `--jbos 2` used to run the whole bench serially.
         for args, named in [
-            (["--jbos", "2"], "usage: bench_ablation_arq [--jobs N | -j N]"),
+            (["--jbos", "2"], "usage: bench_baselines [--jobs N | -j N]"),
             (["extra"], "unexpected argument 'extra'"),
             (["--jobs", "2", "--verbose"], "unexpected argument '--verbose'"),
             (["--jobs", "x"], "--jobs x"),
@@ -299,9 +301,9 @@ class ObservabilityStepTest(unittest.TestCase):
 
 
 class FigureCsvTest(unittest.TestCase):
-    """make_figures is the one definition of Figs 8-12 and the robustness
-    grid: its CSVs keep their plotted columns, and the bench counters
-    appended to them equal the same run's BENCH_sweeps.json."""
+    """make_figures is the one definition of every scenario-sweep experiment:
+    its CSVs keep their columns, and every column that is one point's field
+    equals the same run's BENCH_sweeps.json."""
 
     # The leading columns of each CSV.  Plotting scripts read them by name,
     # so they stay first and unchanged; new columns go after them.
@@ -318,30 +320,64 @@ class FigureCsvTest(unittest.TestCase):
         "fig12b_slot_usage.csv": "rho,gps_users,dynamic,avg_data_slots_used",
         "robustness_grid.csv": "data_users,gps_users,utilization,packet_delay_cycles,"
                                "fairness,gps_max_access_s",
+        "fig8_replications.csv": "rho,offered,util,util_sd,pkt_delay,delay_sd,"
+                                 "msg_delay,drop_rate",
+        "fig8_fixed120.csv": "rho,offered,util,pkt_delay,drop_rate",
+        "registration_latency.csv": "cell,background_rho,p50,p80,p99,max,n",
+        "ablation_contention.csv": "variant,p50,p90,max,registered,collisions",
+        "ablation_arq.csv": "up_rho,variant,dl_loss,rev_util,up_delay,retx,acks",
+        "ablation_erasures.csv": "mean_fade_sym,gps_loss,gps_loss_ei,data_fail,"
+                                 "data_fail_ei",
+    }
+    ROWS = {
+        "fig9_collision_reservation.csv": 6,
+        "fig12a_cf2_gain.csv": 6,
+        "robustness_grid.csv": 16,
+        "fig8_replications.csv": 6,
+        "fig8_fixed120.csv": 6,
+        "registration_latency.csv": 2,
+        "ablation_contention.csv": 2,
+        "ablation_arq.csv": 6,
+        "ablation_erasures.csv": 4,
     }
 
-    def test_bench_columns_match_the_sweep_record(self):
-        with tempfile.TemporaryDirectory() as tmp:
-            # The temp dir is also the cwd, so the run cannot touch the
-            # checkout's bench/history.jsonl.
-            proc = run("figs", "--jobs", "2", "--no-journal", cwd=tmp,
-                       program=FIGURES, timeout=600)
-            self.assertEqual(proc.returncode, 0, proc.stderr)
-            out = Path(tmp) / "figs"
-            rows = {}
-            for name, header in self.HEADERS.items():
-                with self.subTest(csv=name):
-                    with open(out / name, newline="") as f:
-                        reader = csv.DictReader(f)
-                        old = header.split(",")
-                        self.assertEqual(reader.fieldnames[:len(old)], old)
-                        rows[name] = list(reader)
-            points = {p["name"]: p for p in
+    @classmethod
+    def setUpClass(cls):
+        tmp = tempfile.TemporaryDirectory()
+        cls.addClassCleanup(tmp.cleanup)
+        # The temp dir is also the cwd, so the run cannot touch the
+        # checkout's bench/history.jsonl.
+        proc = run("figs", "--jobs", "2", "--no-journal", cwd=tmp.name,
+                   program=FIGURES, timeout=600)
+        if proc.returncode != 0:
+            raise AssertionError(proc.stdout + proc.stderr)
+        out = Path(tmp.name) / "figs"
+        cls.fields = {}
+        cls.rows = {}
+        for name in cls.HEADERS:
+            with open(out / name, newline="") as f:
+                reader = csv.DictReader(f)
+                cls.rows[name] = list(reader)
+                cls.fields[name] = reader.fieldnames
+        cls.points = {p["name"]: p for p in
                       json.loads((out / "BENCH_sweeps.json").read_text())["points"]}
 
-        self.assertEqual(len(rows["fig9_collision_reservation.csv"]), 6)
-        self.assertEqual(len(rows["fig12a_cf2_gain.csv"]), 6)
-        for row in rows["fig9_collision_reservation.csv"]:
+    def assert_prints(self, row: dict, column: str, value: float, digits: int = 10):
+        """A table cell equals `value` as the CSV prints it: %.10g for the
+        tables, the stream default %g for the figure CSVs."""
+        self.assertEqual(row[column], f"{value:.{digits}g}", column)
+
+    def test_columns_and_row_counts(self):
+        for name, header in self.HEADERS.items():
+            with self.subTest(csv=name):
+                old = header.split(",")
+                self.assertEqual(self.fields[name][:len(old)], old)
+                if name in self.ROWS:
+                    self.assertEqual(len(self.rows[name]), self.ROWS[name])
+
+    def test_bench_columns_match_the_sweep_record(self):
+        points = self.points
+        for row in self.rows["fig9_collision_reservation.csv"]:
             with self.subTest(fig=9, rho=row["rho"]):
                 k = points["rho_" + row["rho"]]["counters"]
                 self.assertEqual(int(row["collisions"]), k["collisions"])
@@ -349,21 +385,73 @@ class FigureCsvTest(unittest.TestCase):
                                  k["reservation_packets_received"])
                 self.assertEqual(int(row["piggybacked"]),
                                  k["data_packets_received"] - k["contention_data_received"])
-        for row in rows["fig12a_cf2_gain.csv"]:
+        for row in self.rows["fig12a_cf2_gain.csv"]:
             with self.subTest(fig="12a", rho=row["rho"]):
                 k = points["rho_" + row["rho"]]["counters"]
                 self.assertEqual(int(row["last_slot_data_packets"]),
                                  k["last_slot_data_packets"])
                 self.assertEqual(int(row["data_packets_received"]),
                                  k["data_packets_received"])
-        grid = rows["robustness_grid.csv"]
-        self.assertEqual(len(grid), 16)
-        for row in grid:
+        for row in self.rows["robustness_grid.csv"]:
             with self.subTest(grid=(row["data_users"], row["gps_users"])):
                 m = points[f"grid_d{row['data_users']}_g{row['gps_users']}"]["metrics"]
-                # The CSV prints doubles at the stream default, %g.
-                self.assertEqual(row["collision_probability"],
-                                 f"{m['collision_probability']:g}")
+                self.assert_prints(row, "collision_probability",
+                                   m["collision_probability"], digits=6)
+
+    def test_tables_match_the_sweep_record(self):
+        points = self.points
+        for row in self.rows["fig8_replications.csv"]:
+            with self.subTest(table="fig8_replications", rho=row["rho"]):
+                reps = [points[f"rho_{row['rho']}#{r}"] for r in range(3)]
+                # Replication 0 is the figure's own point, seed and all.
+                for part in ("seed", "metrics", "counters", "slo"):
+                    self.assertEqual(reps[0][part], points["rho_" + row["rho"]][part])
+                utilization = [p["metrics"]["utilization"] for p in reps]
+                self.assertAlmostEqual(float(row["util"]), sum(utilization) / 3,
+                                       places=8)
+        for row in self.rows["fig8_fixed120.csv"]:
+            with self.subTest(table="fig8_fixed120", rho=row["rho"]):
+                m = points[f"rho_{row['rho']}_fixed120"]["metrics"]
+                self.assert_prints(row, "offered", m["offered_load"])
+                self.assert_prints(row, "util", m["utilization"])
+                self.assert_prints(row, "pkt_delay", m["mean_packet_delay_cycles"])
+                self.assert_prints(row, "drop_rate", m["message_drop_rate"])
+        for row in self.rows["registration_latency.csv"]:
+            with self.subTest(table="registration_latency", cell=row["cell"]):
+                self.assertEqual(int(row["n"]), 60)
+        for row in self.rows["ablation_contention.csv"]:
+            with self.subTest(table="ablation_contention", variant=row["variant"]):
+                storm = [points[f"{row['variant']}#{r}"] for r in range(5)]
+                self.assertAlmostEqual(
+                    float(row["registered"]),
+                    sum(p["metrics"]["churn_registered"] for p in storm) / 5, places=8)
+                self.assertAlmostEqual(
+                    float(row["collisions"]),
+                    sum(p["counters"]["collisions"] for p in storm) / 5, places=8)
+        for row in self.rows["ablation_arq.csv"]:
+            with self.subTest(table="ablation_arq", up_rho=row["up_rho"],
+                              variant=row["variant"]):
+                p = points[f"{row['variant']}_rho{float(row['up_rho']):.6f}"]
+                self.assert_prints(row, "rev_util", p["metrics"]["utilization"])
+                self.assert_prints(row, "up_delay",
+                                   p["metrics"]["mean_packet_delay_cycles"])
+                self.assertEqual(int(row["retx"]), p["counters"]["forward_retransmissions"])
+                self.assertEqual(int(row["acks"]), p["counters"]["forward_acks_received"])
+        fades = ["0.300000", "0.150000", "0.080000", "0.040000"]
+        for row, fade in zip(self.rows["ablation_erasures.csv"], fades):
+            with self.subTest(table="ablation_erasures", fade=fade):
+                plain = points["fade" + fade]["counters"]
+                with_ei = points["fade" + fade + "_ei"]["counters"]
+                self.assertEqual(int(row["data_fail"]), plain["decode_failures"])
+                self.assertEqual(int(row["data_fail_ei"]), with_ei["decode_failures"])
+
+    def test_registration_meets_section_2_1_at_the_design_point(self):
+        # "80% of the registration requests can be approved in two
+        # notification cycles, and 99% can be made in 10 cycles."
+        quiet = next(r for r in self.rows["registration_latency.csv"]
+                     if r["cell"] == "quiet")
+        self.assertLessEqual(float(quiet["p80"]), 2.0)
+        self.assertLessEqual(float(quiet["p99"]), 10.0)
 
     def test_history_is_appended_only_by_clean_builds(self):
         # A cwd holding bench/CMakeLists.txt looks like a checkout, where
@@ -387,7 +475,7 @@ class FigureCsvTest(unittest.TestCase):
 if __name__ == "__main__":
     if len(sys.argv) < 4:
         sys.exit("usage: cli_test.py PATH/TO/osumac_sim PATH/TO/make_figures "
-                 "PATH/TO/bench_ablation_arq [unittest args]")
+                 "PATH/TO/bench_baselines [unittest args]")
     # Absolute, because many tests run the binaries from a temporary cwd.
     SIM, FIGURES, BENCH = (str(Path(sys.argv.pop(1)).resolve()) for _ in range(3))
     unittest.main()

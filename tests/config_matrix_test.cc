@@ -54,7 +54,8 @@ TEST_P(ConfigMatrixTest, InvariantsHoldUnderEveryToggleCombination) {
   spec.workload.rho = 0.6;
   // Downlink modest enough that even the weakest arm (no second CF +
   // static GPS slots: six reverse slots) can carry the ARQ ack traffic —
-  // overload behaviour is studied separately in bench_ablation_arq.
+  // overload behaviour is studied separately in make_figures'
+  // ablation_arq.csv.
   spec.workload.downlink_interarrival_cycles = 14;
   spec.mac.use_second_control_field = c.second_cf;
   spec.mac.dynamic_gps_slots = c.dynamic_gps;

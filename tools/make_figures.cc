@@ -1,17 +1,22 @@
-// make_figures — regenerates every evaluation figure as CSV files.
+// make_figures — regenerates every evaluation figure and table as CSV files.
 //
 //   $ ./make_figures [output_dir] [--jobs N] [--mac-matrix] [--no-journal]
 //                                                (default: results/, serial)
 //
-// The one definition of the paper's Figs 8-12 points and the Section-5
-// robustness grid: builds the full spec list up front, executes it on the
+// The one definition of every scenario-sweep experiment: the paper's
+// Figs 8-12 points, the Section-5 robustness grid, Fig 8's seed spread and
+// fixed 120-byte arm, the Section-2.1 registration check and the three
+// ablations (Section-3.5 contention slots, downlink ARQ, erasure side
+// information).  It builds the full spec list up front, executes it on the
 // sweep runner (bit-identical at any --jobs), and writes one CSV per figure
 // (fig8_utilization_delay.csv, fig9_collision_reservation.csv,
 // fig10_control_overhead.csv, fig11_fairness.csv, fig12a_cf2_gain.csv,
-// fig12b_slot_usage.csv) plus the robustness grid, the machine-readable
-// BENCH_sweeps.json record of every point, and the BENCH_perf.json
-// wall-clock trajectory (per-phase timings; schema checked by
-// tools/check_perf.py).  Plot the CSVs with tools/plot_figures.py
+// fig12b_slot_usage.csv), the robustness grid, one CSV per table
+// (fig8_replications.csv, fig8_fixed120.csv, registration_latency.csv,
+// ablation_contention.csv, ablation_arq.csv, ablation_erasures.csv), the
+// machine-readable BENCH_sweeps.json record of every point, and the
+// BENCH_perf.json wall-clock trajectory (per-phase timings; schema checked
+// by tools/check_perf.py).  Plot the CSVs with tools/plot_figures.py
 // (matplotlib) or any spreadsheet.
 //
 // --mac-matrix additionally runs the head-to-head MAC comparison (every
@@ -29,10 +34,12 @@
 // skips that phase (used by the TSan soak, where the run is about races,
 // not digests).  The primary sweep itself always runs journal-off, so
 // BENCH_sweeps.json stays byte-identical to pre-journal artifacts.
+#include <algorithm>
 #include <cstdint>
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
+#include <iomanip>
 #include <optional>
 #include <string>
 #include <vector>
@@ -51,6 +58,142 @@ std::ofstream Open(const std::filesystem::path& dir, const std::string& name) {
     std::exit(1);
   }
   return out;
+}
+
+// The tables print 10 significant digits (the figure CSVs print the stream
+// default of 6), so a delay of a hundred cycles keeps four decimals.
+std::ofstream OpenTable(const std::filesystem::path& dir, const std::string& name,
+                        const char* header) {
+  std::ofstream out = Open(dir, name);
+  out << std::setprecision(10) << header << '\n';
+  return out;
+}
+
+constexpr int kFig8Replications = 3;
+constexpr int kStormRepeats = 5;
+constexpr double kArqUplinkRhos[] = {0.3, 0.6, 0.9};
+constexpr double kFadeRecoveryProbs[] = {0.30, 0.15, 0.08, 0.04};
+
+// Section 2.1: "80% of the registration requests can be approved in two
+// notification cycles, and 99% can be made in 10 cycles", checked on
+// isolated arrivals against a quiet cell (the design point) and against a
+// busy one with background data traffic.
+exp::ScenarioSpec TrickleSpec(const char* name, double background_rho,
+                              std::uint64_t seed) {
+  exp::ScenarioSpec spec;
+  spec.name = name;
+  spec.data_users = 8;
+  spec.gps_users = 0;
+  spec.registration_cycles = 10;
+  spec.warmup_cycles = background_rho > 0 ? 30 : 0;
+  spec.measure_cycles = 0;  // the churn loop itself drives the cycles
+  spec.reset_stats_after_warmup = false;
+  spec.seed = seed;
+  spec.workload.rho = background_rho;
+  spec.churn.arrivals = 60;
+  // Registrations trickle in a few cycles apart (the design point), each
+  // sampled inline with a bounded straggler wait.  The measured unit
+  // leaves again (commuter churn); otherwise 60 arrivals would exhaust
+  // the 6-bit user-ID space and later arrivals would be rejected for
+  // capacity rather than contention reasons.
+  spec.churn.gap_lo_cycles = 2;
+  spec.churn.gap_hi_cycles = 5;
+  spec.churn.max_extra_wait_cycles = 40;
+  spec.churn.sign_off_after_sample = true;
+  return spec;
+}
+
+// Section 3.5 ablation: a registration storm hits a loaded cell.  With the
+// dynamic controller the base station converts data slots into extra
+// contention slots while the collision rate is high and reclaims them
+// afterwards; the static variant keeps the single configured contention
+// slot.  A saturated background of 6 veterans, then 6 churn arrivals all
+// at once (gap 0).  Stats keep accumulating through the storm and arrivals
+// are sampled at the end of the run, with the full 60-cycle window as the
+// straggler fallback.
+exp::ScenarioSpec StormSpec(bool dynamic, int rep) {
+  exp::ScenarioSpec spec;
+  spec.name = std::string(dynamic ? "dynamic" : "static") + "#" + std::to_string(rep);
+  spec.data_users = 6;
+  spec.gps_users = 0;
+  spec.registration_cycles = 8;
+  spec.warmup_cycles = 20;
+  spec.measure_cycles = 60;
+  spec.reset_stats_after_warmup = false;
+  spec.workload.rho = 1.2;
+  spec.churn.arrivals = 6;
+  spec.mac.dynamic_contention_slots = dynamic;
+  spec.seed = 100 + static_cast<std::uint64_t>(rep);
+  return spec;
+}
+
+// Downlink ARQ (extension) vs the paper's unacknowledged forward channel,
+// on a fading forward channel with simultaneous uplink load: ARQ should
+// drive the residual downlink loss to ~0, and its ack packets eat into
+// reverse-link utilization and uplink delay.
+exp::ScenarioSpec ArqSpec(bool arq, double uplink_rho) {
+  exp::ScenarioSpec spec;
+  spec.name = std::string(arq ? "arq" : "paper") + "_rho" + std::to_string(uplink_rho);
+  spec.data_users = 8;
+  spec.gps_users = 0;
+  spec.registration_cycles = 10;
+  spec.warmup_cycles = 30;
+  spec.measure_cycles = 600;
+  spec.seed = 99;
+  spec.workload.rho = uplink_rho;
+  spec.workload.downlink_interarrival_cycles = 4;
+  spec.workload.downlink_sizes = traffic::SizeDistribution::Fixed(220);
+  spec.mac.downlink_arq = arq;
+  spec.forward.kind = mac::ChannelModelConfig::Kind::kGilbertElliott;
+  spec.forward.ge.p_good_to_bad = 0.004;
+  spec.forward.ge.p_bad_to_good = 0.05;
+  spec.forward.ge.error_prob_bad = 0.4;
+  return spec;
+}
+
+double DownlinkLoss(const exp::RunResult& r) {
+  const std::int64_t offered = r.downlink_messages_generated - 2;  // allow 2 in flight
+  return offered > 0
+             ? std::max(0.0, 1.0 - static_cast<double>(r.downlink_messages_completed) /
+                                       static_cast<double>(offered))
+             : 0.0;
+}
+
+// Erasure side information (extension; the burst-erasure idea of the
+// paper's reference [2]) on Gilbert-Elliott reverse fades of mean length
+// 1 / p_bad_to_good symbols at 0.9 symbol errors inside a fade.  Side
+// information should rescue fades up to ~15 symbols (the erasure budget of
+// RS(64,48) with one parity symbol spared for verification); very long
+// fades defeat both receivers.
+exp::ScenarioSpec FadeSpec(double p_bad_to_good, bool side_info) {
+  exp::ScenarioSpec spec;
+  spec.name = "fade" + std::to_string(p_bad_to_good) + (side_info ? "_ei" : "");
+  spec.data_users = 4;
+  spec.gps_users = 4;
+  spec.registration_cycles = 25;
+  spec.warmup_cycles = 0;  // stats reset right after registration
+  spec.measure_cycles = 400;
+  spec.seed = 500;
+  spec.workload.rho = 0.5;
+  spec.erasure_side_information = side_info;
+  spec.reverse.kind = mac::ChannelModelConfig::Kind::kGilbertElliott;
+  spec.reverse.ge.p_good_to_bad = 0.01;
+  spec.reverse.ge.p_bad_to_good = p_bad_to_good;
+  spec.reverse.ge.error_prob_good = 1e-4;
+  spec.reverse.ge.error_prob_bad = 0.9;
+  return spec;
+}
+
+double GpsLoss(const exp::RunResult& r) {
+  const double total =
+      static_cast<double>(r.bs.gps_packets_received + r.bs.gps_packets_failed);
+  return total > 0 ? static_cast<double>(r.bs.gps_packets_failed) / total : 0.0;
+}
+
+SampleSet ChurnLatency(const exp::RunResult& r) {
+  SampleSet latency;
+  for (const double sample : r.churn_registration_latency) latency.Add(sample);
+  return latency;
 }
 
 }  // namespace
@@ -92,10 +235,12 @@ int main(int argc, char** argv) {
   obs::WallTimerRegistry wall;
 
   // The full figure workload as one flat spec list: the load sweep with and
-  // without CF2 (figs 8-12a), the fig 12(b) arms, and the robustness grid.
+  // without CF2 (figs 8-12a), the fig 12(b) arms, the robustness grid, and
+  // then the tables' points.
   std::vector<exp::ScenarioSpec> specs;
   std::size_t fig12b_begin = 0;
   std::size_t grid_begin = 0;
+  std::size_t tables_begin = 0;
   {
     obs::ScopedWallTimer timer(wall, "spec_build");
     for (const double rho : exp::LoadSweep()) {
@@ -130,6 +275,34 @@ int main(int argc, char** argv) {
         point.measure_cycles = 500;
         specs.push_back(point);
       }
+    }
+    // Fig 8's seed spread, then the paper's second workload: fixed 120-byte
+    // messages ("the results are found to be quite robust" across both).
+    tables_begin = specs.size();
+    for (const double rho : exp::LoadSweep()) {
+      const std::vector<exp::ScenarioSpec> reps =
+          exp::ExpandReplications(exp::LoadPoint(rho), kFig8Replications);
+      specs.insert(specs.end(), reps.begin(), reps.end());
+    }
+    for (const double rho : exp::LoadSweep()) {
+      exp::ScenarioSpec point = exp::LoadPoint(rho);
+      point.name += "_fixed120";
+      point.workload.sizes = traffic::SizeDistribution::Fixed(120);
+      specs.push_back(point);
+    }
+    specs.push_back(TrickleSpec("quiet", 0.0, 11));
+    specs.push_back(TrickleSpec("busy", 0.8, 13));
+    for (const bool dynamic : {true, false}) {
+      for (int rep = 0; rep < kStormRepeats; ++rep) {
+        specs.push_back(StormSpec(dynamic, rep));
+      }
+    }
+    for (const double rho : kArqUplinkRhos) {
+      for (const bool arq : {false, true}) specs.push_back(ArqSpec(arq, rho));
+    }
+    for (const double p_recover : kFadeRecoveryProbs) {
+      specs.push_back(FadeSpec(p_recover, false));
+      specs.push_back(FadeSpec(p_recover, true));
     }
   }
 
@@ -294,6 +467,93 @@ int main(int argc, char** argv) {
            << ',' << r.figure.gps_access_delay_max_s << ','
            << r.figure.collision_probability << '\n';
     }
+  }
+
+  // The tables: Fig 8 averaged over seeds (mean and sample sd) and its
+  // fixed-size arm, then the registration and ablation tables.
+  next = tables_begin;
+  auto fig8_reps = OpenTable(dir, "fig8_replications.csv",
+                             "rho,offered,util,util_sd,pkt_delay,delay_sd,"
+                             "msg_delay,drop_rate");
+  for (const double rho : exp::LoadSweep()) {
+    RunningStats offered, util, pkt_delay, msg_delay, drop;
+    for (int rep = 0; rep < kFig8Replications; ++rep) {
+      const exp::RunResult& r = results[next++];
+      offered.Add(r.offered_load);
+      util.Add(r.figure.utilization);
+      pkt_delay.Add(r.figure.mean_packet_delay_cycles);
+      msg_delay.Add(r.figure.mean_message_delay_cycles);
+      drop.Add(r.figure.message_drop_rate);
+    }
+    fig8_reps << rho << ',' << offered.mean() << ',' << util.mean() << ','
+              << util.stddev() << ',' << pkt_delay.mean() << ','
+              << pkt_delay.stddev() << ',' << msg_delay.mean() << ','
+              << drop.mean() << '\n';
+  }
+
+  auto fig8_fixed = OpenTable(dir, "fig8_fixed120.csv",
+                              "rho,offered,util,pkt_delay,drop_rate");
+  for (const double rho : exp::LoadSweep()) {
+    const exp::RunResult& r = results[next++];
+    fig8_fixed << rho << ',' << r.offered_load << ',' << r.figure.utilization
+               << ',' << r.figure.mean_packet_delay_cycles << ','
+               << r.figure.message_drop_rate << '\n';
+  }
+
+  // Registration latencies are in notification cycles.
+  auto registration = OpenTable(dir, "registration_latency.csv",
+                                "cell,background_rho,p50,p80,p99,max,n");
+  for (int cell = 0; cell < 2; ++cell) {
+    const exp::ScenarioSpec& spec = specs[next];
+    const SampleSet latency = ChurnLatency(results[next++]);
+    registration << spec.name << ',' << spec.workload.rho << ','
+                 << latency.Median() << ',' << latency.Quantile(0.80) << ','
+                 << latency.Quantile(0.99) << ',' << latency.Max() << ','
+                 << latency.size() << '\n';
+  }
+
+  // Means over the storm's seeds, except max: the largest over all of them.
+  auto contention = OpenTable(dir, "ablation_contention.csv",
+                              "variant,p50,p90,max,registered,collisions");
+  for (const bool dynamic : {true, false}) {
+    double p50 = 0, p90 = 0, max = 0, registered = 0, collisions = 0;
+    for (int rep = 0; rep < kStormRepeats; ++rep) {
+      const exp::RunResult& r = results[next++];
+      const SampleSet latency = ChurnLatency(r);
+      p50 += latency.Median();
+      p90 += latency.Quantile(0.9);
+      max = std::max(max, latency.Max());
+      registered += r.churn_registered;
+      collisions += static_cast<double>(r.bs.collisions);
+    }
+    contention << (dynamic ? "dynamic" : "static") << ',' << p50 / kStormRepeats
+               << ',' << p90 / kStormRepeats << ',' << max << ','
+               << registered / kStormRepeats << ',' << collisions / kStormRepeats
+               << '\n';
+  }
+
+  auto arq_table = OpenTable(dir, "ablation_arq.csv",
+                             "up_rho,variant,dl_loss,rev_util,up_delay,retx,acks");
+  for (const double rho : kArqUplinkRhos) {
+    for (const bool arq : {false, true}) {
+      const exp::RunResult& r = results[next++];
+      arq_table << rho << ',' << (arq ? "arq" : "paper") << ',' << DownlinkLoss(r)
+                << ',' << r.figure.utilization << ','
+                << r.figure.mean_packet_delay_cycles << ','
+                << r.bs.forward_retransmissions << ','
+                << r.bs.forward_acks_received << '\n';
+    }
+  }
+
+  auto erasures = OpenTable(dir, "ablation_erasures.csv",
+                            "mean_fade_sym,gps_loss,gps_loss_ei,data_fail,"
+                            "data_fail_ei");
+  for (const double p_recover : kFadeRecoveryProbs) {
+    const exp::RunResult& plain = results[next++];
+    const exp::RunResult& with_ei = results[next++];
+    erasures << 1.0 / p_recover << ',' << GpsLoss(plain) << ','
+             << GpsLoss(with_ei) << ',' << plain.bs.decode_failures << ','
+             << with_ei.bs.decode_failures << '\n';
   }
 
   if (mac_matrix) {
