@@ -94,7 +94,7 @@ int main() {
       // The dashboard updates only the buses whose report was decoded this
       // cycle (the payload in the simulation is synthetic, so we mirror the
       // true position — what the 24-bit lat/lon fields would carry).
-      for (mac::UserId uid : cell.base_station().TakeGpsReceptions()) {
+      for (mac::UserId uid : cell.base_station().gps_receptions()) {
         for (const auto& bus : buses) {
           if (cell.subscriber(bus.node).user_id() == uid &&
               cell.subscriber(bus.node).is_gps()) {

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cstring>
-#include <utility>
 
 #include "common/check.h"
 
@@ -22,10 +21,10 @@ std::uint64_t LoadBe64(const std::uint8_t* p) {
 void BitWriter::Write(std::uint64_t value, int width) {
   OSUMAC_DCHECK(width > 0 && width <= 64);
   OSUMAC_DCHECK(width == 64 || (value >> width) == 0);
+  OSUMAC_CHECK_LE(bit_size_ + width, kCapacityBytes * 8);
   const int used = bit_size_ & 7;  // bits already taken in the last byte
   const std::size_t first = static_cast<std::size_t>(bit_size_) >> 3;
   bit_size_ += width;
-  bytes_.resize((static_cast<std::size_t>(bit_size_) + 7) >> 3);
   std::uint8_t* out = bytes_.data() + first;
   int left = width;  // low bits of `value` not yet placed
   if (used != 0) {
@@ -47,15 +46,8 @@ void BitWriter::Write(std::uint64_t value, int width) {
 
 void BitWriter::WriteZeros(int count) {
   OSUMAC_DCHECK_GE(count, 0);
-  // Bits past bit_size_ are already zero and resize() zero-fills.
-  bit_size_ += count;
-  bytes_.resize((static_cast<std::size_t>(bit_size_) + 7) >> 3);
-}
-
-std::vector<std::uint8_t> BitWriter::BytesPaddedTo(std::size_t min_bytes) && {
-  if (bytes_.size() < min_bytes) bytes_.resize(min_bytes);
-  bit_size_ = 0;
-  return std::exchange(bytes_, {});
+  OSUMAC_CHECK_LE(bit_size_ + count, kCapacityBytes * 8);
+  bit_size_ += count;  // bits past bit_size_ are already zero
 }
 
 std::uint64_t BitReader::Read(int width) {

@@ -10,21 +10,20 @@
 // packet, so this is the simulator's per-cycle codec path.
 #pragma once
 
+#include <array>
 #include <cstddef>
 #include <cstdint>
 #include <span>
-#include <vector>
 
 namespace osumac {
 
-/// Appends fixed-width big-endian bit fields to a growing byte buffer.
+/// Appends fixed-width big-endian bit fields to an inline byte buffer
+/// sized for the largest serialized unit, the control-field pair (two
+/// 48-byte RS information blocks); writing past it is a CHECK failure.
 class BitWriter {
  public:
-  /// `capacity_bytes` reserves the buffer up front (the serialized size is
-  /// usually known: one RS information block).
-  explicit BitWriter(std::size_t capacity_bytes = 0) {
-    bytes_.reserve(capacity_bytes);
-  }
+  /// Capacity of the inline buffer in bytes.
+  static constexpr int kCapacityBytes = 96;
 
   /// Appends the low `width` bits of `value`, most significant bit first.
   /// Requires 0 < width <= 64; bits of `value` above `width` must be zero.
@@ -36,17 +35,16 @@ class BitWriter {
   /// Number of bits written so far.
   int bit_size() const { return bit_size_; }
 
-  /// Returns the packed bytes; the final partial byte (if any) is
-  /// zero-padded in its low bits.
-  const std::vector<std::uint8_t>& bytes() const { return bytes_; }
-
-  /// Moves the packed bytes out, padded with zero bytes up to `min_bytes`.
-  std::vector<std::uint8_t> BytesPaddedTo(std::size_t min_bytes) &&;
+  /// Views the packed bytes, ceil(bit_size() / 8) of them; the final
+  /// partial byte (if any) is zero-padded in its low bits.  Pad to a whole
+  /// block with WriteZeros.
+  std::span<const std::uint8_t> bytes() const {
+    return {bytes_.data(), (static_cast<std::size_t>(bit_size_) + 7) >> 3};
+  }
 
  private:
-  // Invariant: bytes_.size() == ceil(bit_size_ / 8) and every bit past
-  // bit_size_ is zero.
-  std::vector<std::uint8_t> bytes_;
+  // Invariant: every bit past bit_size_ is zero.
+  std::array<std::uint8_t, kCapacityBytes> bytes_{};
   int bit_size_ = 0;
 };
 

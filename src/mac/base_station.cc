@@ -39,6 +39,7 @@ ControlFields BaseStation::PlanCycle(std::uint16_t cycle) {
   cycle_ = cycle;
   ++counters_.cycles;
   ++cycle_counter_;
+  gps_receptions_.clear();
 
   // Downlink ARQ: retransmit forward packets whose ACK timed out.
   if (config_.downlink_arq) {
@@ -106,33 +107,34 @@ ControlFields BaseStation::PlanCycle(std::uint16_t cycle) {
   const int last_usable = config_.use_second_control_field ? n_data - 1 : n_data - 2;
   const int assignable = std::max(0, last_usable - contention_slots + 1);
 
-  std::vector<SlotRun> runs = reverse_rr_.Allocate(demand_, assignable);
+  reverse_rr_.Allocate(demand_, assignable, reverse_runs_);
   // A GPS user must never hold the last data slot: it could not listen to
   // CF2 without clashing with its own early-cycle GPS transmission.  Lumped
-  // runs stay contiguous under reordering, so place GPS users' runs first.
-  std::stable_partition(runs.begin(), runs.end(), [this](const SlotRun& run) {
-    return gps_users_.contains(run.user);
-  });
+  // runs stay contiguous under reordering, so lay out GPS users' runs
+  // first, then everyone else's, each in allocation order.
   int next_slot = contention_slots;
-  for (const SlotRun& run : runs) {
-    int granted_here = run.count;
-    // Only possible when every demander is a GPS user: surrender the very
-    // last slot rather than strand its user.
-    if (gps_users_.contains(run.user) && next_slot + granted_here - 1 >= last_usable) {
-      granted_here = std::max(0, last_usable - next_slot);
+  for (const bool gps_pass : {true, false}) {
+    for (const SlotRun& run : reverse_runs_) {
+      if (gps_users_.contains(run.user) != gps_pass) continue;
+      int granted_here = run.count;
+      // Only possible when every demander is a GPS user: surrender the very
+      // last slot rather than strand its user.
+      if (gps_pass && next_slot + granted_here - 1 >= last_usable) {
+        granted_here = std::max(0, last_usable - next_slot);
+      }
+      // The run is contiguous from next_slot, so bounding its last slot bounds
+      // every write below.  Debug-only: this loop is the per-cycle scheduling
+      // hot path (~10% measured), and the auditor re-checks slot bounds via
+      // format-consistency on every planned schedule.
+      if (granted_here > 0) OSUMAC_DCHECK_LE(next_slot + granted_here - 1, last_usable);
+      for (int i = 0; i < granted_here; ++i) {
+        const int slot = next_slot + i;
+        reverse_schedule_[static_cast<std::size_t>(slot)] = run.user;
+      }
+      next_slot += granted_here;
+      demand_[run.user] -= granted_here;
+      if (demand_[run.user] <= 0) demand_.erase(run.user);
     }
-    // The run is contiguous from next_slot, so bounding its last slot bounds
-    // every write below.  Debug-only: this loop is the per-cycle scheduling
-    // hot path (~10% measured), and the auditor re-checks slot bounds via
-    // format-consistency on every planned schedule.
-    if (granted_here > 0) OSUMAC_DCHECK_LE(next_slot + granted_here - 1, last_usable);
-    for (int i = 0; i < granted_here; ++i) {
-      const int slot = next_slot + i;
-      reverse_schedule_[static_cast<std::size_t>(slot)] = run.user;
-    }
-    next_slot += granted_here;
-    demand_[run.user] -= granted_here;
-    if (demand_[run.user] <= 0) demand_.erase(run.user);
   }
   cf.reverse_schedule = reverse_schedule_;
   last_slot_user_this_cycle_ = reverse_schedule_[static_cast<std::size_t>(n_data - 1)];
@@ -143,7 +145,7 @@ ControlFields BaseStation::PlanCycle(std::uint16_t cycle) {
   // they are guaranteed CF1 listeners who can learn a slot-0 assignment in
   // time.  GPS users never occupy the last slot and always qualify.  The
   // set for the next cycle is snapshotted from this cycle's grants below.
-  const std::set<UserId> slot0_eligible_now = slot0_eligible_;
+  const UserMask slot0_eligible_now = slot0_eligible_;
   slot0_eligible_ = gps_users_;
   for (int i = 0; i < n_data; ++i) {
     const UserId u = reverse_schedule_[static_cast<std::size_t>(i)];
@@ -545,18 +547,6 @@ void BaseStation::HandleRegistration(const RegistrationPacket& reg, int /*slot*/
   }
 }
 
-std::vector<UplinkDelivery> BaseStation::TakeDeliveries() {
-  std::vector<UplinkDelivery> out;
-  out.swap(deliveries_);
-  return out;
-}
-
-std::vector<UserId> BaseStation::TakeGpsReceptions() {
-  std::vector<UserId> out;
-  out.swap(gps_receptions_);
-  return out;
-}
-
 bool BaseStation::EnqueueDownlink(UserId dest, std::uint32_t message_id, int bytes) {
   if (!uid_to_ein_.contains(dest) || bytes <= 0) return false;
   auto& queue = downlink_[dest];
@@ -661,7 +651,8 @@ void BaseStation::SignOff(UserId uid) {
   }
   ein_to_uid_.erase(it->second);
   uid_to_ein_.erase(it);
-  if (gps_users_.erase(uid) > 0) {
+  if (gps_users_.contains(uid)) {
+    gps_users_.erase(uid);
     const std::optional<GpsSlotManager::Move> move = gps_.Release(uid);
     if (move.has_value() && sink_ != nullptr) {
       // Rule R3 consolidated the schedule: a mid-lifecycle GPS user moved.

@@ -26,6 +26,7 @@
 #include <map>
 #include <optional>
 #include <set>
+#include <span>
 #include <utility>
 #include <vector>
 
@@ -155,12 +156,14 @@ class BaseStation {
   /// cycle's OnLastSlotOfPreviousCycle call instead.
   void OnDataSlotResolved(int slot, const phy::SlotReception& reception);
 
-  /// Deliveries decoded since the last call (for Cell metrics); clears.
-  std::vector<UplinkDelivery> TakeDeliveries();
+  /// Deliveries decoded since the last ClearDeliveries (for Cell metrics).
+  const std::vector<UplinkDelivery>& deliveries() const { return deliveries_; }
+  /// Empties deliveries(), keeping its capacity for the next slots.
+  void ClearDeliveries() { deliveries_.clear(); }
 
-  /// User IDs whose GPS report was decoded since the last call (for
-  /// tracking applications built on the MAC); clears.
-  std::vector<UserId> TakeGpsReceptions();
+  /// User IDs whose GPS report was decoded this cycle (for tracking
+  /// applications built on the MAC); PlanCycle starts the list afresh.
+  std::span<const UserId> gps_receptions() const { return gps_receptions_; }
 
   // --- downlink ------------------------------------------------------------
 
@@ -249,7 +252,7 @@ class BaseStation {
   // Registration state.
   std::map<Ein, UserId> ein_to_uid_;
   std::map<UserId, Ein> uid_to_ein_;
-  std::set<UserId> gps_users_;
+  UserMask gps_users_;
   std::deque<RegistrationGrant> grant_queue_;  ///< approved, awaiting announce
   std::optional<RegistrationGrant> late_grant_;  ///< approved in last slot
 
@@ -259,6 +262,7 @@ class BaseStation {
   RoundRobinScheduler forward_rr_;
   ContentionController contention_;
   std::map<UserId, int> demand_;  ///< reverse-slot demand per user
+  std::vector<SlotRun> reverse_runs_;  ///< PlanCycle's allocation, reused
 
   // Current-cycle schedules.
   ReverseFormat current_format_ = ReverseFormat::kFormat2;
@@ -271,7 +275,7 @@ class BaseStation {
   int data_slot_count_this_cycle_ = 0;
   ForwardScheduleInput fwd_input_;  ///< constraints used for this cycle
   /// Users who may receive forward slot 0 next cycle (see PlanCycle).
-  std::set<UserId> slot0_eligible_;
+  UserMask slot0_eligible_;
 
   // Observations of the current cycle, announced next cycle.
   std::array<UserId, kReverseAckEntries> acks_next_{};
@@ -291,7 +295,7 @@ class BaseStation {
   std::uint16_t next_seq_ = 0;
 
   std::vector<UplinkDelivery> deliveries_;
-  std::vector<UserId> gps_receptions_;
+  std::vector<UserId> gps_receptions_;  ///< this cycle's decoded GPS reports
   /// Dedup: highest (message_id, frag) seen per user is too weak; track a
   /// small recent-set per user keyed by (message_id << 8 | frag).
   std::map<UserId, std::set<std::uint64_t>> seen_frags_;

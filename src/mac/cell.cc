@@ -1,5 +1,6 @@
 #include "mac/cell.h"
 
+#include <algorithm>
 #include <iterator>
 
 #include "common/check.h"
@@ -394,7 +395,8 @@ void Cell::DeliverControlFields(const ControlFields& cf, bool second, Tick cycle
     if (phy::ApplyChannelInto(cf_codewords_, data_code_, ForwardModelFor(node), rng_,
                               channel_scratch_, cf_decoded_, &corrected,
                               config_.erasure_side_information)) {
-      if (cf_decoded_[0] == blocks[0] && cf_decoded_[1] == blocks[1]) {
+      if (std::ranges::equal(cf_decoded_[0], blocks[0]) &&
+          std::ranges::equal(cf_decoded_[1], blocks[1])) {
         if (!sent_parsed) {
           sent_cf = ParseControlFields(blocks[0], blocks[1]);
           sent_parsed = true;
@@ -421,13 +423,14 @@ void Cell::DeliverControlFields(const ControlFields& cf, bool second, Tick cycle
       }
     }
 
-    const std::vector<PlannedBurst> bursts = sub.OnControlFields(*parsed, cycle_start);
+    planned_.clear();
+    sub.OnControlFields(*parsed, cycle_start, planned_);
     // Slot positions follow the same format convention the subscriber used
     // (static GPS policy pins both ends to format 1).
     const ReverseCycleLayout layout(config_.mac.dynamic_gps_slots
                                         ? parsed->Format()
                                         : ReverseFormat::kFormat1);
-    for (const PlannedBurst& b : bursts) {
+    for (const PlannedBurst& b : planned_) {
       const Interval rel = b.is_gps_slot ? layout.GpsSlot(b.slot) : layout.DataSlot(b.slot);
       const Interval on_air{cycle_start + rel.begin, cycle_start + rel.end};
       EmitBurstTx(node, b, on_air);
@@ -618,10 +621,11 @@ void Cell::DeliverForwardSlot(int slot, Interval abs) {
 
 void Cell::DrainDeliveries() {
   OSUMAC_PROFILE_ZONE("cell.drain");
-  for (const UplinkDelivery& d : bs_.TakeDeliveries()) {
+  for (const UplinkDelivery& d : bs_.deliveries()) {
     if (d.duplicate) continue;
     RecordUplinkDelivery(d.src, d.payload_bytes);
   }
+  bs_.ClearDeliveries();
   // Messages the base station just forwarded onto the downlink (routing):
   // start their delay clocks so downlink metrics cover them too.
   for (const BaseStation::ForwardedMessage& m : bs_.TakeForwardedMessages()) {

@@ -192,6 +192,9 @@ class Cell final : public CellDriver, private CellSubstrate {
   ReverseFormat format_of_prev_ = ReverseFormat::kFormat2;
   std::map<std::uint32_t, Tick> downlink_enqueue_tick_;
 
+  /// One listener's planned bursts, refilled per control-field delivery.
+  std::vector<PlannedBurst> planned_;
+
   std::vector<CellObserver*> observers_;
   /// Per-node tick of the last off-state paging check; erased whenever the
   /// node is seen active so checking delay only spans true inactive periods.

@@ -1,7 +1,6 @@
 #include "mac/control_fields.h"
 
 #include <algorithm>
-#include <utility>
 
 #include "common/bitio.h"
 #include "common/check.h"
@@ -17,8 +16,8 @@ int ControlFields::ActiveGpsCount() const {
   return count;
 }
 
-std::array<std::vector<fec::GfElem>, 2> SerializeControlFields(const ControlFields& cf) {
-  BitWriter w(2 * phy::kRsInfoBytes);
+std::array<InfoBlock, 2> SerializeControlFields(const ControlFields& cf) {
+  BitWriter w;
   w.Write(cf.cycle, 16);
   w.Write(cf.is_second_set ? 1 : 0, 1);
   w.Write(cf.late_grant.has_value() ? 1 : 0, 1);
@@ -48,11 +47,9 @@ std::array<std::vector<fec::GfElem>, 2> SerializeControlFields(const ControlFiel
   w.WriteZeros(kControlFieldReservedBits);  // reserved bits of the 2 codewords
   OSUMAC_CHECK_EQ(w.bit_size(), 2 * phy::kRsInfoBits);
 
-  std::array<std::vector<fec::GfElem>, 2> blocks;
-  blocks[0] = std::move(w).BytesPaddedTo(2 * phy::kRsInfoBytes);
-  blocks[1].assign(blocks[0].begin() + phy::kRsInfoBytes, blocks[0].end());
-  blocks[0].resize(phy::kRsInfoBytes);
-  return blocks;
+  const std::span<const fec::GfElem> bytes = w.bytes();
+  return {InfoBlock(bytes.first(phy::kRsInfoBytes)),
+          InfoBlock(bytes.subspan(phy::kRsInfoBytes))};
 }
 
 std::optional<ControlFields> ParseControlFields(std::span<const fec::GfElem> block0,

@@ -31,11 +31,11 @@
 #include <cstdint>
 #include <optional>
 #include <span>
-#include <vector>
 
 #include "fec/gf256.h"
 #include "mac/cycle_layout.h"
 #include "mac/ids.h"
+#include "mac/packet.h"
 
 namespace osumac::mac {
 
@@ -120,7 +120,7 @@ inline constexpr int kControlFieldReservedBits = 2 * 384 - kControlFieldBits;
 static_assert(kControlFieldReservedBits == 138);
 
 /// Serializes into exactly 96 bytes = two RS(64,48) information blocks.
-std::array<std::vector<fec::GfElem>, 2> SerializeControlFields(const ControlFields& cf);
+std::array<InfoBlock, 2> SerializeControlFields(const ControlFields& cf);
 
 /// Parses two decoded 48-byte information blocks. Returns nullopt if the
 /// blocks are malformed (wrong size or out-of-range fields).

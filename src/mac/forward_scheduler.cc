@@ -7,27 +7,6 @@
 
 namespace osumac::mac {
 
-namespace {
-
-/// Collects every reverse-channel transmit interval of `user` this cycle
-/// (relative to the forward cycle start).
-std::vector<Interval> ReverseTxIntervals(const ForwardScheduleInput& in, UserId user) {
-  std::vector<Interval> tx;
-  const ReverseCycleLayout layout(in.format);
-  for (int i = 0; i < layout.gps_slot_count(); ++i) {
-    if (in.gps_schedule[static_cast<std::size_t>(i)] == user) tx.push_back(layout.GpsSlot(i));
-  }
-  for (int i = 0; i < layout.data_slot_count(); ++i) {
-    if (in.reverse_schedule[static_cast<std::size_t>(i)] == user) tx.push_back(layout.DataSlot(i));
-  }
-  if (user == in.cf2_listener && in.cf2_listener_tx_tail_end > 0) {
-    tx.push_back(Interval{0, in.cf2_listener_tx_tail_end});
-  }
-  return tx;
-}
-
-}  // namespace
-
 bool ForwardSlotCompatible(const ForwardScheduleInput& in, UserId user, int slot) {
   if (user == kNoUser) return false;
   // (iii) The CF2 listener learns its forward schedule only at CF2's end;
@@ -38,12 +17,26 @@ bool ForwardSlotCompatible(const ForwardScheduleInput& in, UserId user, int slot
     return false;
   }
 
-  const Interval fwd = ForwardCycleLayout::DataSlot(slot);
-  const Interval padded = fwd.Padded(phy::kHalfDuplexSwitchTicks);
-  for (const Interval& tx : ReverseTxIntervals(in, user)) {
-    if (padded.Overlaps(tx)) return false;  // (i) + (ii)
+  // (i) + (ii): no reverse transmission of `user` this cycle may come
+  // within the switch guard of the forward slot.
+  const Interval padded =
+      ForwardCycleLayout::DataSlot(slot).Padded(phy::kHalfDuplexSwitchTicks);
+  const ReverseCycleLayout layout(in.format);
+  for (int i = 0; i < layout.gps_slot_count(); ++i) {
+    if (in.gps_schedule[static_cast<std::size_t>(i)] == user &&
+        padded.Overlaps(layout.GpsSlot(i))) {
+      return false;
+    }
   }
-  return true;
+  for (int i = 0; i < layout.data_slot_count(); ++i) {
+    if (in.reverse_schedule[static_cast<std::size_t>(i)] == user &&
+        padded.Overlaps(layout.DataSlot(i))) {
+      return false;
+    }
+  }
+  // The CF2 listener's transmission from the previous cycle may still run.
+  return !(user == in.cf2_listener && in.cf2_listener_tx_tail_end > 0 &&
+           padded.Overlaps(Interval{0, in.cf2_listener_tx_tail_end}));
 }
 
 std::array<UserId, kForwardDataSlots> BuildForwardSchedule(const ForwardScheduleInput& in,
@@ -61,9 +54,10 @@ std::array<UserId, kForwardDataSlots> BuildForwardSchedule(const ForwardSchedule
 
   int free_slots = kForwardDataSlots;
   bool progress = true;
+  std::vector<SlotRun> runs;
   while (free_slots > 0 && progress && !remaining.empty()) {
     progress = false;
-    const std::vector<SlotRun> runs = rr.Allocate(remaining, free_slots);
+    rr.Allocate(remaining, free_slots, runs);
     for (const SlotRun& run : runs) {
       int granted = 0;
       for (int s = 0; s < kForwardDataSlots && granted < run.count; ++s) {

@@ -17,7 +17,6 @@
 
 #include <array>
 #include <map>
-#include <set>
 
 #include "common/time.h"
 #include "mac/cycle_layout.h"
@@ -44,7 +43,7 @@ struct ForwardScheduleInput {
   /// in time; the base station therefore only gives slot 0 to users it
   /// granted reverse slots last cycle (who never contend) or GPS users
   /// (who never use the last data slot).
-  std::set<UserId> slot0_eligible;
+  UserMask slot0_eligible;
   /// End (ticks, relative to this cycle's start) of the CF2 listener's
   /// still-running transmission from the previous cycle (0 if none).
   Tick cf2_listener_tx_tail_end = 0;

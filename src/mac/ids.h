@@ -11,6 +11,8 @@
 
 #include <cstdint>
 
+#include "common/check.h"
+
 namespace osumac::mac {
 
 /// 6-bit in-cell user identifier.
@@ -25,6 +27,25 @@ inline constexpr int kMaxActiveUsers = 63;
 
 /// Bits per user ID field in the control fields.
 inline constexpr int kUserIdBits = 6;
+
+/// Distinct 6-bit user ID values, kNoUser included.
+inline constexpr int kUserIdValues = 1 << kUserIdBits;  // 64
+
+/// A set of user IDs as one 64-bit mask, bit u standing for user ID u.
+class UserMask {
+ public:
+  bool contains(UserId u) const { return ((bits_ >> Index(u)) & 1) != 0; }
+  void insert(UserId u) { bits_ |= std::uint64_t{1} << Index(u); }
+  void erase(UserId u) { bits_ &= ~(std::uint64_t{1} << Index(u)); }
+
+ private:
+  static int Index(UserId u) {
+    OSUMAC_DCHECK_LT(u, kUserIdValues);
+    return u;
+  }
+
+  std::uint64_t bits_ = 0;
+};
 
 /// Permanent 16-bit equipment identification number.
 using Ein = std::uint16_t;

@@ -1,6 +1,6 @@
 #include "mac/packet.h"
 
-#include <utility>
+#include <algorithm>
 
 #include "common/bitio.h"
 #include "common/check.h"
@@ -27,15 +27,21 @@ PacketHeader ReadHeader(BitReader& r) {
   return h;
 }
 
-std::vector<fec::GfElem> PadTo(BitWriter& w, int bytes) {
-  return std::move(w).BytesPaddedTo(static_cast<std::size_t>(bytes));
+InfoBlock PadTo(BitWriter& w, int bytes) {
+  w.WriteZeros(8 * bytes - w.bit_size());
+  return InfoBlock(w.bytes());
 }
 
 }  // namespace
 
-std::vector<fec::GfElem> SerializeDataPacket(const DataPacket& p) {
+InfoBlock::InfoBlock(std::span<const fec::GfElem> bytes) : size_(bytes.size()) {
+  OSUMAC_CHECK_LE(size_, bytes_.size());
+  std::copy(bytes.begin(), bytes.end(), bytes_.begin());
+}
+
+InfoBlock SerializeDataPacket(const DataPacket& p) {
   OSUMAC_CHECK_LE(p.payload_bytes, kPacketPayloadBytes);
-  BitWriter w(kPacketInfoBytes);
+  BitWriter w;
   PacketHeader h = p.header;
   h.kind = PacketKind::kData;
   WriteHeader(w, h);
@@ -51,8 +57,8 @@ std::vector<fec::GfElem> SerializeDataPacket(const DataPacket& p) {
   return PadTo(w, kPacketInfoBytes);
 }
 
-std::vector<fec::GfElem> SerializeReservationPacket(const ReservationPacket& p) {
-  BitWriter w(kPacketInfoBytes);
+InfoBlock SerializeReservationPacket(const ReservationPacket& p) {
+  BitWriter w;
   PacketHeader h;
   h.kind = PacketKind::kReservation;
   h.src = p.src;
@@ -61,8 +67,8 @@ std::vector<fec::GfElem> SerializeReservationPacket(const ReservationPacket& p) 
   return PadTo(w, kPacketInfoBytes);
 }
 
-std::vector<fec::GfElem> SerializeRegistrationPacket(const RegistrationPacket& p) {
-  BitWriter w(kPacketInfoBytes);
+InfoBlock SerializeRegistrationPacket(const RegistrationPacket& p) {
+  BitWriter w;
   PacketHeader h;
   h.kind = PacketKind::kRegistration;
   WriteHeader(w, h);
@@ -71,8 +77,8 @@ std::vector<fec::GfElem> SerializeRegistrationPacket(const RegistrationPacket& p
   return PadTo(w, kPacketInfoBytes);
 }
 
-std::vector<fec::GfElem> SerializeDeregistrationPacket(const DeregistrationPacket& p) {
-  BitWriter w(kPacketInfoBytes);
+InfoBlock SerializeDeregistrationPacket(const DeregistrationPacket& p) {
+  BitWriter w;
   PacketHeader h;
   h.kind = PacketKind::kDeregistration;
   h.src = p.src;
@@ -81,9 +87,9 @@ std::vector<fec::GfElem> SerializeDeregistrationPacket(const DeregistrationPacke
   return PadTo(w, kPacketInfoBytes);
 }
 
-std::vector<fec::GfElem> SerializeForwardAckPacket(const ForwardAckPacket& p) {
+InfoBlock SerializeForwardAckPacket(const ForwardAckPacket& p) {
   OSUMAC_CHECK(p.count >= 0 && p.count <= kMaxForwardAcks);
-  BitWriter w(kPacketInfoBytes);
+  BitWriter w;
   PacketHeader h = p.header;
   h.kind = PacketKind::kForwardAck;
   WriteHeader(w, h);
@@ -95,8 +101,8 @@ std::vector<fec::GfElem> SerializeForwardAckPacket(const ForwardAckPacket& p) {
   return PadTo(w, kPacketInfoBytes);
 }
 
-std::vector<fec::GfElem> SerializeGpsPacket(const GpsPacket& p) {
-  BitWriter w(9);
+InfoBlock SerializeGpsPacket(const GpsPacket& p) {
+  BitWriter w;
   w.Write(p.ein, 16);
   w.Write(p.latitude & 0xFFFFFF, 24);
   w.Write(p.longitude & 0xFFFFFF, 24);
@@ -104,9 +110,9 @@ std::vector<fec::GfElem> SerializeGpsPacket(const GpsPacket& p) {
   return PadTo(w, 9);
 }
 
-std::vector<fec::GfElem> SerializeForwardDataPacket(const ForwardDataPacket& p) {
+InfoBlock SerializeForwardDataPacket(const ForwardDataPacket& p) {
   OSUMAC_CHECK_LE(p.payload_bytes, kPacketPayloadBytes);
-  BitWriter w(kPacketInfoBytes);
+  BitWriter w;
   w.Write(p.dest, kUserIdBits);
   w.Write(p.message_id, 32);
   w.Write(p.frag_index, 8);

@@ -19,10 +19,10 @@
 #pragma once
 
 #include <array>
+#include <cstddef>
 #include <cstdint>
 #include <optional>
 #include <span>
-#include <vector>
 
 #include "fec/gf256.h"
 #include "mac/ids.h"
@@ -35,6 +35,27 @@ inline constexpr int kPacketInfoBytes = 48;
 inline constexpr int kPacketHeaderBytes = 4;
 /// User payload capacity of one regular data packet.
 inline constexpr int kPacketPayloadBytes = kPacketInfoBytes - kPacketHeaderBytes;  // 44
+
+/// One serialized information block, held inline: a regular packet's 48
+/// bytes, one of the two control-field blocks, or a GPS report's 9.  Reads
+/// as a contiguous range, so it converts to std::span<const fec::GfElem>.
+class InfoBlock {
+ public:
+  InfoBlock() = default;
+  /// Copies `bytes` (at most kPacketInfoBytes of them).
+  explicit InfoBlock(std::span<const fec::GfElem> bytes);
+
+  std::size_t size() const { return size_; }
+  const fec::GfElem* data() const { return bytes_.data(); }
+  const fec::GfElem* begin() const { return data(); }
+  const fec::GfElem* end() const { return data() + size_; }
+  fec::GfElem operator[](std::size_t i) const { return bytes_[i]; }
+  fec::GfElem& operator[](std::size_t i) { return bytes_[i]; }
+
+ private:
+  std::array<fec::GfElem, kPacketInfoBytes> bytes_{};
+  std::size_t size_ = 0;
+};
 
 /// Kind discriminator carried in the header's top bits.
 enum class PacketKind : std::uint8_t {
@@ -144,19 +165,19 @@ struct UplinkPacket {
 // information block); GPS packets to 9 bytes (one RS(32,9) block).
 
 /// Serializes an uplink data packet into a 48-byte info block.
-std::vector<fec::GfElem> SerializeDataPacket(const DataPacket& p);
+InfoBlock SerializeDataPacket(const DataPacket& p);
 /// Serializes a reservation packet.
-std::vector<fec::GfElem> SerializeReservationPacket(const ReservationPacket& p);
+InfoBlock SerializeReservationPacket(const ReservationPacket& p);
 /// Serializes a registration packet.
-std::vector<fec::GfElem> SerializeRegistrationPacket(const RegistrationPacket& p);
+InfoBlock SerializeRegistrationPacket(const RegistrationPacket& p);
 /// Serializes a deregistration packet.
-std::vector<fec::GfElem> SerializeDeregistrationPacket(const DeregistrationPacket& p);
+InfoBlock SerializeDeregistrationPacket(const DeregistrationPacket& p);
 /// Serializes a forward-ACK packet.
-std::vector<fec::GfElem> SerializeForwardAckPacket(const ForwardAckPacket& p);
+InfoBlock SerializeForwardAckPacket(const ForwardAckPacket& p);
 /// Serializes a GPS report into a 9-byte info block.
-std::vector<fec::GfElem> SerializeGpsPacket(const GpsPacket& p);
+InfoBlock SerializeGpsPacket(const GpsPacket& p);
 /// Serializes a forward data packet into a 48-byte info block.
-std::vector<fec::GfElem> SerializeForwardDataPacket(const ForwardDataPacket& p);
+InfoBlock SerializeForwardDataPacket(const ForwardDataPacket& p);
 
 /// Parses an uplink info block (48 bytes).  Returns nullopt on a malformed
 /// block (e.g. unknown kind) — treated as a packet loss by the caller.

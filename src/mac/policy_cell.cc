@@ -231,7 +231,7 @@ void PolicyCell::TransmitPlanned(std::int64_t n, Tick T) {
       TxRecord rec;
       rec.node = node;
       rec.cycle = n;
-      std::vector<fec::GfElem> info;
+      InfoBlock info;
       if (s.use == PolicySlotUse::kGpsReport) {
         const Tick fix = FreshestFixAt(node, abs.begin);
         if (fix < 0) continue;  // no fix yet: the slot stays silent

@@ -1,37 +1,49 @@
 #include "mac/round_robin.h"
 
 #include <algorithm>
+#include <array>
+
+#include "common/check.h"
 
 namespace osumac::mac {
 
-std::vector<SlotRun> RoundRobinScheduler::Allocate(const std::map<UserId, int>& demand,
-                                                   int available_slots) {
-  std::vector<UserId> users;
-  users.reserve(demand.size());
-  for (const auto& [uid, wanted] : demand) {
-    if (wanted > 0) users.push_back(uid);
+void RoundRobinScheduler::Allocate(const std::map<UserId, int>& demand,
+                                   int available_slots, std::vector<SlotRun>& runs) {
+  runs.clear();
+  // Per-user tables indexed by UserId, and the demanders in key order.
+  std::array<int, kUserIdValues> wanted{};
+  std::array<int, kUserIdValues> granted{};
+  std::array<UserId, kUserIdValues> users{};
+  int user_count = 0;
+  for (const auto& [uid, want] : demand) {
+    if (want <= 0) continue;
+    OSUMAC_CHECK_LT(uid, kUserIdValues);
+    wanted[uid] = want;
+    users[static_cast<std::size_t>(user_count++)] = uid;
   }
-  if (users.empty() || available_slots <= 0) {
+  if (user_count == 0 || available_slots <= 0) {
     rotation_ += 1;  // keep rotating even on empty cycles
-    return {};
+    return;
   }
 
   // Rotate the user order so the head position is fair across cycles.
-  const std::size_t start = rotation_ % users.size();
-  std::rotate(users.begin(), users.begin() + static_cast<std::ptrdiff_t>(start), users.end());
+  const auto start =
+      static_cast<std::ptrdiff_t>(rotation_ % static_cast<std::uint32_t>(user_count));
+  std::rotate(users.begin(), users.begin() + start, users.begin() + user_count);
   rotation_ += 1;
 
   // Rounds of one slot each until capacity or demand is exhausted.
-  std::map<UserId, int> granted;
-  std::vector<UserId> grant_order;  // first-grant order, for lumping
+  std::array<UserId, kUserIdValues> grant_order{};  // first-grant order, for lumping
+  int granted_users = 0;
   int remaining = available_slots;
   bool progress = true;
   while (remaining > 0 && progress) {
     progress = false;
-    for (UserId uid : users) {
+    for (int i = 0; i < user_count; ++i) {
       if (remaining == 0) break;
-      if (granted[uid] < demand.at(uid)) {
-        if (granted[uid] == 0) grant_order.push_back(uid);
+      const UserId uid = users[static_cast<std::size_t>(i)];
+      if (granted[uid] < wanted[uid]) {
+        if (granted[uid] == 0) grant_order[static_cast<std::size_t>(granted_users++)] = uid;
         ++granted[uid];
         --remaining;
         progress = true;
@@ -40,17 +52,15 @@ std::vector<SlotRun> RoundRobinScheduler::Allocate(const std::map<UserId, int>& 
   }
 
   // Lumping: lay out each user's slots contiguously, in first-grant order.
-  std::vector<SlotRun> runs;
   int next_slot = 0;
-  for (UserId uid : grant_order) {
+  for (int i = 0; i < granted_users; ++i) {
     SlotRun run;
-    run.user = uid;
+    run.user = grant_order[static_cast<std::size_t>(i)];
     run.first_slot = next_slot;
-    run.count = granted[uid];
+    run.count = granted[run.user];
     next_slot += run.count;
     runs.push_back(run);
   }
-  return runs;
 }
 
 }  // namespace osumac::mac

@@ -28,15 +28,17 @@ struct SlotRun {
 class RoundRobinScheduler {
  public:
   /// Allocates `available_slots` slots among `demand` (uid -> wanted slots,
-  /// entries with zero demand ignored).  Returns per-user contiguous runs
-  /// in schedule order; the sum of counts never exceeds available_slots and
+  /// entries with zero demand ignored).  Replaces the contents of `runs`
+  /// (a buffer the caller owns and reuses) with per-user contiguous runs in
+  /// schedule order; the sum of counts never exceeds available_slots and
   /// never exceeds a user's demand.
   ///
   /// Fairness: allocation proceeds in rounds of one slot per user, starting
   /// at the rotating pointer, so when demand exceeds capacity every user
   /// gets within one slot of every other user, and the starting user
   /// rotates every call.
-  std::vector<SlotRun> Allocate(const std::map<UserId, int>& demand, int available_slots);
+  void Allocate(const std::map<UserId, int>& demand, int available_slots,
+                std::vector<SlotRun>& runs);
 
   /// Rotation pointer (exposed for tests).
   std::uint32_t rotation() const { return rotation_; }

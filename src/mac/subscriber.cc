@@ -1,6 +1,7 @@
 #include "mac/subscriber.h"
 
 #include <algorithm>
+#include <array>
 #include "common/check.h"
 
 namespace osumac::mac {
@@ -152,8 +153,8 @@ bool MobileSubscriber::IsListening() const {
          state_ == State::kActive;
 }
 
-std::vector<PlannedBurst> MobileSubscriber::OnControlFields(const ControlFields& cf,
-                                                            Tick cycle_start) {
+void MobileSubscriber::OnControlFields(const ControlFields& cf, Tick cycle_start,
+                                       std::vector<PlannedBurst>& bursts) {
   // Paged while inactive: wake up and register.
   if (state_ == State::kOff) {
     for (int i = 0; i < cf.paged_count; ++i) {
@@ -162,7 +163,7 @@ std::vector<PlannedBurst> MobileSubscriber::OnControlFields(const ControlFields&
         break;
       }
     }
-    if (state_ == State::kOff) return {};
+    if (state_ == State::kOff) return;
   }
 
   // Record the reception we just performed.
@@ -179,7 +180,7 @@ std::vector<PlannedBurst> MobileSubscriber::OnControlFields(const ControlFields&
   ProcessAcks(cf, cycle_start);
   ProcessGrantsAndSchedule(cf);
   current_cf_ = cf;
-  return PlanTransmissions(cf, cycle_start);
+  PlanTransmissions(cf, cycle_start, bursts);
 }
 
 void MobileSubscriber::OnControlFieldsMissed() {
@@ -387,9 +388,8 @@ void MobileSubscriber::ProcessGrantsAndSchedule(const ControlFields& cf) {
   }
 }
 
-std::vector<PlannedBurst> MobileSubscriber::PlanTransmissions(const ControlFields& cf,
-                                                              Tick cycle_start) {
-  std::vector<PlannedBurst> bursts;
+void MobileSubscriber::PlanTransmissions(const ControlFields& cf, Tick cycle_start,
+                                         std::vector<PlannedBurst>& bursts) {
   const ReverseCycleLayout layout(FormatOf(cf));
 
   // --- forward receive commitments ----------------------------------------
@@ -434,7 +434,7 @@ std::vector<PlannedBurst> MobileSubscriber::PlanTransmissions(const ControlField
       burst.is_gps_slot = true;
       burst.slot = *gps_slot_;
       burst.info = SerializeGpsPacket(report);
-      bursts.push_back(std::move(burst));
+      bursts.push_back(burst);
       radio_.CommitTransmit(slot_abs);
       ++stats_.gps_reports_sent;
       const double access_seconds = ToSeconds(slot_abs.begin - *fix);
@@ -470,14 +470,13 @@ std::vector<PlannedBurst> MobileSubscriber::PlanTransmissions(const ControlField
   // use the last data slot — listening to CF2 there would conflict with
   // their early-cycle GPS transmission.
   int granted = 0;
-  std::vector<int> my_slots;
+  std::array<int, kMaxReverseDataSlots> my_slots{};
   if (state_ == State::kActive) {
     for (int i = 0; i < layout.data_slot_count(); ++i) {
       if (cf.reverse_schedule[static_cast<std::size_t>(i)] != uid_) continue;
       if (wants_gps_ && i == layout.last_data_slot()) continue;  // see above
-      my_slots.push_back(i);
+      my_slots[static_cast<std::size_t>(granted++)] = i;
     }
-    granted = static_cast<int>(my_slots.size());
     granted_this_cycle_ = granted;
     bs_demand_estimate_ = std::max(0, bs_demand_estimate_ - granted);
 
@@ -515,7 +514,7 @@ std::vector<PlannedBurst> MobileSubscriber::PlanTransmissions(const ControlField
       burst.is_gps_slot = false;
       burst.slot = slot;
       burst.info = SerializeDataPacket(MakeDataPacket(pkt, more));
-      bursts.push_back(std::move(burst));
+      bursts.push_back(burst);
 
       const Interval abs = {cycle_start + layout.DataSlot(slot).begin,
                             cycle_start + layout.DataSlot(slot).end};
@@ -549,7 +548,7 @@ std::vector<PlannedBurst> MobileSubscriber::PlanTransmissions(const ControlField
       burst.is_gps_slot = false;
       burst.slot = *slot;
       burst.info = SerializeDeregistrationPacket(dereg);
-      bursts.push_back(std::move(burst));
+      bursts.push_back(burst);
       const Interval abs = {cycle_start + layout.DataSlot(*slot).begin,
                             cycle_start + layout.DataSlot(*slot).end};
       radio_.CommitTransmit(abs);
@@ -562,7 +561,7 @@ std::vector<PlannedBurst> MobileSubscriber::PlanTransmissions(const ControlField
       signoff_attempt_ = attempt;
       if (attempt.in_last_slot) listen_second_next_ = true;
     }
-    return bursts;  // a leaving user sends nothing else
+    return;  // a leaving user sends nothing else
   }
 
   if (state_ == State::kRegistering &&
@@ -577,7 +576,7 @@ std::vector<PlannedBurst> MobileSubscriber::PlanTransmissions(const ControlField
       burst.is_gps_slot = false;
       burst.slot = *slot;
       burst.info = SerializeRegistrationPacket(reg);
-      bursts.push_back(std::move(burst));
+      bursts.push_back(burst);
 
       const Interval abs = {cycle_start + layout.DataSlot(*slot).begin,
                             cycle_start + layout.DataSlot(*slot).end};
@@ -614,11 +613,9 @@ std::vector<PlannedBurst> MobileSubscriber::PlanTransmissions(const ControlField
       }
     } else {
       std::optional<PlannedBurst> burst = TryContendData(cf, cycle_start, planning_time);
-      if (burst.has_value()) bursts.push_back(std::move(*burst));
+      if (burst.has_value()) bursts.push_back(*burst);
     }
   }
-
-  return bursts;
 }
 
 std::optional<PlannedBurst> MobileSubscriber::MaybeLateContention(Tick now) {
@@ -693,7 +690,8 @@ std::optional<int> MobileSubscriber::PickContentionSlot(const ControlFields& cf,
                                                         Tick cycle_start,
                                                         const ReverseCycleLayout& layout,
                                                         Tick not_before) {
-  std::vector<int> candidates;
+  std::array<int, kMaxReverseDataSlots> candidates{};
+  int count = 0;
   for (int i = 0; i < layout.data_slot_count(); ++i) {
     if (cf.reverse_schedule[static_cast<std::size_t>(i)] != kNoUser) continue;
     if (!config_.use_second_control_field && i == layout.last_data_slot()) continue;
@@ -702,11 +700,10 @@ std::optional<int> MobileSubscriber::PickContentionSlot(const ControlFields& cf,
                           cycle_start + layout.DataSlot(i).end};
     if (abs.begin < not_before) continue;  // already on the air or passed
     if (!radio_.CanTransmit(abs)) continue;
-    candidates.push_back(i);
+    candidates[static_cast<std::size_t>(count++)] = i;
   }
-  if (candidates.empty()) return std::nullopt;
-  return candidates[static_cast<std::size_t>(
-      rng_.UniformInt(0, static_cast<std::int64_t>(candidates.size()) - 1))];
+  if (count == 0) return std::nullopt;
+  return candidates[static_cast<std::size_t>(rng_.UniformInt(0, count - 1))];
 }
 
 PlannedBurst MobileSubscriber::MakeAckBurst(int slot, const ReverseCycleLayout& layout,

@@ -46,7 +46,7 @@ namespace osumac::mac {
 struct PlannedBurst {
   bool is_gps_slot = false;
   int slot = -1;  ///< GPS or data slot index within the cycle
-  std::vector<fec::GfElem> info;  ///< serialized information block
+  InfoBlock info;  ///< serialized information block
 };
 
 /// Subscriber-side counters feeding the paper's figures.
@@ -124,10 +124,12 @@ class MobileSubscriber {
   /// Whether the unit is currently listening for control fields at all.
   bool IsListening() const;
 
-  /// Processes a successfully decoded control-field set and returns the
-  /// bursts to put on the reverse channel this cycle.  Also commits all
-  /// radio RX/TX intervals for the cycle.
-  std::vector<PlannedBurst> OnControlFields(const ControlFields& cf, Tick cycle_start);
+  /// Processes a successfully decoded control-field set and appends the
+  /// bursts to put on the reverse channel this cycle to `bursts` (a buffer
+  /// the caller owns and reuses).  Also commits all radio RX/TX intervals
+  /// for the cycle.
+  void OnControlFields(const ControlFields& cf, Tick cycle_start,
+                       std::vector<PlannedBurst>& bursts);
 
   /// The expected control fields could not be decoded: the subscriber
   /// stays silent this cycle (it has no trustworthy schedule).
@@ -226,7 +228,8 @@ class MobileSubscriber {
 
   void ProcessAcks(const ControlFields& cf, Tick cycle_start);
   void ProcessGrantsAndSchedule(const ControlFields& cf);
-  std::vector<PlannedBurst> PlanTransmissions(const ControlFields& cf, Tick cycle_start);
+  void PlanTransmissions(const ControlFields& cf, Tick cycle_start,
+                         std::vector<PlannedBurst>& bursts);
   /// Picks a contention slot compatible with this cycle's RX commitments
   /// whose airtime starts at or after `not_before`.
   std::optional<int> PickContentionSlot(const ControlFields& cf, Tick cycle_start,

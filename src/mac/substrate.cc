@@ -1,7 +1,5 @@
 #include "mac/substrate.h"
 
-#include <utility>
-
 #include "common/check.h"
 #include "phy/phy_params.h"
 
@@ -47,12 +45,7 @@ void CellSubstrate::RunCyclesOn(int cycles) {
 void CellSubstrate::TransmitBurst(phy::ReverseChannel& channel, int sender,
                                   Interval on_air, const fec::ReedSolomon& code,
                                   std::span<const fec::GfElem> info, std::uint64_t tag) {
-  phy::CodedBurst coded;
-  coded.on_air = on_air;
-  coded.sender = sender;
-  coded.tag = tag;
-  coded.codewords.push_back(code.Encode(info));
-  channel.Transmit(std::move(coded));
+  code.EncodeInto(info, channel.TransmitWord(on_air, sender, tag, code.n()));
 }
 
 const phy::SlotReception& CellSubstrate::ResolveReverseSlot(

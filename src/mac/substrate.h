@@ -168,8 +168,9 @@ class CellSubstrate : private sim::EventTarget {
   void RunCyclesOn(int cycles);
 
   /// Puts one burst on `channel`: `info` RS-encoded with `code` as its only
-  /// codeword, sent by node `sender` over `on_air`.  The one reverse-link
-  /// transmit path of both drivers.
+  /// codeword, sent by node `sender` over `on_air`, straight into the
+  /// channel's recycled codeword storage.  The one reverse-link transmit
+  /// path of both drivers.
   static void TransmitBurst(phy::ReverseChannel& channel, int sender, Interval on_air,
                             const fec::ReedSolomon& code,
                             std::span<const fec::GfElem> info, std::uint64_t tag = 0);

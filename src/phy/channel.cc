@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <functional>
+#include <utility>
 
 #include "obs/profiler.h"
 
@@ -50,9 +51,36 @@ bool ApplyChannelInto(const std::vector<std::vector<fec::GfElem>>& codewords,
   return true;
 }
 
-void ReverseChannel::Transmit(CodedBurst burst) { pending_.push_back(std::move(burst)); }
+CodedBurst& ReverseChannel::PutOnAir(Interval on_air, int sender, std::uint64_t tag) {
+  CodedBurst& burst = pending_.emplace_back();
+  burst.on_air = on_air;
+  burst.sender = sender;
+  burst.tag = tag;
+  if (!spare_codewords_.empty()) {
+    burst.codewords = std::move(spare_codewords_.back());
+    spare_codewords_.pop_back();
+  }
+  return burst;
+}
+
+void ReverseChannel::Transmit(CodedBurst burst) {
+  CodedBurst& on_air = PutOnAir(burst.on_air, burst.sender, burst.tag);
+  on_air.codewords.resize(burst.codewords.size());
+  for (std::size_t w = 0; w < burst.codewords.size(); ++w) {
+    on_air.codewords[w].assign(burst.codewords[w].begin(), burst.codewords[w].end());
+  }
+}
+
+std::span<fec::GfElem> ReverseChannel::TransmitWord(Interval on_air, int sender,
+                                                    std::uint64_t tag, int n) {
+  CodedBurst& burst = PutOnAir(on_air, sender, tag);
+  burst.codewords.resize(1);
+  burst.codewords[0].resize(static_cast<std::size_t>(n));
+  return burst.codewords[0];
+}
 
 void ReverseChannel::CollectInto(Interval slot, std::vector<CodedBurst>& hits) {
+  for (CodedBurst& resolved : hits) spare_codewords_.push_back(std::move(resolved.codewords));
   hits.clear();
   auto it = pending_.begin();
   while (it != pending_.end()) {
@@ -72,7 +100,6 @@ void ReverseChannel::ResolveSlotPerSenderInto(
   OSUMAC_PROFILE_ZONE("phy.channel");
   CollectInto(slot, collected_);
   out.outcome = SlotOutcome::kIdle;
-  out.info.clear();
   out.sender = -1;
   out.tag = 0;
   out.errors_corrected = 0;
@@ -94,7 +121,6 @@ void ReverseChannel::ResolveSlotPerSenderInto(
   if (!ApplyChannelInto(burst.codewords, code, model_for(burst.sender), rng, scratch,
                         out.info, &corrected, use_erasure_side_info)) {
     out.outcome = SlotOutcome::kDecodeFailure;
-    out.info.clear();  // partially decoded blocks are meaningless
     return;
   }
   out.outcome = SlotOutcome::kDecoded;

@@ -15,6 +15,7 @@
 
 #include <cstdint>
 #include <functional>
+#include <span>
 #include <vector>
 
 #include "common/rng.h"
@@ -43,7 +44,9 @@ enum class SlotOutcome {
 /// Result of resolving one reverse slot at the base station.
 struct SlotReception {
   SlotOutcome outcome = SlotOutcome::kIdle;
-  /// Decoded information bytes, one entry per codeword (kDecoded only).
+  /// Decoded information bytes, one entry per codeword.  Meaningful only
+  /// on kDecoded: any other outcome leaves stale words behind (their
+  /// capacity is what the next decoded slot reuses).
   std::vector<std::vector<fec::GfElem>> info;
   int sender = -1;
   std::uint64_t tag = 0;
@@ -84,15 +87,25 @@ bool ApplyChannelInto(const std::vector<std::vector<fec::GfElem>>& codewords,
 /// Collision-detecting multiple-access reverse channel.
 class ReverseChannel {
  public:
-  /// Puts a burst on the air.  Bursts may be registered in any order.
+  /// Puts a copy of `burst` on the air.  Bursts may be registered in any
+  /// order.  The copy lives in the same recycled storage as TransmitWord's.
   void Transmit(CodedBurst burst);
+
+  /// Puts a one-codeword burst on the air and returns its `n`-symbol word
+  /// for the caller to fill (e.g. with ReedSolomon::EncodeInto).  The word
+  /// reuses the storage of a burst resolved earlier, so steady-state
+  /// transmits allocate nothing.  The span stays valid until the burst is
+  /// resolved.
+  std::span<fec::GfElem> TransmitWord(Interval on_air, int sender, std::uint64_t tag,
+                                      int n);
 
   /// Collects (and removes) every pending burst overlapping `slot`, then
   /// classifies the slot into `out`: idle, collision (>= 2 mutually
   /// overlapping bursts), or a single burst decoded with `code` through the
   /// sender's error model from `model_for` (different mobiles see different
-  /// uplink paths).  Reuses the capacity of `out`'s vectors, so the caller
-  /// keeps one SlotReception alive across slots.
+  /// uplink paths).  Reuses the capacity of `out`'s vectors, `info`'s
+  /// words included (it is never cleared; see SlotReception::info), so the
+  /// caller keeps one SlotReception alive across slots.
   /// The Rng& is unused: error models draw from their own streams.
   void ResolveSlotPerSenderInto(
       Interval slot, const fec::ReedSolomon& code,
@@ -108,13 +121,18 @@ class ReverseChannel {
   const std::vector<CodedBurst>& pending() const { return pending_; }
 
  private:
-  /// Moves overlapping bursts into `hits` (cleared first, capacity reused).
+  /// Appends a burst to pending_ holding recycled codeword storage.
+  CodedBurst& PutOnAir(Interval on_air, int sender, std::uint64_t tag);
+  /// Moves overlapping bursts into `hits`, after recycling the codeword
+  /// storage of the bursts `hits` held (capacity reused).
   void CollectInto(Interval slot, std::vector<CodedBurst>& hits);
 
   std::vector<CodedBurst> pending_;
   /// Scratch for ResolveSlotPerSenderInto: reused across slots so slot
   /// resolution does not allocate a fresh burst vector per slot.
   std::vector<CodedBurst> collected_;
+  /// Codeword storage of resolved bursts, handed to the next transmits.
+  std::vector<std::vector<std::vector<fec::GfElem>>> spare_codewords_;
 };
 
 }  // namespace osumac::phy

@@ -7,10 +7,10 @@
 namespace osumac::mac {
 namespace {
 
-phy::SlotReception Decoded(const std::vector<fec::GfElem>& info, int sender = 0) {
+phy::SlotReception Decoded(const InfoBlock& info, int sender = 0) {
   phy::SlotReception r;
   r.outcome = phy::SlotOutcome::kDecoded;
-  r.info = {info};
+  r.info = {{info.begin(), info.end()}};
   r.sender = sender;
   return r;
 }
@@ -171,7 +171,7 @@ TEST_F(BaseStationTest, DuplicateFragmentsDetected) {
   d.payload_bytes = 20;
   bs.OnDataSlotResolved(2, Decoded(SerializeDataPacket(d)));
   bs.OnDataSlotResolved(3, Decoded(SerializeDataPacket(d)));
-  const auto deliveries = bs.TakeDeliveries();
+  const std::vector<UplinkDelivery>& deliveries = bs.deliveries();
   ASSERT_EQ(deliveries.size(), 2u);
   EXPECT_FALSE(deliveries[0].duplicate);
   EXPECT_TRUE(deliveries[1].duplicate);
@@ -188,7 +188,7 @@ TEST_F(BaseStationTest, UnknownUserPacketsIgnored) {
   d.frag_count = 1;
   d.payload_bytes = 10;
   bs.OnDataSlotResolved(2, Decoded(SerializeDataPacket(d)));
-  EXPECT_TRUE(bs.TakeDeliveries().empty());
+  EXPECT_TRUE(bs.deliveries().empty());
   EXPECT_EQ(bs.counters().data_packets_received, 0);
 }
 

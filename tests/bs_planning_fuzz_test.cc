@@ -11,10 +11,10 @@
 namespace osumac::mac {
 namespace {
 
-phy::SlotReception Decoded(const std::vector<fec::GfElem>& info) {
+phy::SlotReception Decoded(const InfoBlock& info) {
   phy::SlotReception r;
   r.outcome = phy::SlotOutcome::kDecoded;
-  r.info = {info};
+  r.info = {{info.begin(), info.end()}};
   return r;
 }
 

@@ -5,6 +5,7 @@
 #include <algorithm>
 #include <atomic>
 #include <cstdint>
+#include <span>
 #include <stdexcept>
 #include <utility>
 #include <vector>
@@ -105,10 +106,19 @@ TEST(BitIoTest, PaddingAndZeros) {
   w.Write(0xA, 4);
   w.WriteZeros(100);
   EXPECT_EQ(w.bit_size(), 104);
-  const auto padded = std::move(w).BytesPaddedTo(48);
+  w.WriteZeros(48 * 8 - w.bit_size());
+  const std::span<const std::uint8_t> padded = w.bytes();
   EXPECT_EQ(padded.size(), 48u);
   EXPECT_EQ(padded[0], 0xA0);
   for (std::size_t i = 13; i < 48; ++i) EXPECT_EQ(padded[i], 0);
+}
+
+TEST(BitIoTest, WritingPastTheInlineBufferIsACheckFailure) {
+  BitWriter w;
+  w.WriteZeros(BitWriter::kCapacityBytes * 8);  // exactly full is fine
+  EXPECT_EQ(w.bytes().size(), static_cast<std::size_t>(BitWriter::kCapacityBytes));
+  EXPECT_DEATH(w.Write(1, 1), "kCapacityBytes");
+  EXPECT_DEATH(w.WriteZeros(1), "kCapacityBytes");
 }
 
 // Bit-at-a-time reference codec: the oracle the byte- and word-at-a-time
@@ -178,11 +188,15 @@ TEST(BitIoTest, WriterMatchesBitLoopOracleAndReadsBack) {
     OracleBitWriter oracle;
     // (width, value) of every field, zero runs split into 64-bit reads.
     std::vector<std::pair<int, std::uint64_t>> written;
+    // Fields stop where the next one would overrun the writer's inline
+    // buffer (WritingPastTheInlineBufferIsACheckFailure covers that).
+    constexpr int kCapacityBits = BitWriter::kCapacityBytes * 8;
     const int fields = static_cast<int>(rng.UniformInt(1, 40));
     for (int f = 0; f < fields; ++f) {
       if (rng.UniformInt(0, 7) == 0) {
         // Long enough to cross several 64-bit chunks.
         const int count = static_cast<int>(rng.UniformInt(0, 200));
+        if (w.bit_size() + count > kCapacityBits) break;
         w.WriteZeros(count);
         oracle.WriteZeros(count);
         for (int left = count; left > 0; left -= 64) {
@@ -191,12 +205,15 @@ TEST(BitIoTest, WriterMatchesBitLoopOracleAndReadsBack) {
       } else {
         const int width = static_cast<int>(rng.UniformInt(1, 64));
         const std::uint64_t value = RandomField(rng, width);
+        if (w.bit_size() + width > kCapacityBits) break;
         w.Write(value, width);
         oracle.Write(value, width);
         written.emplace_back(width, value);
       }
       ASSERT_EQ(w.bit_size(), oracle.bit_size());
-      ASSERT_EQ(w.bytes(), oracle.bytes()) << "trial " << trial << " field " << f;
+      ASSERT_EQ(std::vector<std::uint8_t>(w.bytes().begin(), w.bytes().end()),
+                oracle.bytes())
+          << "trial " << trial << " field " << f;
     }
     BitReader r(w.bytes());
     for (const auto& [width, value] : written) {

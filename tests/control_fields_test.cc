@@ -40,14 +40,14 @@ TEST(ControlFieldsTest, TotalBitsMatchPaper) {
 }
 
 TEST(ControlFieldsTest, SerializesToTwoInfoBlocks) {
-  const auto blocks = SerializeControlFields(ControlFields{});
+  const std::array<InfoBlock, 2> blocks = SerializeControlFields(ControlFields{});
   EXPECT_EQ(blocks[0].size(), 48u);
   EXPECT_EQ(blocks[1].size(), 48u);
 }
 
 TEST(ControlFieldsTest, RoundTripEmpty) {
   const ControlFields cf;
-  const auto blocks = SerializeControlFields(cf);
+  const std::array<InfoBlock, 2> blocks = SerializeControlFields(cf);
   const auto parsed = ParseControlFields(blocks[0], blocks[1]);
   ASSERT_TRUE(parsed.has_value());
   EXPECT_EQ(*parsed, cf);
@@ -55,7 +55,7 @@ TEST(ControlFieldsTest, RoundTripEmpty) {
 
 TEST(ControlFieldsTest, RoundTripBusy) {
   const ControlFields cf = MakeBusyControlFields();
-  const auto blocks = SerializeControlFields(cf);
+  const std::array<InfoBlock, 2> blocks = SerializeControlFields(cf);
   const auto parsed = ParseControlFields(blocks[0], blocks[1]);
   ASSERT_TRUE(parsed.has_value());
   EXPECT_EQ(*parsed, cf);
@@ -64,7 +64,7 @@ TEST(ControlFieldsTest, RoundTripBusy) {
 TEST(ControlFieldsTest, SecondSetFlagRoundTrips) {
   ControlFields cf = MakeBusyControlFields();
   cf.is_second_set = true;
-  const auto blocks = SerializeControlFields(cf);
+  const std::array<InfoBlock, 2> blocks = SerializeControlFields(cf);
   const auto parsed = ParseControlFields(blocks[0], blocks[1]);
   ASSERT_TRUE(parsed.has_value());
   EXPECT_TRUE(parsed->is_second_set);
@@ -76,14 +76,14 @@ TEST(ControlFieldsTest, SecondSetFlagRoundTrips) {
 TEST(ControlFieldsTest, NoLateGrantStaysAbsent) {
   ControlFields cf = MakeBusyControlFields();
   cf.late_grant.reset();
-  const auto blocks = SerializeControlFields(cf);
+  const std::array<InfoBlock, 2> blocks = SerializeControlFields(cf);
   const auto parsed = ParseControlFields(blocks[0], blocks[1]);
   ASSERT_TRUE(parsed.has_value());
   EXPECT_FALSE(parsed->late_grant.has_value());
 }
 
 TEST(ControlFieldsTest, WrongBlockSizeRejected) {
-  const auto blocks = SerializeControlFields(ControlFields{});
+  const std::array<InfoBlock, 2> blocks = SerializeControlFields(ControlFields{});
   std::vector<fec::GfElem> short_block(blocks[0].begin(), blocks[0].end() - 1);
   EXPECT_FALSE(ParseControlFields(short_block, blocks[1]).has_value());
   EXPECT_FALSE(ParseControlFields(blocks[0], short_block).has_value());
@@ -103,9 +103,9 @@ TEST(ControlFieldsTest, SurvivesRsEncodingWithCorrectableErrors) {
   // symbol errors per codeword and recover them bit-exactly.
   Rng rng(77);
   const ControlFields cf = MakeBusyControlFields();
-  const auto blocks = SerializeControlFields(cf);
+  const std::array<InfoBlock, 2> blocks = SerializeControlFields(cf);
   const auto& rs = fec::ReedSolomon::Osu6448();
-  std::array<std::vector<fec::GfElem>, 2> decoded;
+  std::array<InfoBlock, 2> decoded;
   for (int b = 0; b < 2; ++b) {
     auto cw = rs.Encode(blocks[static_cast<std::size_t>(b)]);
     for (int e = 0; e < 8; ++e) {
@@ -114,7 +114,7 @@ TEST(ControlFieldsTest, SurvivesRsEncodingWithCorrectableErrors) {
     }
     const auto result = rs.Decode(cw);
     ASSERT_TRUE(result.has_value());
-    decoded[static_cast<std::size_t>(b)] = result->data;
+    decoded[static_cast<std::size_t>(b)] = InfoBlock(result->data);
   }
   const auto parsed = ParseControlFields(decoded[0], decoded[1]);
   ASSERT_TRUE(parsed.has_value());
@@ -143,7 +143,7 @@ TEST(ControlFieldsTest, RandomValidFieldsRoundTrip) {
     cf.paged_count = static_cast<int>(rng.UniformInt(0, kMaxPagedUsers));
     for (Ein& e : cf.paging) e = ein();
 
-    const auto blocks = SerializeControlFields(cf);
+    const std::array<InfoBlock, 2> blocks = SerializeControlFields(cf);
     const auto parsed = ParseControlFields(blocks[0], blocks[1]);
     ASSERT_TRUE(parsed.has_value()) << "trial " << trial;
     ASSERT_EQ(*parsed, cf) << "trial " << trial;

@@ -242,6 +242,17 @@ class HotAllocTest(RuleTestCase):
                         "    std::span<const fec::GfElem> block0);\n")
         self.assert_findings(hot_alloc.RULE, 2)
 
+    def test_slot_path_scoped(self):
+        self.repo.write("src/mac/packet.cc",
+                        "std::vector<fec::GfElem> SerializeGpsPacket(const GpsPacket& p) {\n")
+        self.repo.write("src/mac/substrate.cc",
+                        "coded.codewords.push_back(std::vector<fec::GfElem>(n));\n")
+        self.repo.write("src/mac/round_robin.cc",
+                        "std::vector<SlotRun> runs;\n"
+                        "void RoundRobinScheduler::Allocate(const std::map<UserId, int>& demand,\n"
+                        "                                   std::vector<SlotRun>& runs) {\n")
+        self.assert_findings(hot_alloc.RULE, 3)
+
     def test_other_files_unscoped(self):
         self.repo.write("src/mac/cell.cc", "std::vector<int> v(n);\n")
         self.assert_findings(hot_alloc.RULE, 0)

@@ -28,7 +28,7 @@ using mac::MobileSubscriber;
 /// its information bytes XORed by `delta` -- an RS miscorrection.
 class MiscorrectingModel final : public phy::SymbolErrorModel {
  public:
-  explicit MiscorrectingModel(const std::array<std::vector<fec::GfElem>, 2>& delta) {
+  explicit MiscorrectingModel(const std::array<mac::InfoBlock, 2>& delta) {
     for (std::size_t b = 0; b < 2; ++b) {
       delta_cw_[b] = fec::ReedSolomon::Osu6448().Encode(delta[b]);
     }
@@ -142,8 +142,9 @@ TEST(MacEdgeTest, MiscorrectedControlFieldsGetTheirOwnParse) {
   mac::ControlFields paged;
   paged.paged_count = 1;
   paged.paging[0] = cell.subscriber(victim).ein();
-  const auto clean_blocks = mac::SerializeControlFields(mac::ControlFields{});
-  auto delta = mac::SerializeControlFields(paged);
+  const std::array<mac::InfoBlock, 2> clean_blocks =
+      mac::SerializeControlFields(mac::ControlFields{});
+  std::array<mac::InfoBlock, 2> delta = mac::SerializeControlFields(paged);
   for (std::size_t b = 0; b < 2; ++b) {
     for (std::size_t i = 0; i < delta[b].size(); ++i) delta[b][i] ^= clean_blocks[b][i];
   }

@@ -21,7 +21,7 @@ TEST(PacketTest, DataPacketRoundTrip) {
   p.message_id = 0xDEADBEEF;
   p.frag_count = 9;
   p.payload_bytes = 44;
-  const auto info = SerializeDataPacket(p);
+  const InfoBlock info = SerializeDataPacket(p);
   EXPECT_EQ(info.size(), 48u);
   const auto parsed = ParseUplinkPacket(info);
   ASSERT_TRUE(parsed.has_value());
@@ -100,7 +100,7 @@ TEST(PacketTest, GpsPacketIs72BitsInNineBytes) {
   p.latitude = 0x123456;
   p.longitude = 0xABCDEF;
   p.timestamp = 0x42;
-  const auto info = SerializeGpsPacket(p);
+  const InfoBlock info = SerializeGpsPacket(p);
   EXPECT_EQ(info.size(), 9u) << "72 information bits";
   const auto parsed = ParseGpsPacket(info);
   ASSERT_TRUE(parsed.has_value());
@@ -141,7 +141,7 @@ TEST(PacketTest, MalformedInputsRejected) {
 TEST(PacketTest, OversizedPayloadRejected) {
   DataPacket p;
   p.payload_bytes = 44;
-  auto info = SerializeDataPacket(p);
+  InfoBlock info = SerializeDataPacket(p);
   // Corrupt the payload_bytes field (bits 88..103 of the block) to 2000.
   info[11] = 0x07;
   info[12] = 0xD0;

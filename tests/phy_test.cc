@@ -5,6 +5,8 @@
 #include <algorithm>
 #include <cmath>
 #include <functional>
+#include <set>
+#include <span>
 #include <vector>
 
 #include "common/rng.h"
@@ -428,6 +430,60 @@ TEST(ReverseChannelTest, HeavyNoiseYieldsDecodeFailureNotCorruption) {
     if (r.outcome == SlotOutcome::kDecodeFailure) ++failures;
   }
   EXPECT_GE(failures, 48) << "overwhelmed decoder must fail, not lie";
+}
+
+TEST(ReverseChannelTest, RecycledStorageCarriesTheNewBurst) {
+  // Resolved bursts hand their codeword storage to later transmits.  After
+  // a decoded slot, a collision and a decode failure, a burst encoded into
+  // recycled storage must decode to its own data, not a predecessor's.
+  ReverseChannel ch;
+  Rng rng(12);
+  const auto& rs = fec::ReedSolomon::Osu6448();
+  PerfectChannel clean;
+  UniformErrorModel noisy(0.5, 12);
+  std::set<const fec::GfElem*> words_used;
+  const auto send = [&](Interval slot, int sender) {
+    std::vector<fec::GfElem> data(static_cast<std::size_t>(rs.k()));
+    for (auto& b : data) b = static_cast<fec::GfElem>(rng.UniformInt(0, 255));
+    const std::span<fec::GfElem> word = ch.TransmitWord(slot, sender, 0, rs.n());
+    words_used.insert(word.data());
+    rs.EncodeInto(data, word);
+    return data;
+  };
+  ChannelScratch scratch;
+  SlotReception r;
+  Rng unused(0);
+  const auto resolve = [&](Interval slot, SymbolErrorModel& model) {
+    ch.ResolveSlotPerSenderInto(
+        slot, rs, [&model](int) -> SymbolErrorModel& { return model; }, unused, scratch, r);
+    return r.outcome;
+  };
+
+  (void)send({0, 100}, 1);
+  EXPECT_EQ(resolve({0, 100}, clean), SlotOutcome::kDecoded);
+  (void)send({200, 300}, 1);
+  (void)send({200, 300}, 2);
+  EXPECT_EQ(resolve({200, 300}, clean), SlotOutcome::kCollision);
+  (void)send({400, 500}, 3);
+  EXPECT_EQ(resolve({400, 500}, noisy), SlotOutcome::kDecodeFailure);
+
+  const std::size_t words_before = words_used.size();
+  const std::vector<fec::GfElem> fresh = send({600, 700}, 4);
+  EXPECT_EQ(words_used.size(), words_before) << "the word reuses a resolved burst's storage";
+  ASSERT_EQ(resolve({600, 700}, clean), SlotOutcome::kDecoded);
+  EXPECT_EQ(r.sender, 4);
+  ASSERT_EQ(r.info.size(), 1u);
+  EXPECT_EQ(r.info[0], fresh);
+
+  // Transmit(CodedBurst) copies into the same recycled storage.
+  CodedBurst burst = MakeBurst({800, 900}, 5, rs, rng);
+  const std::vector<fec::GfElem> sent(burst.codewords[0].begin(),
+                                      burst.codewords[0].begin() + rs.k());
+  ch.Transmit(std::move(burst));
+  ASSERT_EQ(resolve({800, 900}, clean), SlotOutcome::kDecoded);
+  EXPECT_EQ(r.sender, 5);
+  EXPECT_EQ(r.info[0], sent);
+  EXPECT_EQ(ch.pending_bursts(), 0u);
 }
 
 TEST(ReverseChannelTest, PerSenderModels) {

@@ -14,6 +14,14 @@
 namespace osumac::mac {
 namespace {
 
+/// One allocation into a fresh runs buffer.
+std::vector<SlotRun> Allocate(RoundRobinScheduler& rr, const std::map<UserId, int>& demand,
+                              int slots) {
+  std::vector<SlotRun> runs;
+  rr.Allocate(demand, slots, runs);
+  return runs;
+}
+
 std::map<UserId, int> GrantedCounts(const std::vector<SlotRun>& runs) {
   std::map<UserId, int> counts;
   for (const SlotRun& r : runs) counts[r.user] += r.count;
@@ -23,7 +31,7 @@ std::map<UserId, int> GrantedCounts(const std::vector<SlotRun>& runs) {
 TEST(RoundRobinTest, GrantsNeverExceedDemandOrCapacity) {
   RoundRobinScheduler rr;
   const std::map<UserId, int> demand = {{1, 3}, {2, 1}, {3, 10}};
-  const auto runs = rr.Allocate(demand, 8);
+  const auto runs = Allocate(rr, demand, 8);
   const auto counts = GrantedCounts(runs);
   int total = 0;
   for (const auto& [uid, c] : counts) {
@@ -36,7 +44,7 @@ TEST(RoundRobinTest, GrantsNeverExceedDemandOrCapacity) {
 TEST(RoundRobinTest, UnderloadGrantsEverything) {
   RoundRobinScheduler rr;
   const std::map<UserId, int> demand = {{1, 2}, {2, 3}};
-  const auto counts = GrantedCounts(rr.Allocate(demand, 9));
+  const auto counts = GrantedCounts(Allocate(rr, demand, 9));
   EXPECT_EQ(counts.at(1), 2);
   EXPECT_EQ(counts.at(2), 3);
 }
@@ -45,7 +53,7 @@ TEST(RoundRobinTest, OverloadSharesWithinOneSlot) {
   RoundRobinScheduler rr;
   std::map<UserId, int> demand;
   for (UserId u = 0; u < 5; ++u) demand[u] = 100;
-  const auto counts = GrantedCounts(rr.Allocate(demand, 8));
+  const auto counts = GrantedCounts(Allocate(rr, demand, 8));
   int min = 100, max = 0;
   for (const auto& [uid, c] : counts) {
     min = std::min(min, c);
@@ -57,7 +65,7 @@ TEST(RoundRobinTest, OverloadSharesWithinOneSlot) {
 TEST(RoundRobinTest, RunsAreLumpedAndContiguous) {
   RoundRobinScheduler rr;
   const std::map<UserId, int> demand = {{1, 3}, {2, 2}, {3, 3}};
-  const auto runs = rr.Allocate(demand, 8);
+  const auto runs = Allocate(rr, demand, 8);
   // Slots form one contiguous block from 0; each user appears exactly once
   // (its slots lumped together so it never switches TX/RX repeatedly).
   std::set<UserId> seen;
@@ -78,18 +86,29 @@ TEST(RoundRobinTest, RotationIsFairAcrossCycles) {
   for (UserId u = 0; u < 7; ++u) demand[u] = 5;
   std::map<UserId, std::int64_t> totals;
   for (int cycle = 0; cycle < 700; ++cycle) {
-    for (const auto& [uid, c] : GrantedCounts(rr.Allocate(demand, 8))) totals[uid] += c;
+    for (const auto& [uid, c] : GrantedCounts(Allocate(rr, demand, 8))) totals[uid] += c;
   }
   std::vector<double> shares;
   for (const auto& [uid, c] : totals) shares.push_back(static_cast<double>(c));
   EXPECT_GT(JainFairnessIndex(shares), 0.999);
 }
 
+TEST(RoundRobinTest, AllocateReplacesTheRunsBuffer) {
+  RoundRobinScheduler rr;
+  std::vector<SlotRun> runs = {{7, 0, 3}, {8, 3, 2}};  // a previous cycle's runs
+  rr.Allocate({{1, 2}}, 8, runs);
+  ASSERT_EQ(runs.size(), 1u);
+  EXPECT_EQ(runs[0].user, 1);
+  EXPECT_EQ(runs[0].count, 2);
+  rr.Allocate({}, 8, runs);
+  EXPECT_TRUE(runs.empty());
+}
+
 TEST(RoundRobinTest, EmptyDemand) {
   RoundRobinScheduler rr;
-  EXPECT_TRUE(rr.Allocate({}, 8).empty());
-  EXPECT_TRUE(rr.Allocate({{1, 0}}, 8).empty());
-  EXPECT_TRUE(rr.Allocate({{1, 5}}, 0).empty());
+  EXPECT_TRUE(Allocate(rr, {}, 8).empty());
+  EXPECT_TRUE(Allocate(rr, {{1, 0}}, 8).empty());
+  EXPECT_TRUE(Allocate(rr, {{1, 5}}, 0).empty());
 }
 
 // --- forward scheduler -----------------------------------------------------------

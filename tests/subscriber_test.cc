@@ -21,7 +21,8 @@ class SubscriberTest : public ::testing::Test {
   std::vector<PlannedBurst> Deliver(MobileSubscriber& sub, ControlFields cf) {
     cf.cycle = cycle_;
     sub.OnCycleStart(cycle_++, cycle_start_);
-    const auto bursts = sub.OnControlFields(cf, cycle_start_);
+    std::vector<PlannedBurst> bursts;
+    sub.OnControlFields(cf, cycle_start_, bursts);
     cycle_start_ += kCycleTicks;
     return bursts;
   }

@@ -1,10 +1,13 @@
 """No std::vector construction in the per-slot hot paths
-(src/fec/reed_solomon.cc, src/phy/channel.cc, src/phy/error_model.cc) or
-in the bit codec and control-field parse path (src/common/bitio.cc,
-src/mac/control_fields.cc): the sweep fast path works on caller-provided
-scratch (ChannelScratch, *Into APIs, buffers viewed through spans) so no
-slot allocates.  Setup-time code (constructors, the allocating convenience
-wrappers) carries a `lint: allow-hot-alloc` waiver comment."""
+(src/fec/reed_solomon.cc, src/phy/channel.cc, src/phy/error_model.cc), in
+the bit codec and control-field parse path (src/common/bitio.cc,
+src/mac/control_fields.cc) or in the cell's slot path (src/mac/packet.cc's
+serializers, src/mac/substrate.cc's burst transmit, src/mac/round_robin.cc's
+slot allocation): the sweep fast path works on caller-provided scratch
+(ChannelScratch, *Into APIs, inline InfoBlocks, recycled burst storage,
+buffers viewed through spans) so no slot allocates.  Setup-time code
+(constructors, the allocating convenience wrappers) carries a
+`lint: allow-hot-alloc` waiver comment."""
 from __future__ import annotations
 
 import re
@@ -13,7 +16,8 @@ from ..engine import Context, Rule
 
 HOT_ALLOC_FILES = ("src/fec/reed_solomon.cc", "src/phy/channel.cc",
                    "src/phy/error_model.cc", "src/common/bitio.cc",
-                   "src/mac/control_fields.cc")
+                   "src/mac/control_fields.cc", "src/mac/packet.cc",
+                   "src/mac/substrate.cc", "src/mac/round_robin.cc")
 HOT_ALLOC = re.compile(r"\bstd::vector\s*<")
 
 
