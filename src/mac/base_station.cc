@@ -171,14 +171,17 @@ ControlFields BaseStation::PlanCycle(std::uint16_t cycle) {
   cf.forward_schedule = forward_schedule_;
   forward_schedule_cf2_ = forward_schedule_;
 
-  // Dequeue the scheduled downlink packets, in slot order.
-  forward_slot_packets_.clear();
+  // Dequeue the scheduled downlink packets, in slot order.  The Cell
+  // schedules a slot event only for a slot that carries a packet, so every
+  // packet of the last cycle must have been taken by now.
   for (int s = 0; s < kForwardDataSlots; ++s) {
+    std::optional<ForwardDataPacket>& slot = forward_slot_packets_[static_cast<std::size_t>(s)];
+    OSUMAC_CHECK(!slot.has_value() && "a forward packet outlived its slot");
     const UserId uid = forward_schedule_[static_cast<std::size_t>(s)];
     if (uid == kNoUser) continue;
     auto& queue = downlink_[uid];
     OSUMAC_DCHECK(!queue.empty());
-    forward_slot_packets_[s] = queue.front();
+    slot = queue.front();
     queue.pop_front();
   }
 
@@ -240,7 +243,7 @@ ControlFields BaseStation::SecondControlFields() {
         if (forward_schedule_cf2_[static_cast<std::size_t>(s)] != kNoUser) continue;
         if (!ForwardSlotCompatible(fwd_input_, cf2_listener_, s)) continue;
         forward_schedule_cf2_[static_cast<std::size_t>(s)] = cf2_listener_;
-        forward_slot_packets_[s] = it->second.front();
+        forward_slot_packets_[static_cast<std::size_t>(s)] = it->second.front();
         it->second.pop_front();
       }
     }
@@ -573,10 +576,10 @@ void BaseStation::Page(Ein ein) {
 }
 
 std::optional<ForwardDataPacket> BaseStation::DownlinkPacketForSlot(int s) {
-  const auto it = forward_slot_packets_.find(s);
-  if (it == forward_slot_packets_.end()) return std::nullopt;
-  ForwardDataPacket p = it->second;
-  forward_slot_packets_.erase(it);
+  std::optional<ForwardDataPacket>& slot = forward_slot_packets_[static_cast<std::size_t>(s)];
+  if (!slot.has_value()) return std::nullopt;
+  const ForwardDataPacket p = *slot;
+  slot.reset();
   ++counters_.forward_packets_sent;
   if (config_.downlink_arq) {
     const std::uint32_t key = ((p.message_id & 0xFFFFu) << 8) | p.frag_index;

@@ -290,7 +290,8 @@ class BaseStation {
 
   // Downlink.
   std::map<UserId, std::deque<ForwardDataPacket>> downlink_;
-  std::map<int, ForwardDataPacket> forward_slot_packets_;  ///< this cycle
+  /// This cycle's packet per forward slot, until its slot event takes it.
+  std::array<std::optional<ForwardDataPacket>, kForwardDataSlots> forward_slot_packets_{};
   std::set<Ein> paging_;
   std::uint16_t next_seq_ = 0;
 

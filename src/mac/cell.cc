@@ -224,8 +224,13 @@ void Cell::StartCycle(std::int64_t n) {
   // at T+11850/10230, well before).
   ScheduleAt(T + ForwardCycleLayout::ControlFields2().end, kCf2);
 
+  // Forward slots: an event only for a slot that carries a packet; CF2
+  // adds the events of the slots it assigns (see Fire).
+  forward_seq_ = sim_.ReserveSeqs(kForwardDataSlots);
   for (int s = 0; s < kForwardDataSlots; ++s) {
-    ScheduleAt(T + ForwardCycleLayout::DataSlot(s).end, kForwardSlot, s);
+    if (cf1_.forward_schedule[static_cast<std::size_t>(s)] != kNoUser) {
+      ScheduleForwardSlot(T, s);
+    }
   }
   for (int i = 0; i < layout.gps_slot_count(); ++i) {
     ScheduleAt(T + layout.GpsSlot(i).end, kGpsSlot, i);
@@ -262,9 +267,17 @@ void Cell::Fire(const sim::Event& event) {
     case kCf1:
       return DeliverControlFields(cf1_, /*second=*/false,
                                   event.when - ForwardCycleLayout::ControlFields1().end);
-    case kCf2:
-      return DeliverControlFields(bs_.SecondControlFields(), /*second=*/true,
-                                  event.when - ForwardCycleLayout::ControlFields2().end);
+    case kCf2: {
+      const Tick cycle_start = event.when - ForwardCycleLayout::ControlFields2().end;
+      const ControlFields cf2 = bs_.SecondControlFields();
+      for (int s = 0; s < kForwardDataSlots; ++s) {
+        const auto i = static_cast<std::size_t>(s);
+        if (cf2.forward_schedule[i] != kNoUser && cf1_.forward_schedule[i] == kNoUser) {
+          ScheduleForwardSlot(cycle_start, s);
+        }
+      }
+      return DeliverControlFields(cf2, /*second=*/true, cycle_start);
+    }
     case kForwardSlot:
       return DeliverForwardSlot(slot,
                                 EndingAt(event.when, ForwardCycleLayout::DataSlot(slot)));
@@ -279,6 +292,12 @@ void Cell::Fire(const sim::Event& event) {
           /*is_last_of_prev=*/true);
   }
   OSUMAC_CHECK(false && "unknown cell event kind");
+}
+
+void Cell::ScheduleForwardSlot(Tick cycle_start, int slot) {
+  sim_.ScheduleReservedAt(cycle_start + ForwardCycleLayout::DataSlot(slot).end,
+                          forward_seq_ + static_cast<std::uint64_t>(slot), self_,
+                          kForwardSlot, slot);
 }
 
 void Cell::JournalCycle(std::int64_t n) {
@@ -549,11 +568,9 @@ void Cell::ResolveDataSlot(int slot, Interval abs, bool is_last_of_prev) {
 }
 
 void Cell::DeliverForwardSlot(int slot, Interval abs) {
-  const std::optional<ForwardDataPacket> packet = bs_.DownlinkPacketForSlot(slot);
-  if (!packet.has_value()) return;
-  // Zoned below the idle-slot return: most forward slots are idle, and a
-  // zone entry each would cost more than the lookup it measures.
   OSUMAC_PROFILE_ZONE("cell.slot.forward");
+  const std::optional<ForwardDataPacket> packet = bs_.DownlinkPacketForSlot(slot);
+  OSUMAC_CHECK(packet.has_value() && "a forward-slot event without a packet");
 
   // The base station transmitted regardless of whether anyone receives.
   if (trace_ != nullptr) {
@@ -620,7 +637,6 @@ void Cell::DeliverForwardSlot(int slot, Interval abs) {
 }
 
 void Cell::DrainDeliveries() {
-  OSUMAC_PROFILE_ZONE("cell.drain");
   for (const UplinkDelivery& d : bs_.deliveries()) {
     if (d.duplicate) continue;
     RecordUplinkDelivery(d.src, d.payload_bytes);

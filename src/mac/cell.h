@@ -21,6 +21,15 @@
 //   T + 29250    CF2 delivered to the CF2 listener
 //   slot ends    forward packets delivered; reverse GPS/data slots resolved
 //   T + kCycleTicks   next cycle
+//
+// A forward slot has an event only if it carries a packet: StartCycle
+// schedules the slots CF1 assigns, and the CF2 event those CF2 adds for its
+// listener.  StartCycle reserves one sequence number per forward slot, and
+// each slot's event takes its own, so every event fires in exactly the
+// order an agenda holding all 37 slot events gives, among same-tick events
+// too: slot 36 ends on the next cycle's start tick and still fires before
+// it, and a traffic arrival scheduled after StartCycle for a slot's end
+// tick still fires after the slot.
 #pragma once
 
 #include <cstdint>
@@ -171,6 +180,9 @@ class Cell final : public CellDriver, private CellSubstrate {
   void DeliverControlFields(const ControlFields& cf, bool second, Tick cycle_start);
   void ResolveGpsSlot(int slot, Interval abs);
   void ResolveDataSlot(int slot, Interval abs, bool is_last_of_prev);
+  /// Schedules forward slot `slot` of the cycle starting at `cycle_start`
+  /// under the slot's reserved sequence number.
+  void ScheduleForwardSlot(Tick cycle_start, int slot);
   void DeliverForwardSlot(int slot, Interval abs);
   void DrainDeliveries();
   /// An uplink arrival may still catch a contention slot later in this
@@ -188,6 +200,9 @@ class Cell final : public CellDriver, private CellSubstrate {
 
   /// This cycle's first control fields, delivered at the end of CF1.
   ControlFields cf1_;
+  /// First of the kForwardDataSlots sequence numbers StartCycle reserved
+  /// for this cycle's forward slots; slot s fires under forward_seq_ + s.
+  std::uint64_t forward_seq_ = 0;
   /// Format of the previous cycle, whose last data slot resolves in this one.
   ReverseFormat format_of_prev_ = ReverseFormat::kFormat2;
   std::map<std::uint32_t, Tick> downlink_enqueue_tick_;

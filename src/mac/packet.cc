@@ -27,6 +27,24 @@ PacketHeader ReadHeader(BitReader& r) {
   return h;
 }
 
+/// Writes the deterministic payload stand-in: `count` bytes, byte i being
+/// (message_id + i) mod 256, eight per Write.  Consecutive filler bytes
+/// differ by one, so each word is the previous one plus 8 in every byte
+/// lane (a carry-free lane-wise add).
+void WriteFiller(BitWriter& w, std::uint32_t message_id, int count) {
+  constexpr std::uint64_t kHigh = 0x8080808080808080ULL;
+  const auto lane_add = [](std::uint64_t a, std::uint64_t b) {
+    return ((a & ~kHigh) + (b & ~kHigh)) ^ ((a ^ b) & kHigh);
+  };
+  std::uint64_t word =
+      lane_add((message_id & 0xFF) * 0x0101010101010101ULL, 0x0001020304050607ULL);
+  for (; count >= 8; count -= 8) {
+    w.Write(word, 64);
+    word = lane_add(word, 0x0808080808080808ULL);
+  }
+  if (count > 0) w.Write(word >> (64 - 8 * count), 8 * count);
+}
+
 InfoBlock PadTo(BitWriter& w, int bytes) {
   w.WriteZeros(8 * bytes - w.bit_size());
   return InfoBlock(w.bytes());
@@ -51,9 +69,7 @@ InfoBlock SerializeDataPacket(const DataPacket& p) {
   w.Write(p.payload_bytes, 16);
   // Deterministic fill standing in for the payload bytes so the codeword
   // exercises the channel like real data would.
-  for (int i = 0; i < kPacketInfoBytes - kPacketHeaderBytes - 9; ++i) {
-    w.Write(static_cast<std::uint64_t>((p.message_id + static_cast<std::uint32_t>(i)) & 0xFF), 8);
-  }
+  WriteFiller(w, p.message_id, kPacketInfoBytes - kPacketHeaderBytes - 9);
   return PadTo(w, kPacketInfoBytes);
 }
 
@@ -118,9 +134,7 @@ InfoBlock SerializeForwardDataPacket(const ForwardDataPacket& p) {
   w.Write(p.frag_index, 8);
   w.Write(p.frag_count, 8);
   w.Write(p.payload_bytes, 16);
-  for (int i = 0; i < kPacketPayloadBytes - 5; ++i) {
-    w.Write(static_cast<std::uint64_t>((p.message_id + static_cast<std::uint32_t>(i)) & 0xFF), 8);
-  }
+  WriteFiller(w, p.message_id, kPacketPayloadBytes - 5);
   return PadTo(w, kPacketInfoBytes);
 }
 

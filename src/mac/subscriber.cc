@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <array>
+#include <bit>
 #include "common/check.h"
 
 namespace osumac::mac {
@@ -121,7 +122,7 @@ void MobileSubscriber::PowerOff() {
   gps_slot_.reset();
   in_flight_.clear();
   contention_attempt_.reset();
-  forward_slots_mine_.clear();
+  forward_slots_mine_ = 0;
   registration_attempts_ = 0;
   registration_first_attempt_cycle_.reset();
   registration_attempt_outstanding_ = false;
@@ -194,7 +195,7 @@ void MobileSubscriber::OnControlFieldsMissed() {
     Emit(e);
   }
   listen_second_next_ = false;  // silent this cycle, so CF1 next cycle
-  forward_slots_mine_.clear();
+  forward_slots_mine_ = 0;
   current_cf_.reset();
   granted_this_cycle_ = 0;
   // Outcomes of last cycle's transmissions are unknowable: conservatively
@@ -393,16 +394,23 @@ void MobileSubscriber::PlanTransmissions(const ControlFields& cf, Tick cycle_sta
   const ReverseCycleLayout layout(FormatOf(cf));
 
   // --- forward receive commitments ----------------------------------------
-  forward_slots_mine_.clear();
+  forward_slots_mine_ = 0;
   if (state_ == State::kActive) {
+    std::uint64_t scheduled = 0;
     for (int s = 0; s < kForwardDataSlots; ++s) {
-      if (cf.forward_schedule[static_cast<std::size_t>(s)] != uid_) continue;
+      scheduled |= std::uint64_t{cf.forward_schedule[static_cast<std::size_t>(s)] == uid_}
+                   << s;
+    }
+    // Ascending slot order keeps the radio's commitments (and their trace
+    // events) in time order.
+    for (; scheduled != 0; scheduled &= scheduled - 1) {
+      const int s = std::countr_zero(scheduled);
       const Interval abs = {cycle_start + ForwardCycleLayout::DataSlot(s).begin,
                             cycle_start + ForwardCycleLayout::DataSlot(s).end};
       // Defensive: skip a slot that already passed (possible only if the
       // base station mistakenly assigned slot 0 to a CF2 listener).
       if (!radio_.CanReceive(abs)) continue;
-      forward_slots_mine_.insert(s);
+      forward_slots_mine_ |= std::uint64_t{1} << s;
       radio_.CommitReceive(abs);
     }
   }
@@ -752,7 +760,8 @@ DataPacket MobileSubscriber::MakeDataPacket(const PendingPacket& p, int more_slo
 }
 
 bool MobileSubscriber::ExpectsForwardSlot(int slot) const {
-  return forward_slots_mine_.contains(slot);
+  OSUMAC_DCHECK(slot >= 0 && slot < kForwardDataSlots);
+  return ((forward_slots_mine_ >> slot) & 1) != 0;
 }
 
 void MobileSubscriber::RequestSignOff() {

@@ -356,7 +356,9 @@ class MobileSubscriber {
   int granted_this_cycle_ = 0;
 
   // Forward path.
-  std::set<int> forward_slots_mine_;
+  /// Forward slots this cycle carries for us, bit s for slot s.
+  std::uint64_t forward_slots_mine_ = 0;
+  static_assert(kForwardDataSlots <= 64);
   std::map<std::uint32_t, std::set<std::uint8_t>> forward_frags_;
   std::map<std::uint32_t, std::uint8_t> forward_frag_counts_;
   std::vector<std::uint32_t> completed_forward_messages_;

@@ -29,9 +29,21 @@ void Simulator::RemoveTarget(std::int32_t id) {
 
 void Simulator::ScheduleAt(Tick when, std::int32_t target, std::int32_t kind,
                            std::int32_t index) {
+  ScheduleReservedAt(when, next_seq_++, target, kind, index);
+}
+
+std::uint64_t Simulator::ReserveSeqs(std::uint64_t count) {
+  const std::uint64_t first = next_seq_;
+  next_seq_ += count;
+  return first;
+}
+
+void Simulator::ScheduleReservedAt(Tick when, std::uint64_t seq, std::int32_t target,
+                                   std::int32_t kind, std::int32_t index) {
   OSUMAC_CHECK_GE(when, now_);  // cannot schedule into the past
   OSUMAC_CHECK(target >= 0 && static_cast<std::size_t>(target) < targets_.size());
-  agenda_.push_back(Event{when, next_seq_++, target, kind, index});
+  OSUMAC_DCHECK_LT(seq, next_seq_);
+  agenda_.push_back(Event{when, seq, target, kind, index});
   std::push_heap(agenda_.begin(), agenda_.end(), Later);
 }
 

@@ -43,7 +43,9 @@ class EventTarget {
 ///
 /// Two events scheduled for the same tick fire in scheduling order (FIFO),
 /// which the MAC relies on so that, e.g., a slot-end event posted before a
-/// cycle-start event at the same boundary tick is processed first.
+/// cycle-start event at the same boundary tick is processed first.  An
+/// event scheduled under a reserved sequence number (ReserveSeqs) counts as
+/// scheduled when the number was reserved.
 class Simulator {
  public:
   Simulator() = default;
@@ -62,6 +64,17 @@ class Simulator {
   /// Schedules (target, kind, index) at absolute time `when` (>= now()).
   void ScheduleAt(Tick when, std::int32_t target, std::int32_t kind,
                   std::int32_t index = 0);
+
+  /// Reserves `count` consecutive sequence numbers and returns the first.
+  /// An event later scheduled under one of them with ScheduleReservedAt
+  /// fires among same-tick events exactly where it would have had it been
+  /// scheduled at the moment of the reservation; an event that turns out
+  /// not to be needed is simply never scheduled.
+  std::uint64_t ReserveSeqs(std::uint64_t count);
+  /// Schedules (target, kind, index) at `when` (>= now()) under `seq`, a
+  /// number from ReserveSeqs; each reserved number is used at most once.
+  void ScheduleReservedAt(Tick when, std::uint64_t seq, std::int32_t target,
+                          std::int32_t kind, std::int32_t index = 0);
 
   /// Runs events with time <= `end`; afterwards now() == end if the queue
   /// still holds later events (or was emptied), so repeated RunUntil calls

@@ -53,6 +53,36 @@ namespace {
 /// message maps and the radio's interval deque, with headroom.
 constexpr double kAllocationsPerCycleBudget = 16.0;
 
+/// The same with downlink traffic (rho 0.3) under ARQ on a perfect
+/// channel: 53.3 measured, plus the uplink case's headroom of 5.3.  The
+/// per-slot forward bookkeeping is fixed-size; what remains is downlink
+/// state kept per message and per user.
+constexpr double kDownlinkAllocationsPerCycleBudget = 59.0;
+
+/// Heap allocations per cycle of `spec`'s OSU cell over cycles 200-1200.
+double AllocationsPerCycle(const exp::ScenarioSpec& spec) {
+  exp::ScenarioRun run(spec);
+  run.BuildPopulation();
+  run.StartWorkloads();
+  run.Warmup();
+  mac::Cell& cell = run.cell();
+  constexpr int kFirstCycle = 200;
+  constexpr int kCycles = 1000;
+  const std::int64_t done = cell.current_cycle() + 1;
+  EXPECT_LE(done, kFirstCycle);
+  cell.RunCycles(static_cast<int>(kFirstCycle - done));
+
+  const std::uint64_t before = g_allocations.load();
+  cell.RunCycles(kCycles);
+  const std::uint64_t allocations = g_allocations.load() - before;
+
+  const double per_cycle = static_cast<double>(allocations) / kCycles;
+  std::printf("allocations per cycle over cycles %d-%d: %.2f\n", kFirstCycle,
+              kFirstCycle + kCycles, per_cycle);
+  EXPECT_GT(cell.metrics().unique_payload_bytes, 0) << "the cell carried no traffic";
+  return per_cycle;
+}
+
 TEST(AllocBudgetTest, CountingAllocatorSeesAllocations) {
   const std::uint64_t before = g_allocations.load();
   void* p = ::operator new(sizeof(int));  // a call, which cannot be elided
@@ -65,26 +95,16 @@ TEST(AllocBudgetTest, OsuCellCycleStaysWithinBudget) {
   exp::ScenarioSpec spec;
   spec.workload.rho = 0.8;
   spec.seed = 1;
-  exp::ScenarioRun run(spec);
-  run.BuildPopulation();
-  run.StartWorkloads();
-  run.Warmup();
-  mac::Cell& cell = run.cell();
-  constexpr int kFirstCycle = 200;
-  constexpr int kCycles = 1000;
-  const std::int64_t done = cell.current_cycle() + 1;
-  ASSERT_LE(done, kFirstCycle);
-  cell.RunCycles(static_cast<int>(kFirstCycle - done));
+  EXPECT_LE(AllocationsPerCycle(spec), kAllocationsPerCycleBudget);
+}
 
-  const std::uint64_t before = g_allocations.load();
-  cell.RunCycles(kCycles);
-  const std::uint64_t allocations = g_allocations.load() - before;
-
-  const double per_cycle = static_cast<double>(allocations) / kCycles;
-  std::printf("allocations per cycle over cycles %d-%d: %.2f\n", kFirstCycle,
-              kFirstCycle + kCycles, per_cycle);
-  EXPECT_GT(cell.metrics().unique_payload_bytes, 0) << "the cell carried no traffic";
-  EXPECT_LE(per_cycle, kAllocationsPerCycleBudget);
+TEST(AllocBudgetTest, OsuCellCycleWithDownlinkArqStaysWithinBudget) {
+  exp::ScenarioSpec spec;
+  spec.workload.rho = 0.8;
+  spec.workload.downlink_rho = 0.3;
+  spec.mac.downlink_arq = true;
+  spec.seed = 1;
+  EXPECT_LE(AllocationsPerCycle(spec), kDownlinkAllocationsPerCycleBudget);
 }
 
 }  // namespace

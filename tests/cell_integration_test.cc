@@ -2,6 +2,8 @@
 // injection, GPS churn with rules R1-R3 live, registration storms,
 // two-control-field behaviour, ablations, determinism, and conservation
 // invariants.
+#include <array>
+
 #include <gtest/gtest.h>
 
 #include "audit_util.h"
@@ -329,6 +331,90 @@ TEST(CellTwoCfTest, LastSlotCarriesTrafficAndStaysConsistent) {
                       static_cast<double>(bs.data_packets_received);
   EXPECT_GT(gain, 0.03);
   EXPECT_LT(gain, 0.20) << "paper reports 5-14%";
+}
+
+/// Counts the forward packets the base station plans: CF1's slots at the
+/// cycle start, plus the CF1-idle slots CF2 hands its listener.
+class ForwardPlanCounter final : public mac::CellObserver {
+ public:
+  static constexpr std::size_t kLastSlot = mac::kForwardDataSlots - 1;
+
+  void OnCyclePlanned(const Cell&, const mac::ControlFields& cf1, std::int64_t, Tick) override {
+    cf1_ = cf1.forward_schedule;
+    last_slot_planned_ = cf1_[kLastSlot] != mac::kNoUser;
+    for (const mac::UserId u : cf1_) planned += u != mac::kNoUser ? 1 : 0;
+  }
+  void OnControlFieldsDelivered(const Cell&, const mac::ControlFields& cf, bool second, Tick,
+                                Tick) override {
+    if (!second) return;
+    for (std::size_t s = 0; s < cf.forward_schedule.size(); ++s) {
+      if (cf.forward_schedule[s] == mac::kNoUser || cf1_[s] != mac::kNoUser) continue;
+      ++planned;
+      ++cf2_added;
+      if (s == kLastSlot) {
+        ++cf2_added_last_slot;
+        last_slot_planned_ = true;
+      }
+    }
+  }
+  /// Packets planned for slots that have ended: the last cycle's slot 36
+  /// ends on the next cycle's start tick, after the run stops.
+  std::int64_t planned_and_ended() const { return planned - (last_slot_planned_ ? 1 : 0); }
+
+  std::int64_t planned = 0;
+  std::int64_t cf2_added = 0;
+  std::int64_t cf2_added_last_slot = 0;
+
+ private:
+  std::array<mac::UserId, mac::kForwardDataSlots> cf1_{};
+  bool last_slot_planned_ = false;
+};
+
+TEST(CellTwoCfTest, EveryPlannedForwardPacketIsReceivedOrCountedLost) {
+  // Forward slots get an event only when they carry a packet, and CF2 adds
+  // the events of the slots it assigns.  A packet whose event is missing
+  // or fires too late (a CF2-added slot, or slot 36, which ends on the next
+  // cycle's start tick) is neither received nor counted lost; the next
+  // PlanCycle's CHECK stops the run on it.
+  CellConfig config;
+  config.seed = 63;
+  config.mac.downlink_arq = true;
+  config.forward.kind = ChannelModelConfig::Kind::kUniform;
+  config.forward.symbol_error_prob = 0.08;  // some forward words fail to decode
+  Cell cell(config);
+  test::ScopedAudit audit(cell);
+  ForwardPlanCounter counter;
+  cell.AddObserver(&counter);
+  const auto nodes = AddActiveDataUsers(cell, 4);
+  cell.RunCycles(8);
+  const auto sizes = traffic::SizeDistribution::Uniform(40, 500);
+  traffic::PoissonUplinkWorkload up(
+      cell, nodes, traffic::MeanInterarrivalTicks(0.9, 4, 9, sizes.MeanBytes()), sizes,
+      Rng(7));
+  for (int c = 0; c < 200; ++c) {
+    // Right after CF1, a 37-packet downlink message for the CF2 listener
+    // is too late for CF1's schedule: CF2 hands it every compatible
+    // CF1-idle slot, through slot 36.
+    sim::Simulator& sim = cell.simulator();
+    sim.RunUntil(sim.now() + 1 + mac::ForwardCycleLayout::ControlFields1().end);
+    for (int n : nodes) {
+      const mac::UserId uid = cell.subscriber(n).user_id();
+      if (uid != mac::kNoUser && uid == cell.base_station().cf2_listener()) {
+        cell.SendDownlinkMessage(n, mac::kForwardDataSlots * mac::kPacketPayloadBytes);
+      }
+    }
+    cell.RunCycles(1);
+  }
+
+  std::int64_t received = 0;
+  for (int n : nodes) received += cell.subscriber(n).stats().forward_packets_received;
+  const std::int64_t lost = cell.metrics().forward_packets_lost;
+  EXPECT_GT(counter.cf2_added, 0) << "no CF2 listener received a CF1-idle slot";
+  EXPECT_GT(counter.cf2_added_last_slot, 0) << "CF2 never added slot 36";
+  EXPECT_GT(lost, 0) << "the noisy forward channel lost nothing";
+  EXPECT_EQ(cell.base_station().counters().forward_packets_sent,
+            counter.planned_and_ended());
+  EXPECT_EQ(received + lost, counter.planned_and_ended());
 }
 
 TEST(CellTwoCfTest, AblationDisablingSecondCfWastesTheLastSlot) {

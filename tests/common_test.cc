@@ -7,6 +7,7 @@
 #include <cstdint>
 #include <span>
 #include <stdexcept>
+#include <string>
 #include <utility>
 #include <vector>
 
@@ -181,45 +182,105 @@ std::uint64_t RandomField(Rng& rng, int width) {
   return width == 64 ? v : v & ((std::uint64_t{1} << width) - 1);
 }
 
+/// A BitWriter and the oracle fed the same fields, with every field kept
+/// for reading back.
+class CheckedStream {
+ public:
+  static constexpr int kCapacityBits = BitWriter::kCapacityBytes * 8;
+
+  int bit_size() const { return w_.bit_size(); }
+  int room() const { return kCapacityBits - w_.bit_size(); }
+
+  void Write(std::uint64_t value, int width) {
+    w_.Write(value, width);
+    oracle_.Write(value, width);
+    written_.emplace_back(width, value);
+  }
+  void WriteZeros(int count) {
+    w_.WriteZeros(count);
+    oracle_.WriteZeros(count);
+    // Zero runs read back in chunks of at most 64 bits.
+    for (int left = count; left > 0; left -= 64) written_.emplace_back(std::min(left, 64), 0);
+  }
+  /// Random fields of random widths, `bits` in all.
+  void WriteRandom(Rng& rng, int bits) {
+    while (bits > 0) {
+      const int width = std::min(bits, static_cast<int>(rng.UniformInt(1, 64)));
+      Write(RandomField(rng, width), width);
+      bits -= width;
+    }
+  }
+
+  /// The writer's bytes, viewed at any point, equal the oracle's.
+  void ExpectMatchesOracle(const std::string& where) {
+    ASSERT_EQ(w_.bit_size(), oracle_.bit_size()) << where;
+    ASSERT_EQ(std::vector<std::uint8_t>(w_.bytes().begin(), w_.bytes().end()),
+              oracle_.bytes())
+        << where;
+  }
+  /// Every field reads back from the writer's bytes.
+  void ExpectReadsBack(const std::string& where) {
+    BitReader r(w_.bytes());
+    for (const auto& [width, value] : written_) {
+      ASSERT_EQ(r.Read(width), value) << where << " width " << width;
+    }
+    EXPECT_FALSE(r.overflowed()) << where;
+  }
+
+ private:
+  BitWriter w_;
+  OracleBitWriter oracle_;
+  std::vector<std::pair<int, std::uint64_t>> written_;
+};
+
 TEST(BitIoTest, WriterMatchesBitLoopOracleAndReadsBack) {
   Rng rng(0xB17);
   for (int trial = 0; trial < 300; ++trial) {
-    BitWriter w;
-    OracleBitWriter oracle;
-    // (width, value) of every field, zero runs split into 64-bit reads.
-    std::vector<std::pair<int, std::uint64_t>> written;
+    CheckedStream stream;
     // Fields stop where the next one would overrun the writer's inline
     // buffer (WritingPastTheInlineBufferIsACheckFailure covers that).
-    constexpr int kCapacityBits = BitWriter::kCapacityBytes * 8;
     const int fields = static_cast<int>(rng.UniformInt(1, 40));
     for (int f = 0; f < fields; ++f) {
       if (rng.UniformInt(0, 7) == 0) {
         // Long enough to cross several 64-bit chunks.
         const int count = static_cast<int>(rng.UniformInt(0, 200));
-        if (w.bit_size() + count > kCapacityBits) break;
-        w.WriteZeros(count);
-        oracle.WriteZeros(count);
-        for (int left = count; left > 0; left -= 64) {
-          written.emplace_back(std::min(left, 64), 0);
-        }
+        if (count > stream.room()) break;
+        stream.WriteZeros(count);
       } else {
         const int width = static_cast<int>(rng.UniformInt(1, 64));
-        const std::uint64_t value = RandomField(rng, width);
-        if (w.bit_size() + width > kCapacityBits) break;
-        w.Write(value, width);
-        oracle.Write(value, width);
-        written.emplace_back(width, value);
+        if (width > stream.room()) break;
+        stream.Write(RandomField(rng, width), width);
       }
-      ASSERT_EQ(w.bit_size(), oracle.bit_size());
-      ASSERT_EQ(std::vector<std::uint8_t>(w.bytes().begin(), w.bytes().end()),
-                oracle.bytes())
-          << "trial " << trial << " field " << f;
+      // Viewing the bytes mid-stream, then writing on, changes nothing.
+      stream.ExpectMatchesOracle("trial " + std::to_string(trial) + " field " +
+                                 std::to_string(f));
     }
-    BitReader r(w.bytes());
-    for (const auto& [width, value] : written) {
-      ASSERT_EQ(r.Read(width), value) << "trial " << trial << " width " << width;
+    stream.ExpectReadsBack("trial " + std::to_string(trial));
+  }
+
+  // The writer keeps a 64-bit register and stores whole words: a field of
+  // every width ends at every bit offset from 8 before to 8 after each
+  // word boundary.  Random fields lead up to it; a zero run that may cross
+  // words and more random fields take the stream to exactly 768 bits, the
+  // writer's capacity.
+  for (int boundary = 64; boundary < CheckedStream::kCapacityBits; boundary += 64) {
+    for (int end = boundary - 8; end <= boundary + 8; ++end) {
+      for (int width = 1; width <= 64; ++width) {
+        if (width > end) continue;
+        const std::string where = "field of " + std::to_string(width) + " bits ending at " +
+                                  std::to_string(end);
+        CheckedStream stream;
+        stream.WriteRandom(rng, end - width);
+        stream.Write(RandomField(rng, width), width);
+        stream.ExpectMatchesOracle(where);
+        stream.WriteZeros(std::min(stream.room(), static_cast<int>(rng.UniformInt(0, 140))));
+        stream.ExpectMatchesOracle(where + ", zero run");
+        stream.WriteRandom(rng, stream.room());
+        ASSERT_EQ(stream.bit_size(), CheckedStream::kCapacityBits) << where;
+        stream.ExpectMatchesOracle(where + ", full");
+        stream.ExpectReadsBack(where);
+      }
     }
-    EXPECT_FALSE(r.overflowed());
   }
 }
 

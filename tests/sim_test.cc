@@ -213,13 +213,16 @@ AgendaTotals RunTenant(const std::string& mac) {
 }
 
 TEST(SimulatorTest, MacDriverAgendaGolden) {
-  // Recorded with the closure-queue engine: no event may be merged, dropped
-  // or reordered (the chain head covers every journaled cycle's state).
-  // The chain heads were re-recorded for the osumac-journal-v2 digests
-  // (keyed-sum SLO buckets and ledger fold); the event counts were not.
+  // Recorded with the closure-queue engine: no event with an effect may be
+  // merged, dropped or reordered (the chain head covers every journaled
+  // cycle's state).  The chain heads were re-recorded for the
+  // osumac-journal-v2 digests (keyed-sum SLO buckets and ledger fold).
+  // OSU's event counts were re-recorded when forward slots without a packet
+  // stopped getting an event (3515 -> 2104 executed; 22 -> 21 pending, as
+  // the last cycle's slot 36 carries no packet); its chain did not move.
   const AgendaTotals osu = RunTenant("osu");
-  EXPECT_EQ(osu.executed, 3515u);
-  EXPECT_EQ(osu.pending, 22u);
+  EXPECT_EQ(osu.executed, 2104u);
+  EXPECT_EQ(osu.pending, 21u);
   EXPECT_EQ(osu.chain, 0x3b4ef08b097fd1c0ull);
   const AgendaTotals rqma = RunTenant("rqma");
   EXPECT_EQ(rqma.executed, 620u);
